@@ -31,7 +31,7 @@ serve-smoke: ## boot the serve daemon, drive a scripted burst through it, verify
 	rm -f _build/serve-smoke.sock _build/serve-smoke.snap; \
 	exit $$status
 
-serve-replica-smoke: ## crash-recovery soak: primary + follower, kill -9 the primary, restart from snapshot, racy second burst, require byte-identical snapshots
+serve-replica-smoke: ## crash-recovery soak: primary + follower, kill -9 the primary, tear its log, restart from it, racy second burst, require byte-identical logs
 	dune build
 	rm -f _build/srs-p.sock _build/srs-f.sock _build/srs-p.snap _build/srs-f.snap
 	_build/default/bin/vvc.exe serve --socket _build/srs-p.sock \
@@ -48,6 +48,7 @@ serve-replica-smoke: ## crash-recovery soak: primary + follower, kill -9 the pri
 	done; \
 	cmp _build/srs-p.snap _build/srs-f.snap || status=1; \
 	kill -9 $$primary; wait $$primary 2>/dev/null; \
+	printf '{"index":48,"subject":' >> _build/srs-p.snap; \
 	_build/default/bin/vvc.exe serve --socket _build/srs-p.sock \
 	  --batch 4 --snapshot _build/srs-p.snap --quiet & \
 	primary=$$!; \

@@ -675,9 +675,11 @@ let serve_cmd =
     C.Arg.(value
            & opt (some string) None
            & info [ "snapshot" ] ~docv:"PATH"
-               ~doc:"Persist the committed log here (written atomically \
-                     after every commit); an existing snapshot is loaded \
-                     at startup so a restart resumes where it left off.")
+               ~doc:"Persist the committed log here, as an append-only \
+                     decision log (each commit appends its records before \
+                     its decisions are broadcast); an existing log is \
+                     loaded at startup, a torn last record dropped, so a \
+                     restart resumes where it left off.")
   in
   let quiet =
     C.Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress stderr logging.")

@@ -30,7 +30,6 @@
 
 module Oid = Vv_ballot.Option_id
 module Rng = Vv_prelude.Rng
-module Json = Vv_prelude.Json
 module Executor = Vv_exec.Executor
 
 type t = {
@@ -66,8 +65,15 @@ let lane_of t position = position mod t.batch
 
 let decisions t = List.rev t.decided_rev
 
+(* The log is held newest-first with dense indices, so the suffix from
+   [from] is a walk over its [height - from] newest slots. *)
 let decisions_from t from =
-  List.filter (fun (s : Ledger.slot) -> s.Ledger.index >= from) (decisions t)
+  let rec take acc = function
+    | (s : Ledger.slot) :: rest when s.Ledger.index >= from ->
+        take (s :: acc) rest
+    | _ -> acc
+  in
+  take [] t.decided_rev
 
 let submit t ~subject inputs =
   if List.length inputs <> t.cfg.Ledger.n then
@@ -234,78 +240,3 @@ let run ?batch ?jobs cfg requests =
   List.iter (fun (subject, inputs) -> ignore (submit t ~subject inputs)) requests;
   ignore (flush t);
   (decisions t, stats t)
-
-(* --- snapshots --- *)
-
-let snapshot_version = 1
-
-let to_snapshot t =
-  Json.Obj
-    [
-      ("version", Json.Int snapshot_version);
-      ("seed", Json.Int t.cfg.Ledger.seed);
-      ("n", Json.Int t.cfg.Ledger.n);
-      ("t", Json.Int t.cfg.Ledger.t);
-      ("batch", Json.Int t.batch);
-      ("decided", Json.List (List.map Ledger.slot_to_json (decisions t)));
-    ]
-
-let of_snapshot ?batch ?jobs cfg j =
-  let ( let* ) = Result.bind in
-  match j with
-  | Json.Obj fields ->
-      let int key =
-        match List.assoc_opt key fields with
-        | Some (Json.Int i) -> Ok i
-        | _ -> Error (Printf.sprintf "snapshot: missing int field %S" key)
-      in
-      let* version = int "version" in
-      let* () =
-        if version = snapshot_version then Ok ()
-        else Error (Printf.sprintf "snapshot: unsupported version %d" version)
-      in
-      let check key actual =
-        let* recorded = int key in
-        if recorded = actual then Ok ()
-        else
-          Error
-            (Printf.sprintf "snapshot: %s mismatch (snapshot %d, config %d)"
-               key recorded actual)
-      in
-      let* () = check "seed" cfg.Ledger.seed in
-      let* () = check "n" cfg.Ledger.n in
-      let* () = check "t" cfg.Ledger.t in
-      let* snap_batch = int "batch" in
-      let* batch =
-        match batch with
-        | None -> Ok snap_batch
-        | Some b when b = snap_batch -> Ok b
-        | Some b ->
-            Error
-              (Printf.sprintf "snapshot: batch mismatch (snapshot %d, config %d)"
-                 snap_batch b)
-      in
-      let* decided =
-        match List.assoc_opt "decided" fields with
-        | Some (Json.List items) ->
-            List.fold_left
-              (fun acc item ->
-                let* acc = acc in
-                let* s = Ledger.slot_of_json item in
-                Ok (s :: acc))
-              (Ok []) items
-            |> Result.map List.rev
-        | _ -> Error "snapshot: missing decided list"
-      in
-      let* () =
-        if
-          List.mapi (fun i (s : Ledger.slot) -> (i, s.Ledger.index)) decided
-          |> List.for_all (fun (i, idx) -> i = idx)
-        then Ok ()
-        else Error "snapshot: decided positions are not dense from 0"
-      in
-      let t = create ~batch ?jobs cfg in
-      t.decided_rev <- List.rev decided;
-      t.ndecided <- List.length decided;
-      Ok t
-  | _ -> Error "snapshot: expected an object"

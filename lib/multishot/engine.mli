@@ -1,5 +1,5 @@
 (** Multi-shot throughput engine: subject batching, slot sharding across
-    Executor domains, pipelined cost accounting and snapshot/catch-up.
+    Executor domains, pipelined cost accounting and catch-up.
 
     Submissions are assigned global positions in arrival order; position
     [p] lands in slot [p / batch], lane [p mod batch], and is decided by
@@ -10,8 +10,9 @@
 
     The serve daemon ({!Vv_serve.Server}) drives one engine per process:
     [submit] on every vote submission, [step] after each read burst
-    (decides full slots only), [flush] on demand, [to_snapshot] /
-    [of_snapshot] for restart catch-up. *)
+    (decides full slots only), [flush] on demand, [decisions_from] for
+    catch-up and log appends, [append_committed] to rebuild a log at
+    restart or on a follower. *)
 
 module Oid = Vv_ballot.Option_id
 
@@ -59,7 +60,8 @@ val decisions : t -> Ledger.slot list
 (** The committed log, in position order. *)
 
 val decisions_from : t -> int -> Ledger.slot list
-(** Committed decisions at positions [>= from] (restart catch-up). *)
+(** Committed decisions at positions [>= from], in position order
+    (restart catch-up, log appends). Costs O(height - from). *)
 
 val all_committed_valid : t -> bool
 (** Every committed decision carried voting validity. *)
@@ -100,17 +102,3 @@ val run :
   Ledger.slot list * stats
 (** Submit every [(subject, inputs)] request, flush, and return the
     committed log with its stats. *)
-
-val to_snapshot : t -> Vv_prelude.Json.t
-(** Committed state only (config echo + decision log); pending
-    submissions are the clients' to resubmit. *)
-
-val of_snapshot :
-  ?batch:int ->
-  ?jobs:int ->
-  Ledger.config ->
-  Vv_prelude.Json.t ->
-  (t, string) result
-(** Rebuild an engine from a snapshot. Fails when the snapshot's seed,
-    [n], [t] or (if [?batch] is given) batch size disagree with the
-    requested configuration, or the decision log is malformed. *)

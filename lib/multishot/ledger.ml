@@ -183,7 +183,7 @@ let decide t ~subject inputs =
   t.slots <- slot :: t.slots;
   slot
 
-(* --- snapshot serialisation (used by Engine and the serve daemon) --- *)
+(* --- serialisation (the serve daemon's wire format and decision log) --- *)
 
 let slot_to_json s =
   Json.Obj
@@ -211,8 +211,8 @@ let slot_of_json j =
       let* decision =
         match List.assoc_opt "decision" fields with
         | Some Json.Null -> Ok None
-        | Some (Json.Int i) -> Ok (Some (Oid.of_int i))
-        | _ -> Error "slot: decision must be an int or null"
+        | Some (Json.Int i) when i >= 0 -> Ok (Some (Oid.of_int i))
+        | _ -> Error "slot: decision must be a non-negative int or null"
       in
       let* speaker = int "speaker" in
       let* attempts = int "attempts" in

@@ -89,6 +89,8 @@ val compute :
 
 val slot_to_json : slot -> Vv_prelude.Json.t
 val slot_of_json : Vv_prelude.Json.t -> (slot, string) result
-(** Lossless slot serialisation, used by {!Engine} snapshots. *)
+(** Lossless slot serialisation: the serve daemon's decision lines and
+    decision-log records. [slot_of_json] returns [Error], never raises,
+    on any malformed value. *)
 
 val pp_slot : slot Fmt.t

@@ -25,15 +25,30 @@ module Json = Vv_prelude.Json
 module Oid = Vv_ballot.Option_id
 module Ledger = Vv_multishot.Ledger
 
+(* Received bytes wait in [buf] between [start] and [stop]; [scanned]
+   marks how far that span is known to hold no newline, so each byte is
+   scanned once.  [buf] starts at 4 KiB and doubles only when one line
+   outgrows it. *)
 type conn = {
   fd : Unix.file_descr;
-  buf : Buffer.t;
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable scanned : int;
+  mutable stop : int;
   stash : (string, Json.t) Hashtbl.t;
       (* responses read while awaiting a different id, keyed by
          rendered id *)
 }
 
-let make_conn fd = { fd; buf = Buffer.create 4096; stash = Hashtbl.create 8 }
+let make_conn fd =
+  {
+    fd;
+    buf = Bytes.create 4096;
+    start = 0;
+    scanned = 0;
+    stop = 0;
+    stash = Hashtbl.create 8;
+  }
 
 (* Connect-retry pacing: capped exponential backoff with deterministic
    seeded jitter.  The base delay doubles per attempt up to [retry_cap];
@@ -115,21 +130,56 @@ let send conn line =
 
 (* Pop a buffered complete line if one is already waiting. *)
 let take_buffered conn =
-  let data = Buffer.contents conn.buf in
-  match String.index_opt data '\n' with
-  | None -> None
+  let rec find i =
+    if i >= conn.stop then None
+    else if Bytes.get conn.buf i = '\n' then Some i
+    else find (i + 1)
+  in
+  match find conn.scanned with
+  | None ->
+      conn.scanned <- conn.stop;
+      None
   | Some i ->
-      Buffer.clear conn.buf;
-      Buffer.add_substring conn.buf data (i + 1)
-        (String.length data - i - 1);
-      Some (String.sub data 0 i)
+      let line = Bytes.sub_string conn.buf conn.start (i - conn.start) in
+      conn.start <- i + 1;
+      conn.scanned <- i + 1;
+      Some line
+
+(* One read syscall into the free end of [buf], first moving the
+   buffered bytes (a partial line, between reads) to the front, or
+   doubling [buf] when one line fills it.  [`Eof] on end of stream or a
+   connection error. *)
+let fill conn =
+  if conn.start > 0 then begin
+    let pending = conn.stop - conn.start in
+    Bytes.blit conn.buf conn.start conn.buf 0 pending;
+    conn.scanned <- conn.scanned - conn.start;
+    conn.start <- 0;
+    conn.stop <- pending
+  end
+  else if conn.stop = Bytes.length conn.buf then begin
+    let bigger = Bytes.create (2 * Bytes.length conn.buf) in
+    Bytes.blit conn.buf 0 bigger 0 conn.stop;
+    conn.buf <- bigger
+  end;
+  let rec read () =
+    match
+      Unix.read conn.fd conn.buf conn.stop (Bytes.length conn.buf - conn.stop)
+    with
+    | 0 -> `Eof
+    | len ->
+        conn.stop <- conn.stop + len;
+        `Read
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read ()
+    | exception Unix.Unix_error (_, _, _) -> `Eof
+  in
+  read ()
 
 (* Blocking read of the next line, [None] on EOF, deadline, or a
    connection error (the server dying mid-read must not escape the load
    driver as an exception). *)
 let recv_line ?(timeout = 30.) conn =
   let deadline = Unix.gettimeofday () +. timeout in
-  let chunk = Bytes.create 65536 in
   let rec loop () =
     match take_buffered conn with
     | Some line -> Some line
@@ -140,14 +190,7 @@ let recv_line ?(timeout = 30.) conn =
           match Unix.select [ conn.fd ] [] [] remaining with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
           | [], _, _ -> None
-          | _ -> (
-              match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-              | 0 -> None
-              | len ->
-                  Buffer.add_subbytes conn.buf chunk 0 len;
-                  loop ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-              | exception Unix.Unix_error (_, _, _) -> None))
+          | _ -> ( match fill conn with `Read -> loop () | `Eof -> None))
   in
   loop ()
 
@@ -386,12 +429,7 @@ let run_load ?(timeout = 30.) ?(shutdown = false) ~conns subjects =
 (* Read whatever one connection has ready, without blocking: at most one
    read syscall, then every complete buffered line. *)
 let poll_lines conn =
-  let chunk = Bytes.create 65536 in
-  (match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-  | 0 -> ()
-  | len -> Buffer.add_subbytes conn.buf chunk 0 len
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> ());
+  ignore (fill conn);
   let rec take acc =
     match take_buffered conn with
     | Some line -> take (line :: acc)

@@ -11,6 +11,10 @@
    (overlap after a race) are ignored, a gap means the streams got out
    of sync and forces a reconnect-and-re-catchup.
 
+   Each upstream read is appended to the follower's own decision log
+   ({!Server.write_snapshot}) before its decisions are relayed to the
+   follower's clients, as on the primary.
+
    When the primary dies the follower keeps serving reads at its last
    height and probes the primary address every [retry_every] seconds; a
    primary restarted from its snapshot answers the next [catchup] from
@@ -91,19 +95,45 @@ let run ?batch ?jobs ?snapshot ?log ?(max_outq = Server.default_max_outq)
         (try Unix.close fd with Unix.Unix_error _ -> ());
         next_retry := Unix.gettimeofday () +. retry_every
   in
-  (* Apply one upstream line; true when it extended the committed log. *)
+  (* Apply one upstream line; [Some s] when [s] extended the committed
+     log. *)
   let apply line =
     match Rpc.decision_of_line line with
-    | None -> false (* the catchup ack, or noise — not a decision *)
+    | None -> None (* the catchup ack, or noise — not a decision *)
     | Some s -> (
         match Engine.append_committed engine s with
-        | Ok `Applied ->
-            broadcast (Rpc.decision ~batch:(Engine.batch engine) s);
-            true
-        | Ok `Stale -> false
+        | Ok `Applied -> Some s
+        | Ok `Stale -> None
         | Error msg ->
             drop_upstream msg;
-            false)
+            None)
+  in
+  let close_all () =
+    (match !upstream with Some ch -> Chan.close ch | None -> ());
+    Hashtbl.iter
+      (fun _ ch ->
+        Chan.flush_write ch;
+        Chan.close ch)
+      clients
+  in
+  (* Apply an upstream read, log what it extended, then relay it: write
+     before broadcast, as on the primary, and before any client request
+     of the same burst can [catchup] the new slots.  A failed write stops
+     the follower there, before it relays or serves them. *)
+  let apply_burst lines =
+    match List.filter_map apply lines with
+    | [] -> ()
+    | applied ->
+        (match Server.write_log engine snapshot with
+        | Ok () -> ()
+        | Error msg ->
+            close_all ();
+            let msg = "decision log write failed, stopping: " ^ msg in
+            info msg;
+            failwith ("Replica.run: " ^ msg));
+        List.iter
+          (fun s -> broadcast (Rpc.decision ~batch:(Engine.batch engine) s))
+          applied
   in
   let handle ch line =
     if String.trim line <> "" then
@@ -191,23 +221,19 @@ let run ?batch ?jobs ?snapshot ?log ?(max_outq = Server.default_max_outq)
                 | Some ch -> Chan.flush_write ch
                 | None -> ()))
           writable;
-        let applied = ref 0 in
         List.iter
           (fun fd ->
             if fd = listen then accept ()
             else
               match up with
               | Some ch when Chan.fd ch = fd ->
-                  List.iter
-                    (fun line -> if apply line then incr applied)
-                    (Chan.read_lines ch);
+                  apply_burst (Chan.read_lines ch);
                   if not (Chan.alive ch) then drop_upstream "EOF"
               | _ -> (
                   match Hashtbl.find_opt clients fd with
                   | None -> ()
                   | Some ch -> List.iter (handle ch) (Chan.read_lines ch)))
           readable;
-        if !applied > 0 then Server.write_snapshot ?log engine snapshot;
         let dead =
           Hashtbl.fold
             (fun fd ch acc -> if Chan.alive ch then acc else (fd, ch) :: acc)
@@ -220,12 +246,7 @@ let run ?batch ?jobs ?snapshot ?log ?(max_outq = Server.default_max_outq)
           dead
   done;
   Server.write_snapshot ?log engine snapshot;
-  (match !upstream with Some ch -> Chan.close ch | None -> ());
-  Hashtbl.iter
-    (fun _ ch ->
-      Chan.flush_write ch;
-      Chan.close ch)
-    clients;
+  close_all ();
   info (Printf.sprintf "follower stopped at height %d" (Engine.height engine));
   {
     height = Engine.height engine;

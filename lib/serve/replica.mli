@@ -29,9 +29,14 @@ val run :
   Vv_multishot.Ledger.config ->
   outcome
 (** Run until a [shutdown] request from a client. [cfg]/[batch] must
-    match the primary's (the snapshot config echo enforces this across
-    restarts). With [?snapshot] the replicated log persists atomically
-    after every applied burst, and an existing snapshot seeds the resync
-    height at boot. [retry_every] (default 0.25 s) paces reconnection
+    match the primary's (the log header enforces this across restarts).
+    With [?snapshot] the replicated log is the same append-only decision
+    log as the primary's ({!Server.write_snapshot}): each upstream read
+    appends its applied slots before they are relayed to this follower's
+    clients, so a relayed decision is never one a crash can lose, and an
+    existing log seeds the resync height at boot ({!Server.load_engine},
+    torn tail dropped). As on the primary, a read whose slots cannot be
+    written stops the follower without relaying them; [run] then raises
+    [Failure] naming the write error. [retry_every] (default 0.25 s) paces reconnection
     probes; [max_outq] is the {!Server.serve} slow-consumer bound for
     this follower's own clients. The caller owns [listen]. *)

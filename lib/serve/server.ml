@@ -18,12 +18,18 @@
    (the slow-consumer policy, counted in the outcome); it can reconnect
    and [catchup] from wherever it left off.
 
-   Durability: with [?snapshot] the committed log is written atomically
-   (tmp + rename, {!Vv_prelude.Io.write_atomic}) after every commit burst
-   and on shutdown; at startup an existing snapshot is loaded so a
-   restarted server resumes at its previous height.  Pending submissions
-   are never snapshotted — unacknowledged-by-decision traffic is the
-   clients' to resubmit.
+   Durability: with [?snapshot] the committed log lives in an
+   append-only decision log — a header line, then one record per slot.
+   Each commit burst appends its new records before any of its decisions
+   is broadcast, so no client sees a decision a crash can lose; the file
+   is rewritten whole (atomically, {!Vv_prelude.Io.write_atomic}) only
+   when it is missing or is not this engine's log.  At startup the log is
+   read back, a torn or damaged last record is dropped, and the server
+   resumes at the recovered height.  Records are written without fsync:
+   they survive a process crash, not a power loss.  A burst that cannot
+   be written stops the daemon (fail-stop) before it is broadcast.
+   Pending submissions are never logged — unacknowledged-by-decision
+   traffic is the clients' to resubmit.
 
    The loop is deliberately single-threaded: determinism comes from the
    engine (positions in arrival order, slot computation pure), and the
@@ -82,31 +88,271 @@ let bound_port fd =
 
 type outcome = { height : int; served_clients : int; slow_disconnects : int }
 
-let write_snapshot ?log engine = function
-  | None -> ()
+(* --- the decision log --- *)
+
+(* The file at [--snapshot] is an append-only decision log: a header line
+   echoing the configuration, then one record line per committed slot in
+   position order.  A record is {!Ledger.slot_to_json} with one more,
+   last field, [crc]: the CRC-32 of the record's bytes before that field,
+   so a damaged record is caught even where it still parses. *)
+
+let log_version = 2
+
+let header_line engine =
+  let cfg = Engine.config engine in
+  Json.to_string
+    (Json.Obj
+       [
+         ("version", Json.Int log_version);
+         ("seed", Json.Int cfg.Ledger.seed);
+         ("n", Json.Int cfg.Ledger.n);
+         ("t", Json.Int cfg.Ledger.t);
+         ("batch", Json.Int (Engine.batch engine));
+       ])
+  ^ "\n"
+
+(* CRC-32 (IEEE 802.3, reflected). *)
+let crc_table =
+  Array.init 256 (fun byte ->
+      let c = ref byte in
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+(* The CRC of the first [len] bytes of [s]. *)
+let crc32 s len =
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to len - 1 do
+    c := crc_table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let record_line s =
+  let body = Json.to_string (Ledger.slot_to_json s) in
+  let len = String.length body - 1 in
+  Printf.sprintf "%s,\"crc\":%d}\n" (String.sub body 0 len) (crc32 body len)
+
+(* The [crc] field is the record's last, so it follows the last comma. *)
+let slot_of_record line =
+  let ( let* ) = Result.bind in
+  let* j = Json.of_string line in
+  let* s = Ledger.slot_of_json j in
+  match (j, String.rindex_opt line ',') with
+  | Json.Obj fields, Some len
+    when List.assoc_opt "crc" fields = Some (Json.Int (crc32 line len)) ->
+      Ok s
+  | _ -> Error "checksum mismatch"
+
+(* The batch size a header line records, once it matches [cfg] (and
+   [?batch], when given). *)
+let header_batch ?batch cfg line =
+  let ( let* ) = Result.bind in
+  match Json.of_string line with
+  | Ok (Json.Obj fields) ->
+      let int key =
+        match List.assoc_opt key fields with
+        | Some (Json.Int i) -> Ok i
+        | _ -> Error (Printf.sprintf "header: missing int field %S" key)
+      in
+      let* version = int "version" in
+      let* () =
+        if version = log_version then Ok ()
+        else Error (Printf.sprintf "header: unsupported version %d" version)
+      in
+      let check key actual =
+        let* recorded = int key in
+        if recorded = actual then Ok ()
+        else
+          Error
+            (Printf.sprintf "header: %s mismatch (log %d, config %d)" key
+               recorded actual)
+      in
+      let* () = check "seed" cfg.Ledger.seed in
+      let* () = check "n" cfg.Ledger.n in
+      let* () = check "t" cfg.Ledger.t in
+      let* recorded = int "batch" in
+      let* () =
+        match batch with Some b -> check "batch" b | None -> Ok ()
+      in
+      Ok recorded
+  | Ok _ -> Error "header: expected an object"
+  | Error msg -> Error ("header: " ^ msg)
+
+(* How much of the file's end an append reads to find its last record:
+   records are ~130 bytes, so a few KB always holds the last one whole. *)
+let tail_window = 4096
+
+(* Append the engine's slots after the file's last record; [false] when
+   the file is missing or is not this engine's log (its header differs,
+   or its last record is not the engine's slot at that index), and must
+   be rewritten whole.  Bytes after the last newline are a torn append
+   and are cut first; a failed append is cut back, so no record ever
+   follows a torn one. *)
+let append_log engine path =
+  match Unix.openfile path [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+  | fd ->
+      Fun.protect ~finally:(fun () ->
+          try Unix.close fd with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      (* One read: a regular file reads short only past its end. *)
+      let read_at ofs len =
+        let buf = Bytes.create len in
+        ignore (Unix.lseek fd ofs Unix.SEEK_SET);
+        if Unix.read fd buf 0 len < len then raise End_of_file;
+        Bytes.to_string buf
+      in
+      let header = header_line engine in
+      let hlen = String.length header in
+      let size = (Unix.fstat fd).Unix.st_size in
+      if size < hlen || read_at 0 hlen <> header then false
+      else
+        (* The window ends the file and never starts inside the header. *)
+        let from = max hlen (size - tail_window) in
+        let tail = read_at from (size - from) in
+        (* [Some (valid, height)]: the file's first [valid] bytes are the
+           header and this engine's first [height] records. *)
+        let intact =
+          match String.rindex_opt tail '\n' with
+          | None -> if from = hlen then Some (hlen, 0) else None
+          | Some nl -> (
+              let start =
+                match String.rindex_from_opt tail (nl - 1) '\n' with
+                | Some i -> Some (i + 1)
+                | None -> if from = hlen then Some 0 else None
+              in
+              let record =
+                Option.map
+                  (fun i -> slot_of_record (String.sub tail i (nl - i)))
+                  start
+              in
+              match record with
+              | Some (Ok s) -> (
+                  let index = s.Ledger.index in
+                  match Engine.decisions_from engine index with
+                  | s' :: _ when s' = s -> Some (from + nl + 1, index + 1)
+                  | _ -> None)
+              | _ -> None)
+        in
+        match intact with
+        | None -> false
+        | Some (valid, height) ->
+            if valid < size then Unix.ftruncate fd valid;
+            let fresh = Engine.decisions_from engine height in
+            if fresh <> [] then begin
+              let buf = Buffer.create (160 * List.length fresh) in
+              List.iter (fun s -> Buffer.add_string buf (record_line s)) fresh;
+              ignore (Unix.lseek fd valid Unix.SEEK_SET);
+              try
+                ignore
+                  (Unix.write_substring fd (Buffer.contents buf) 0
+                     (Buffer.length buf))
+              with Unix.Unix_error _ as e ->
+                (try Unix.ftruncate fd valid with Unix.Unix_error _ -> ());
+                raise e
+            end;
+            true
+
+let render_log engine =
+  let buf = Buffer.create (4096 + (160 * Engine.height engine)) in
+  Buffer.add_string buf (header_line engine);
+  List.iter
+    (fun s -> Buffer.add_string buf (record_line s))
+    (Engine.decisions engine);
+  Buffer.contents buf
+
+let write_log engine = function
+  | None -> Ok ()
   | Some path -> (
-      let body = Json.to_string (Engine.to_snapshot engine) ^ "\n" in
-      match Io.write_atomic ~path body with
-      | Ok () -> ()
-      | Error msg -> (
-          match log with
-          | Some f -> f (Printf.sprintf "snapshot write failed: %s" msg)
-          | None -> ()))
+      match append_log engine path with
+      | true -> Ok ()
+      | false -> Io.write_atomic ~path (render_log engine)
+      | exception Unix.Unix_error (e, fn, _) ->
+          Error (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message e))
+      | exception End_of_file -> Error (path ^ ": shrank while being read"))
+
+let write_snapshot ?log engine path =
+  match (write_log engine path, log) with
+  | Error msg, Some f -> f (Printf.sprintf "snapshot write failed: %s" msg)
+  | _ -> ()
+
+(* Rebuild the engine from an open log.  Records count once their
+   newline is written; the first record that is torn or damaged ends the
+   log, provided no intact record follows it — that tail is dropped and
+   the file cut to the last intact record.  Damage with intact records
+   after it is an [Error] naming its byte offset. *)
+let read_log ?batch ?jobs cfg path ic =
+  let ( let* ) = Result.bind in
+  let next_line () =
+    let start = pos_in ic in
+    match In_channel.input_line ic with
+    | None -> None
+    | Some line -> Some (start, line, pos_in ic - start > String.length line)
+  in
+  let rec intact_follows () =
+    match next_line () with
+    | None -> false
+    | Some (_, line, terminated) ->
+        (terminated && Result.is_ok (slot_of_record line)) || intact_follows ()
+  in
+  let* batch =
+    match next_line () with
+    | Some (_, line, true) -> header_batch ?batch cfg line
+    | _ -> Error "no header line"
+  in
+  let engine = Engine.create ~batch ?jobs cfg in
+  let rec records () =
+    match next_line () with
+    | None -> Ok ()
+    | Some (start, line, terminated) -> (
+        let decoded =
+          if terminated then slot_of_record line else Error "torn"
+        in
+        match decoded with
+        | Ok s -> (
+            match Engine.append_committed engine s with
+            | Ok `Applied -> records ()
+            | Ok `Stale ->
+                Error
+                  (Printf.sprintf "record at byte %d repeats position %d" start
+                     s.Ledger.index)
+            | Error msg ->
+                Error (Printf.sprintf "record at byte %d: %s" start msg))
+        | Error msg ->
+            if intact_follows () then
+              Error
+                (Printf.sprintf
+                   "record at byte %d is damaged (%s) and intact records \
+                    follow it"
+                   start msg)
+            else begin
+              Unix.truncate path start;
+              Ok ()
+            end)
+  in
+  let* () = records () in
+  Ok engine
 
 let load_engine ?batch ?jobs ~snapshot cfg =
   match snapshot with
-  | Some path when Sys.file_exists path -> (
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let body = really_input_string ic len in
-      close_in ic;
-      match Json.of_string (String.trim body) with
-      | Error msg -> Error (Printf.sprintf "%s: not valid JSON: %s" path msg)
-      | Ok j -> (
-          match Engine.of_snapshot ?batch ?jobs cfg j with
+  | None -> Ok (Engine.create ?batch ?jobs cfg)
+  | Some path -> (
+      let fail msg = Error (Printf.sprintf "%s: %s" path msg) in
+      match Unix.stat path with
+      | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
+          Ok (Engine.create ?batch ?jobs cfg)
+      | { Unix.st_kind = Unix.S_REG; _ } -> (
+          match
+            In_channel.with_open_bin path (read_log ?batch ?jobs cfg path)
+          with
           | Ok engine -> Ok engine
-          | Error msg -> Error (Printf.sprintf "%s: %s" path msg)))
-  | _ -> Ok (Engine.create ?batch ?jobs cfg)
+          | Error msg -> fail msg
+          | exception Sys_error msg -> fail msg
+          | exception Unix.Unix_error (e, fn, _) ->
+              fail (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
+      | _ -> fail "not a regular file"
+      | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e))
 
 let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
     ~listen cfg =
@@ -137,12 +383,29 @@ let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
              (Chan.unsent ch) max_outq)
   in
   let broadcast line = Hashtbl.iter (fun _ ch -> send ch line) clients in
+  (* Last-gasp flush so responses reach clients that are reading. *)
+  let close_all () =
+    Hashtbl.iter
+      (fun _ ch ->
+        Chan.flush_write ch;
+        Chan.close ch)
+      clients
+  in
+  (* Write before broadcast: no client sees a decision a crash can lose.
+     A failed write stops the daemon there, so the unwritten slots are
+     neither broadcast nor served by a later catchup. *)
   let commit decided =
     if decided <> [] then begin
+      (match write_log engine snapshot with
+      | Ok () -> ()
+      | Error msg ->
+          close_all ();
+          let msg = "decision log write failed, stopping: " ^ msg in
+          info msg;
+          failwith ("Server.serve: " ^ msg));
       List.iter
         (fun s -> broadcast (Rpc.decision ~batch:(Engine.batch engine) s))
-        decided;
-      write_snapshot ?log engine snapshot
+        decided
     end
   in
   let handle ch line =
@@ -240,12 +503,7 @@ let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
           dead
   done;
   write_snapshot ?log engine snapshot;
-  (* Last-gasp flush so shutdown responses reach clients that are reading. *)
-  Hashtbl.iter
-    (fun _ ch ->
-      Chan.flush_write ch;
-      Chan.close ch)
-    clients;
+  close_all ();
   info (Printf.sprintf "stopped at height %d" (Engine.height engine));
   {
     height = Engine.height engine;

@@ -34,11 +34,46 @@ type outcome = {
       (** clients dropped by the bounded-outbound-queue policy *)
 }
 
+(** {1 The decision log}
+
+    The file at [--snapshot] is an append-only decision log. Its first
+    line is a header, [{"version":2,"seed":S,"n":N,"t":T,"batch":B}];
+    every further line is one committed slot, in position order:
+    {!Vv_multishot.Ledger.slot_to_json} plus a last field [crc], the
+    CRC-32 of the record's bytes before it. Records are never superseded,
+    so the file needs no checkpoint or compaction.
+
+    Torn-tail rule: a record counts once its newline is written and its
+    checksum holds. On load, the first record that fails this ends the
+    log when no intact record follows it; the file is cut there. Damage
+    with an intact record after it is an [Error] naming the damaged
+    record's byte offset: committed slots are never dropped silently.
+
+    Flush policy: records are written with [write(2)] and no [fsync]. A
+    record survives a crash of the process once written, but not a power
+    loss.
+
+    Fail-stop: a daemon that cannot write a burst's records stops
+    instead of broadcasting them. Serving them from memory would let a
+    restart below those positions give them to other subjects while
+    clients and followers keep the old slots. *)
+
+val write_log :
+  Vv_multishot.Engine.t -> string option -> (unit, string) result
+(** Persist the engine's committed log to the path (no-op on [None]).
+    When the file is this engine's log — same header, and its last
+    record equal to the engine's slot at that index — only the slots
+    after that record are appended, found by reading the file's last few
+    KB. A torn tail is cut first, and an append that fails is cut back.
+    Otherwise (missing file, another config's log, a log ahead of the
+    engine) the whole log is written atomically
+    ({!Vv_prelude.Io.write_atomic}). [Error] names the failure; nothing
+    is raised. The one write path of the primary and of {!Replica}; both
+    stop rather than broadcast slots it could not write. *)
+
 val write_snapshot :
   ?log:(string -> unit) -> Vv_multishot.Engine.t -> string option -> unit
-(** Atomically persist the engine's committed log to the path (no-op on
-    [None]); write failures are logged, never raised. Shared with
-    {!Replica}. *)
+(** {!write_log}, with a failure passed to [log] instead of returned. *)
 
 val load_engine :
   ?batch:int ->
@@ -46,9 +81,14 @@ val load_engine :
   snapshot:string option ->
   Vv_multishot.Ledger.config ->
   (Vv_multishot.Engine.t, string) result
-(** Build the engine a daemon boots with: resumed from [snapshot] when
-    the file exists (failing on config mismatch or malformed JSON), a
-    fresh engine otherwise. Shared with {!Replica}. *)
+(** Build the engine a daemon boots with: a fresh engine when
+    [snapshot] is [None] or names no file; otherwise the log's slots
+    appended in order through {!Vv_multishot.Engine.append_committed}.
+    A torn or damaged last record is dropped and the file truncated to
+    the recovered prefix. [Error] — never an exception — on a header
+    that disagrees with the config (or with [?batch]), damage before the
+    last record, a path that is not a regular file, or an I/O failure.
+    Shared with {!Replica}. *)
 
 val serve :
   ?batch:int ->
@@ -60,13 +100,18 @@ val serve :
   listen:Unix.file_descr ->
   Vv_multishot.Ledger.config ->
   outcome
-(** Run the loop until a [shutdown] request. With [?snapshot], the
-    committed log is written atomically after every commit burst and on
-    shutdown, and an existing snapshot file is loaded at startup so a
-    restarted server resumes at its previous height (raises [Failure]
-    when the file exists but disagrees with [cfg]). [batch]/[jobs] are
-    {!Vv_multishot.Engine.create} parameters; [max_outq] (default
-    {!default_max_outq}) bounds each client's unsent bytes before the
-    slow-consumer disconnect; [sndbuf] shrinks each accepted socket's
-    kernel send buffer (testing/tuning hook). The caller owns [listen]
-    (and the socket file, for Unix sockets). *)
+(** Run the loop until a [shutdown] request. With [?snapshot], every
+    commit burst appends its records to the decision log before any of
+    its decisions is broadcast (write before broadcast: no client sees a
+    decision that a crash can lose), and an existing log is loaded at
+    startup with {!load_engine} so a restarted server resumes at its
+    previous height (raises [Failure] when that returns [Error]). A
+    commit whose records cannot be written ({!write_log} returns
+    [Error]) stops the server: the burst is not broadcast, no further
+    request is served, queued responses are flushed, every connection
+    is closed, and [serve] raises [Failure] naming the write error.
+    [batch]/[jobs] are {!Vv_multishot.Engine.create} parameters;
+    [max_outq] (default {!default_max_outq}) bounds each client's unsent
+    bytes before the slow-consumer disconnect; [sndbuf] shrinks each
+    accepted socket's kernel send buffer (testing/tuning hook). The
+    caller owns [listen] (and the socket file, for Unix sockets). *)

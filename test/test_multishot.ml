@@ -120,7 +120,7 @@ let test_validation () =
 (* --- slot independence (the seeding bugfix) --- *)
 
 module Engine = Vv_multishot.Engine
-module Json = Vv_prelude.Json
+module Server = Vv_serve.Server
 
 (* A mix of decisive and thin electorates so attempt counts vary. *)
 let mixed_inputs i =
@@ -240,17 +240,15 @@ let test_engine_snapshot_roundtrip () =
   List.iter (fun (s, inputs) -> ignore (Engine.submit e ~subject:s inputs)) reqs;
   ignore (Engine.step e);
   ignore (Engine.flush e);
-  let snap = Engine.to_snapshot e in
-  (* Round-trip through the actual wire encoding. *)
-  let snap =
-    match Json.of_string (Json.to_string snap) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "snapshot does not re-parse: %s" m
-  in
+  (* Round-trip through the daemon's decision log on disk. *)
+  let path = Filename.temp_file "vv-multishot" ".log" in
+  Sys.remove path;
+  Server.write_snapshot e (Some path);
+  let load cfg = Server.load_engine ~batch:4 ~snapshot:(Some path) cfg in
   let e' =
-    match Engine.of_snapshot ~batch:4 cfg snap with
+    match load cfg with
     | Ok e' -> e'
-    | Error m -> Alcotest.failf "of_snapshot: %s" m
+    | Error m -> Alcotest.failf "load_engine: %s" m
   in
   check_int "height restored" (Engine.height e) (Engine.height e');
   check_bool "log restored" true (Engine.decisions e = Engine.decisions e');
@@ -259,10 +257,37 @@ let test_engine_snapshot_roundtrip () =
   let tail = Engine.decisions_from e' 6 in
   check_int "catch-up length" 4 (List.length tail);
   check_int "catch-up starts at 6" 6 (List.hd tail).Ledger.index;
-  (* A snapshot from a different config is refused. *)
+  (* A log from a different config is refused. *)
   let other = Ledger.config ~byzantine:[ 7; 8 ] ~n:9 ~t:2 ~seed:1 () in
   check_bool "seed mismatch refused" true
-    (match Engine.of_snapshot other snap with Error _ -> true | Ok _ -> false)
+    (match load other with Error _ -> true | Ok _ -> false);
+  Sys.remove path
+
+(* [decisions_from] walks the newest slots only; it must agree with
+   filtering the whole log, for every [from] in and around the log. *)
+let prop_decisions_from_is_filter =
+  QCheck.Test.make ~count:200 ~name:"decisions_from = filter decisions"
+    QCheck.(pair (int_bound 40) (int_range (-3) 45))
+    (fun (height, from) ->
+      let e = Engine.create ~batch:3 (mixed_cfg ()) in
+      for index = 0 to height - 1 do
+        let s =
+          {
+            Ledger.index;
+            subject = 100 + index;
+            decision = Some (o (index mod 3));
+            speaker = index mod 9;
+            attempts = 1;
+            valid = true;
+            rounds_total = 5;
+          }
+        in
+        ignore (Engine.append_committed e s)
+      done;
+      Engine.decisions_from e from
+      = List.filter
+          (fun (s : Ledger.slot) -> s.Ledger.index >= from)
+          (Engine.decisions e))
 
 let test_engine_append_committed () =
   (* A follower building its log purely from a primary's decision stream
@@ -334,5 +359,6 @@ let () =
             test_engine_append_committed;
           Alcotest.test_case "snapshot round-trip and catch-up" `Quick
             test_engine_snapshot_roundtrip;
+          QCheck_alcotest.to_alcotest prop_decisions_from_is_filter;
         ] );
     ]

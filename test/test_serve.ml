@@ -70,9 +70,15 @@ let test_rpc_parse () =
 
 let test_rpc_decision_roundtrip () =
   let slot = Ledger.compute (cfg ()) ~index:5 ~subject:42 (mixed_inputs 0) in
-  match Rpc.decision_of_line (Rpc.decision ~batch:4 slot) with
+  (match Rpc.decision_of_line (Rpc.decision ~batch:4 slot) with
   | Some slot' -> check_bool "slot round-trips the wire" true (slot = slot')
-  | None -> Alcotest.fail "decision line should reconstruct"
+  | None -> Alcotest.fail "decision line should reconstruct");
+  (* A follower's upstream line with a negative option id is refused,
+     not raised out of [Oid.of_int]. *)
+  check_bool "negative decision refused" true
+    (Rpc.decision_of_line
+       {|{"method":"decision","params":{"index":0,"subject":0,"decision":-1,"speaker":0,"attempts":1,"valid":true,"rounds_total":1}}|}
+    = None)
 
 (* --- end-to-end --- *)
 
@@ -143,16 +149,8 @@ let test_snapshot_restart_catchup () =
   check_int "restart resumed and extended" 14 outcome2.Server.height;
   (* The combined run equals one uninterrupted engine run: restart is
      invisible in the committed log. *)
-  let snap_json =
-    let ic = open_in_bin snapshot in
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Json.of_string (String.trim body) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "snapshot unreadable: %s" m
-  in
   let restored =
-    match Engine.of_snapshot ~batch:4 (cfg ()) snap_json with
+    match Server.load_engine ~batch:4 ~snapshot:(Some snapshot) (cfg ()) with
     | Ok e -> e
     | Error m -> Alcotest.failf "snapshot rejected: %s" m
   in
@@ -392,6 +390,474 @@ let test_racy_load_subject_set () =
   check_bool "decided subjects == submitted subjects" true
     (Client.subjects_decided report = List.init 24 Fun.id)
 
+(* --- the decision log: recovery gate --- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+let fresh_log () =
+  let path = Filename.temp_file "vv-serve" ".log" in
+  Sys.remove path;
+  path
+
+let log_reqs = List.init 9 (fun i -> (i, mixed_inputs i))
+
+(* The uninterrupted run's log at batch 4: its slots and its file. *)
+let full_log =
+  lazy
+    (let e = Engine.create ~batch:4 (cfg ()) in
+     List.iter
+       (fun (subject, inputs) -> ignore (Engine.submit e ~subject inputs))
+       log_reqs;
+     ignore (Engine.flush e);
+     let path = fresh_log () in
+     Server.write_snapshot e (Some path);
+     let bytes = read_file path in
+     Sys.remove path;
+     (Engine.decisions e, bytes))
+
+(* Byte offset where the file's [k]-th line from the end starts. *)
+let line_start bytes k =
+  let rec back i k =
+    if i < 0 then 0
+    else if bytes.[i] = '\n' then if k = 0 then i + 1 else back (i - 1) (k - 1)
+    else back (i - 1) k
+  in
+  back (String.length bytes - 2) (k - 1)
+
+let load path = Server.load_engine ~batch:4 ~snapshot:(Some path) (cfg ())
+
+let overwrite s i c = String.mapi (fun j d -> if j = i then c else d) s
+
+let rec is_prefix xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> x = y && is_prefix xs ys
+  | _ :: _, [] -> false
+
+(* Load [data] from a log file; it must recover a prefix of the full log
+   and cut the file to exactly that prefix's records.  Returns the
+   recovered engine. *)
+let recover_prefix ~what path data =
+  write_file path data;
+  let slots, bytes = Lazy.force full_log in
+  match load path with
+  | Error msg -> Alcotest.failf "%s: load_engine refused: %s" what msg
+  | Ok e ->
+      let got = Engine.decisions e in
+      if not (is_prefix got slots) then
+        Alcotest.failf "%s: recovered log is not a prefix" what;
+      let h = Engine.height e in
+      let kept =
+        if h = List.length slots then String.length bytes
+        else line_start bytes (List.length slots - h)
+      in
+      if read_file path <> String.sub bytes 0 kept then
+        Alcotest.failf "%s: file not cut to the recovered prefix" what;
+      e
+
+(* What a restarted daemon does with the recovered engine: take the
+   remaining requests, decide them, append them. *)
+let resume path e =
+  List.iteri
+    (fun i (subject, inputs) ->
+      if i >= Engine.height e then ignore (Engine.submit e ~subject inputs))
+    log_reqs;
+  ignore (Engine.step e);
+  Server.write_snapshot e (Some path);
+  ignore (Engine.flush e);
+  Server.write_snapshot e (Some path);
+  read_file path
+
+let test_log_torn_last_record () =
+  let slots, bytes = Lazy.force full_log in
+  let n = List.length slots in
+  let last = line_start bytes 1 in
+  let path = fresh_log () in
+  for cut = last to String.length bytes do
+    let what = Printf.sprintf "cut at byte %d" cut in
+    let e = recover_prefix ~what path (String.sub bytes 0 cut) in
+    check_int what
+      (if cut = String.length bytes then n else n - 1)
+      (Engine.height e);
+    if resume path e <> bytes then Alcotest.failf "%s: resumed log differs" what
+  done;
+  Sys.remove path
+
+(* Every byte of the last record, overwritten with each digit, each JSON
+   delimiter, whitespace, NUL and three single-bit flips of itself: the
+   record's checksum catches the edits that still parse (a digit for a
+   digit), so each one drops exactly the last record. *)
+let test_log_overwritten_last_record () =
+  let slots, bytes = Lazy.force full_log in
+  let n = List.length slots in
+  let last = line_start bytes 1 in
+  let path = fresh_log () in
+  let fixed =
+    List.map Char.code [ '\n'; ' '; '"'; ','; ':'; '{'; '}'; '\000' ]
+  in
+  for i = last to String.length bytes - 1 do
+    let b = Char.code bytes.[i] in
+    List.iter
+      (fun v ->
+        if v <> b then begin
+          let what = Printf.sprintf "byte %d := %d" i v in
+          let e = recover_prefix ~what path (overwrite bytes i (Char.chr v)) in
+          check_int what (n - 1) (Engine.height e)
+        end)
+      (List.init 10 (fun d -> Char.code '0' + d)
+      @ fixed
+      @ [ b lxor 1; b lxor 0x20; b lxor 0x80 ])
+  done;
+  let e =
+    recover_prefix ~what:"overwrite" path (overwrite bytes (last + 10) 'X')
+  in
+  check_bool "resumed log == uninterrupted log" true (resume path e = bytes);
+  Sys.remove path
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* Damage before the last record is never repaired by dropping slots: it
+   is an [Error] naming the damaged record's offset, and the file is left
+   as it was. *)
+let test_log_damage_before_last () =
+  let _, bytes = Lazy.force full_log in
+  let path = fresh_log () in
+  let victim = line_start bytes 3 in
+  let i = victim + 12 in
+  let damaged = overwrite bytes i (Char.chr (Char.code bytes.[i] lxor 1)) in
+  write_file path damaged;
+  (match load path with
+  | Ok _ -> Alcotest.fail "damage before the last record was accepted"
+  | Error msg ->
+      check_bool ("error names the offset: " ^ msg) true
+        (contains msg (Printf.sprintf "byte %d" victim)));
+  check_bool "file untouched" true (read_file path = damaged);
+  (* A torn header cannot come from the writer (the first write is atomic). *)
+  write_file path (String.sub bytes 0 20);
+  check_bool "torn header refused" true (Result.is_error (load path));
+  Sys.remove path
+
+let test_log_not_a_file () =
+  let dir = fresh_log () in
+  Unix.mkdir dir 0o755;
+  (match load dir with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a directory loaded as a log");
+  (* Writing to it is logged, never raised. *)
+  let e = Engine.create ~batch:4 (cfg ()) in
+  let logged = ref [] in
+  Server.write_snapshot ~log:(fun m -> logged := m :: !logged) e (Some dir);
+  check_bool "write failure logged" true (!logged <> []);
+  check_bool "no leftovers" true (Sys.readdir dir = [||]);
+  Unix.rmdir dir
+
+(* A torn or damaged tail left by a failed append is cut or rewritten by
+   the next append, so no record ever follows a torn one. *)
+let test_log_append_after_torn_tail () =
+  let slots, bytes = Lazy.force full_log in
+  let e = Engine.create ~batch:4 (cfg ()) in
+  List.iter (fun s -> ignore (Engine.append_committed e s)) slots;
+  let path = fresh_log () in
+  let dir_entries () = Array.length (Sys.readdir (Filename.dirname path)) in
+  List.iter
+    (fun (what, data) ->
+      write_file path data;
+      let before = dir_entries () in
+      Server.write_snapshot e (Some path);
+      check_bool what true (read_file path = bytes);
+      check_int (what ^ ": no temp file left") before (dir_entries ()))
+    [
+      ("torn last record", String.sub bytes 0 (String.length bytes - 30));
+      ("torn earlier record", String.sub bytes 0 (line_start bytes 3 + 40));
+      ( "header only",
+        String.sub bytes 0 (line_start bytes (List.length slots)) );
+      ("damaged last record", overwrite bytes (line_start bytes 1 + 3) '#');
+      ( "another config's log",
+        String.map (fun c -> if c = '9' then '7' else c) bytes );
+    ];
+  Sys.remove path;
+  Server.write_snapshot e (Some path);
+  check_bool "missing file written whole" true (read_file path = bytes);
+  Sys.remove path
+
+(* Any bytes at all: [load_engine] returns [Ok] with a prefix of the log
+   the bytes came from, or [Error]; it never raises, and a second load
+   of what it left finds nothing more to cut. *)
+let prop_load_never_raises =
+  let mutate =
+    QCheck.Gen.(
+      let* kind = int_bound 3 in
+      let* at = int_bound 2000 in
+      let* junk = string_size ~gen:char (int_range 1 4) in
+      return (fun s ->
+          let at = at mod (String.length s + 1) in
+          match kind with
+          | 0 -> String.sub s 0 at
+          | 1 when at < String.length s -> overwrite s at junk.[0]
+          | _ ->
+              String.sub s 0 at ^ junk
+              ^ String.sub s at (String.length s - at)))
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, string_size ~gen:char (int_bound 300));
+          ( 4,
+            let* ms = list_size (int_range 1 3) mutate in
+            let full = snd (Lazy.force full_log) in
+            return (List.fold_left (fun s m -> m s) full ms) );
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"load_engine: prefix or Error, never raises"
+    (QCheck.make ~print:String.escaped gen) (fun data ->
+      let path = fresh_log () in
+      write_file path data;
+      let ok =
+        match load path with
+        | Error _ -> read_file path = data
+        | Ok e ->
+            let left = read_file path in
+            String.length left <= String.length data
+            && String.sub data 0 (String.length left) = left
+            && is_prefix (Engine.decisions e) (fst (Lazy.force full_log))
+            && (match load path with
+               | Ok e' -> Engine.decisions e' = Engine.decisions e
+               | Error _ -> false)
+            && read_file path = left
+      in
+      Sys.remove path;
+      ok)
+
+(* The real daemon on a log whose last record is torn: it resumes below
+   the tear, and the remaining request completes the log byte for byte. *)
+let test_daemon_resumes_torn_log () =
+  let slots, bytes = Lazy.force full_log in
+  let n = List.length slots in
+  let snapshot = fresh_log () in
+  write_file snapshot (String.sub bytes 0 (line_start bytes 1 + 17));
+  let _, outcome =
+    with_server ~batch:4 ~snapshot (fun path ->
+        let conn = Client.connect_unix ~retry_for:10. path in
+        (match Client.status conn with
+        | Ok (Json.Obj fields) ->
+            check_bool "resumed below the tear" true
+              (List.assoc_opt "height" fields = Some (Json.Int (n - 1)))
+        | _ -> Alcotest.fail "status");
+        (match
+           Client.run_load ~shutdown:true ~conns:[ conn ]
+             [ List.nth log_reqs (n - 1) ]
+         with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "resume load: %s" msg);
+        Client.close conn)
+  in
+  check_int "height" n outcome.Server.height;
+  check_bool "resumed log == uninterrupted log" true
+    (read_file snapshot = bytes);
+  Sys.remove snapshot
+
+(* Write before broadcast: whenever a client holds a decision
+   notification, that position's record is already in the daemon's log —
+   on the primary and on a follower relaying it.  Batch 1 makes every
+   submission its own commit. *)
+let test_write_before_broadcast () =
+  let path_p = fresh_path () and path_f = fresh_path () in
+  let snap_p = fresh_log () and snap_f = fresh_log () in
+  let listen_p = Server.listen_unix path_p in
+  let primary =
+    Domain.spawn (fun () ->
+        Server.serve ~batch:1 ~snapshot:snap_p ~listen:listen_p (cfg ()))
+  in
+  let listen_f = Server.listen_unix path_f in
+  let follower =
+    Domain.spawn (fun () ->
+        Replica.run ~batch:1 ~snapshot:snap_f ~retry_every:0.05
+          ~primary:(Unix.ADDR_UNIX path_p) ~listen:listen_f (cfg ()))
+  in
+  let count = 60 in
+  let watch_p = Client.connect_unix ~retry_for:10. path_p in
+  let watch_f = Client.connect_unix ~retry_for:10. path_f in
+  ignore (Client.status watch_p);
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec await_link () =
+    match Client.status watch_f with
+    | Ok (Json.Obj fields)
+      when List.assoc_opt "primary_connected" fields = Some (Json.Bool true) ->
+        ()
+    | _ when Unix.gettimeofday () > deadline ->
+        Alcotest.fail "follower never linked"
+    | _ ->
+        Unix.sleepf 0.02;
+        await_link ()
+  in
+  await_link ();
+  let has_record file p =
+    let prefix = Printf.sprintf "{\"index\":%d," p in
+    Sys.file_exists file
+    && List.exists
+         (String.starts_with ~prefix)
+         (String.split_on_char '\n' (read_file file))
+  in
+  (* Positions whose notification arrived before their record. *)
+  let watch conn file =
+    Domain.spawn (fun () ->
+        let early = ref [] and seen = ref 0 in
+        while !seen < count do
+          match Client.recv_line ~timeout:10. conn with
+          | None -> seen := count
+          | Some line -> (
+              match Rpc.decision_of_line line with
+              | Some s ->
+                  incr seen;
+                  if not (has_record file s.Ledger.index) then
+                    early := s.Ledger.index :: !early
+              | None -> ())
+        done;
+        (!seen, !early))
+  in
+  let wp = watch watch_p snap_p and wf = watch watch_f snap_f in
+  let conn = Client.connect_unix ~retry_for:10. path_p in
+  let reqs = List.init count (fun i -> (i, mixed_inputs i)) in
+  (match Client.run_load ~conns:[ conn ] reqs with
+  | Ok r -> check_int "decided" count (List.length r.Client.decisions)
+  | Error msg -> Alcotest.failf "load: %s" msg);
+  let early_p = Domain.join wp and early_f = Domain.join wf in
+  check_bool "primary: every notification follows its record" true
+    (early_p = (count, []));
+  check_bool "follower: every relay follows its record" true
+    (early_f = (count, []));
+  let stop path =
+    let c = Client.connect_unix ~retry_for:10. path in
+    ignore
+      (Client.request c ~id:(Json.String "s") ~meth:"shutdown" (Json.Obj []));
+    Client.close c
+  in
+  stop path_f;
+  ignore (Domain.join follower);
+  stop path_p;
+  ignore (Domain.join primary);
+  check_bool "follower log == primary log" true
+    (read_file snap_f = read_file snap_p);
+  List.iter Client.close [ conn; watch_p; watch_f ];
+  Unix.close listen_p;
+  Unix.close listen_f;
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path_p; path_f; snap_p; snap_f ]
+
+(* Fail-stop: when a commit's records cannot be written — the log path
+   is swapped for a directory — the daemon stops without broadcasting
+   them, on a follower and on the primary.  A watcher holds exactly the
+   decisions that reached the log. *)
+let test_unwritable_log_stops () =
+  let path_p = fresh_path () and path_f = fresh_path () in
+  let snap_p = fresh_log () and snap_f = fresh_log () in
+  let listen_p = Server.listen_unix path_p in
+  let primary =
+    Domain.spawn (fun () ->
+        Server.serve ~batch:1 ~snapshot:snap_p ~listen:listen_p (cfg ()))
+  in
+  let listen_f = Server.listen_unix path_f in
+  let follower =
+    Domain.spawn (fun () ->
+        Replica.run ~batch:1 ~snapshot:snap_f ~retry_every:0.05
+          ~primary:(Unix.ADDR_UNIX path_p) ~listen:listen_f (cfg ()))
+  in
+  let watch_p = Client.connect_unix ~retry_for:10. path_p in
+  let watch_f = Client.connect_unix ~retry_for:10. path_f in
+  ignore (Client.status watch_p);
+  ignore (Client.status watch_f);
+  let conn = Client.connect_unix ~retry_for:10. path_p in
+  let probe_f = Client.connect_unix ~retry_for:10. path_f in
+  let submit i = Client.run_load ~conns:[ conn ] [ (i, mixed_inputs i) ] in
+  let swap file =
+    Sys.remove file;
+    Unix.mkdir file 0o755
+  in
+  let stopped what daemon =
+    match Domain.join daemon with
+    | exception Failure msg ->
+        check_bool (what ^ " names the failure: " ^ msg) true
+          (contains msg "decision log write failed")
+    | _ -> Alcotest.failf "%s kept running past a failed write" what
+  in
+  (* Every notification a watcher gets until the daemon closes it. *)
+  let notified conn =
+    let rec drain acc =
+      match Client.recv_line ~timeout:10. conn with
+      | None -> List.rev acc
+      | Some line -> (
+          match Rpc.decision_of_line line with
+          | Some s -> drain (s.Ledger.index :: acc)
+          | None -> drain acc)
+    in
+    drain []
+  in
+  check_bool "slot 0 decided" true (Result.is_ok (submit 0));
+  check_bool "follower logged slot 0" true
+    (await_follower_height ~timeout:15. probe_f 1);
+  swap snap_f;
+  check_bool "slot 1 decided" true (Result.is_ok (submit 1));
+  check Alcotest.(list int) "follower relayed only slot 0" [ 0 ]
+    (notified watch_f);
+  stopped "follower" follower;
+  swap snap_p;
+  check_bool "slot 2 never answered" true (Result.is_error (submit 2));
+  check Alcotest.(list int) "primary broadcast only slots 0-1" [ 0; 1 ]
+    (notified watch_p);
+  stopped "primary" primary;
+  List.iter Client.close [ conn; probe_f; watch_p; watch_f ];
+  Unix.close listen_p;
+  Unix.close listen_f;
+  List.iter Unix.rmdir [ snap_p; snap_f ];
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path_p; path_f ]
+
+(* --- the client line reader --- *)
+
+(* A line longer than the reader's buffer, a line split across writes, and
+   many lines arriving in one read all come back whole and in order. *)
+let test_client_line_reader () =
+  let path = fresh_path () in
+  let listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listen (Unix.ADDR_UNIX path);
+  Unix.listen listen 1;
+  let conn = Client.connect_unix path in
+  let peer, _ = Unix.accept listen in
+  let write s =
+    let rec go ofs =
+      if ofs < String.length s then
+        go (ofs + Unix.write_substring peer s ofs (String.length s - ofs))
+    in
+    go 0
+  in
+  let long = String.init 20_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  write (String.sub long 0 5000);
+  write (String.sub long 5000 15_000 ^ "\nshort\n");
+  let line = Alcotest.(option string) in
+  check line "long line" (Some long) (Client.recv_line conn);
+  check line "then short" (Some "short") (Client.recv_line conn);
+  let many = List.init 3000 (Printf.sprintf "line-%05d") in
+  write (String.concat "\n" many ^ "\npart");
+  List.iter
+    (fun l -> check line l (Some l) (Client.recv_line conn))
+    many;
+  write "ial\n";
+  check line "split line" (Some "partial") (Client.recv_line conn);
+  Unix.close peer;
+  check line "EOF" None (Client.recv_line conn);
+  Client.close conn;
+  Unix.close listen;
+  Sys.remove path
+
 (* --- connect-retry backoff --- *)
 
 (* The retry pacing is a pure function of (seed, attempt): capped
@@ -486,6 +952,30 @@ let () =
         [
           Alcotest.test_case "follower replicates the primary" `Quick
             test_follower_replicates;
+          Alcotest.test_case "write before broadcast" `Quick
+            test_write_before_broadcast;
+          Alcotest.test_case "unwritable log stops the daemon" `Quick
+            test_unwritable_log_stops;
+        ] );
+      ( "log",
+        [
+          Alcotest.test_case "torn last record, every offset" `Quick
+            test_log_torn_last_record;
+          Alcotest.test_case "overwritten last record, every byte" `Quick
+            test_log_overwritten_last_record;
+          Alcotest.test_case "damage before the last record" `Quick
+            test_log_damage_before_last;
+          Alcotest.test_case "directory path is an Error" `Quick
+            test_log_not_a_file;
+          Alcotest.test_case "append after a torn tail" `Quick
+            test_log_append_after_torn_tail;
+          Alcotest.test_case "daemon resumes a torn log" `Quick
+            test_daemon_resumes_torn_log;
+          QCheck_alcotest.to_alcotest prop_load_never_raises;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "line reader" `Quick test_client_line_reader;
         ] );
       ( "backoff",
         [
