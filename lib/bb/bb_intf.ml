@@ -43,6 +43,11 @@ let inbox_push ib src m =
 
 let inbox_clear ib = ib.len <- 0
 
+(* An independent copy of the live entries. *)
+let inbox_copy ib =
+  { srcs = Array.sub ib.srcs 0 ib.len; msgs = Array.sub ib.msgs 0 ib.len;
+    len = ib.len }
+
 (* Convenience for tests and one-shot callers. *)
 let inbox_of_list l =
   let ib = inbox_create () in
@@ -90,4 +95,9 @@ module type S = sig
   val result : state -> int
   (** The agreed value, or [bottom]. Defined once all rounds have run;
       querying earlier returns the current tentative value. *)
+
+  val copy : state -> state
+  (** A state that later [step]s on either copy cannot affect in the
+      other — the identity for immutable states.  Lets an embedding
+      protocol checkpoint a run mid-broadcast. *)
 end

@@ -63,5 +63,7 @@ let step ~n:_ ~t ~me st ~lround ~inbox ~outbox =
     { st with extracted = !extracted; done_ }
   end
 
+let copy st = st
+
 let result st =
   match st.extracted with [ v ] -> v | [] | _ :: _ -> Bb_intf.bottom

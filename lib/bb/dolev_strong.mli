@@ -39,3 +39,6 @@ val step :
 
 val result : state -> int
 (** The unique accepted value, or {!Bb_intf.bottom} on none/equivocation. *)
+
+val copy : state -> state
+(** The identity: states are immutable. *)

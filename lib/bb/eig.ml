@@ -231,3 +231,12 @@ let step ~n ~t ~me st ~lround ~inbox ~outbox =
 
 let result st =
   match st.resolved with Some v -> v | None -> st.own
+
+(* The tree is the only mutable part of the state. *)
+let copy st =
+  let tree =
+    match st.tree with
+    | Dense (vals, present) -> Dense (Array.copy vals, Bytes.copy present)
+    | Sparse h -> Sparse (Hashtbl.copy h)
+  in
+  { st with tree }

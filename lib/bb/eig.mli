@@ -48,3 +48,6 @@ val step :
   state
 
 val result : state -> int
+
+val copy : state -> state
+(** Copies the relay tree, the only mutable part of a state. *)

@@ -136,4 +136,6 @@ let step ~n ~t ~me st ~lround ~inbox ~outbox =
     st
   end
 
+let copy st = st
+
 let result st = st.current

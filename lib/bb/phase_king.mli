@@ -41,3 +41,6 @@ val step :
   state
 
 val result : state -> int
+
+val copy : state -> state
+(** The identity: states are immutable. *)

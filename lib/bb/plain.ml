@@ -38,4 +38,6 @@ let step ~n:_ ~t:_ ~me:_ st ~lround:_ ~inbox ~outbox:_ =
   done;
   { st with received = !received }
 
+let copy st = st
+
 let result st = st.received

@@ -37,3 +37,6 @@ val step :
   state
 
 val result : state -> int
+
+val copy : state -> state
+(** The identity: states are immutable. *)

@@ -153,33 +153,84 @@ let outcome_of (s : spec) cfg (exec : Voting.exec) =
     trace = exec.Voting.trace;
   }
 
-let run_checked (s : spec) =
-  let cfg = config_of s in
+(* The Voting instance a specification runs on, as its two entry points
+   [(execute_checked, execute_scripted)]. *)
+let instance (s : spec) =
+  match s.protocol with
+  | Algo4_local | Cft -> (V_plain.execute_checked, V_plain.execute_scripted)
+  | Algo1 | Algo2_sct | Algo3_incremental | Sct_incremental -> (
+      match s.bb with
+      | Vv_bb.Bb.Dolev_strong -> (V_ds.execute_checked, V_ds.execute_scripted)
+      | Vv_bb.Bb.Eig -> (V_eig.execute_checked, V_eig.execute_scripted)
+      | Vv_bb.Bb.Phase_king -> (V_pk.execute_checked, V_pk.execute_scripted))
+
+let spec_variant (s : spec) =
   let variant = Variant.with_tie s.tie (variant_of s.protocol) in
-  let variant =
-    match s.judgment_override with
-    | None -> variant
-    | Some judgment -> { variant with Variant.judgment }
+  match s.judgment_override with
+  | None -> variant
+  | Some judgment -> { variant with Variant.judgment }
+
+let run_checked_unshared (s : spec) =
+  let cfg = config_of s in
+  let execute_checked, _ = instance s in
+  Result.map (outcome_of s cfg)
+    (execute_checked cfg ~variant:(spec_variant s) ~speaker:s.speaker
+       ~subject:s.subject
+       ~preferences:(fun id -> List.nth s.inputs id)
+       ~strategy:s.strategy)
+
+(* Whether two specifications run the same prefix for every script:
+   every field but the strategy agrees.  The record pattern is exhaustive,
+   so a new spec field does not compile here until it is compared; the
+   closure-carrying fields (a custom tie rule, scheduled delays) are
+   compared physically. *)
+let same_prefix (a : spec) (b : spec) =
+  let { n; t; inputs; byzantine; crash; protocol; bb; strategy = _; tie;
+        delay; network; retransmit; seed; max_rounds; subject; speaker;
+        judgment_override } =
+    a
   in
-  let preferences id = List.nth s.inputs id in
-  let exec =
-    match s.protocol with
-    | Algo4_local | Cft ->
-        V_plain.execute_checked cfg ~variant ~speaker:s.speaker
-          ~subject:s.subject ~preferences ~strategy:s.strategy
-    | Algo1 | Algo2_sct | Algo3_incremental | Sct_incremental -> (
-        match s.bb with
-        | Vv_bb.Bb.Dolev_strong ->
-            V_ds.execute_checked cfg ~variant ~speaker:s.speaker
-              ~subject:s.subject ~preferences ~strategy:s.strategy
-        | Vv_bb.Bb.Eig ->
-            V_eig.execute_checked cfg ~variant ~speaker:s.speaker
-              ~subject:s.subject ~preferences ~strategy:s.strategy
-        | Vv_bb.Bb.Phase_king ->
-            V_pk.execute_checked cfg ~variant ~speaker:s.speaker
-              ~subject:s.subject ~preferences ~strategy:s.strategy)
-  in
-  Result.map (outcome_of s cfg) exec
+  n = b.n && t = b.t
+  && List.equal Oid.equal inputs b.inputs
+  && List.equal Int.equal byzantine b.byzantine
+  && List.equal
+       (fun (id, r, d) (id', r', d') ->
+         id = id' && r = r' && List.equal Int.equal d d')
+       crash b.crash
+  && protocol = b.protocol && bb = b.bb && tie == b.tie && delay == b.delay
+  && network = b.network && retransmit = b.retransmit && seed = b.seed
+  && max_rounds = b.max_rounds && subject = b.subject && speaker = b.speaker
+  && judgment_override = b.judgment_override
+
+(* One entry per domain: the last scripted specification, its config, and
+   its shared prefix (Voting.execute_scripted).  The checker enumerates
+   the scripts of a cell consecutively, so each cell runs its prefix once
+   per domain; domain-local storage, as [Auth.secret_cache] uses, keeps
+   parallel workers apart. *)
+let prefix_memo = Domain.DLS.new_key (fun () -> None)
+
+let shared_prefix (s : spec) =
+  match Domain.DLS.get prefix_memo with
+  | Some (key, cfg, finish) when same_prefix key s -> (cfg, finish)
+  | Some _ | None ->
+      let cfg = config_of s in
+      let _, execute_scripted = instance s in
+      let finish =
+        execute_scripted cfg ~variant:(spec_variant s) ~speaker:s.speaker
+          ~subject:s.subject ~preferences:(fun id -> List.nth s.inputs id)
+      in
+      Domain.DLS.set prefix_memo (Some (s, cfg, finish));
+      (cfg, finish)
+
+let run_checked (s : spec) =
+  match s.strategy with
+  | Strategy.Scripted actions ->
+      let cfg, finish = shared_prefix s in
+      Result.map (outcome_of s cfg) (finish actions)
+  | Strategy.Passive | Strategy.Collude_second | Strategy.Collude_fixed _
+  | Strategy.Split_top2 | Strategy.Propose_second | Strategy.Random_votes _
+  | Strategy.Late_collude _ ->
+      run_checked_unshared s
 
 let run (s : spec) =
   match run_checked s with

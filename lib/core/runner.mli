@@ -83,7 +83,17 @@ val run_checked :
   spec -> (outcome, [ `Invalid_adversary of string ]) result
 (** Execute the specification. An adversary that violates the fault plan
     or the communication model is reported as an [Error] — batch callers
-    aggregate it instead of dying. *)
+    aggregate it instead of dying.
+
+    A [Strategy.Scripted] specification resumes the prefix its scripts
+    share ({!Voting.Make.execute_scripted}) from a one-entry memo per
+    domain, keyed on every field but the strategy; the outcome equals
+    {!run_checked_unshared}'s. *)
+
+val run_checked_unshared :
+  spec -> (outcome, [ `Invalid_adversary of string ]) result
+(** {!run_checked} without prefix sharing: every run executes from round
+    0.  The reference the shared path is tested against. *)
 
 val run : spec -> outcome
 (** Like {!run_checked} but raises {!Vv_sim.Engine.Invalid_adversary}. *)

@@ -265,6 +265,27 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
 
     let output st = st.decided
 
+    (* A state later steps on either copy cannot affect in the other.  The
+       sub-machine and the Phase-1 scratch are written only while the
+       subject is unknown, so a node past Phase 1 shares them. *)
+    let copy st =
+      let st =
+        {
+          st with
+          votes = Hashtbl.copy st.votes;
+          proposes = Hashtbl.copy st.proposes;
+        }
+      in
+      match st.subject with
+      | Some _ -> st
+      | None ->
+          {
+            st with
+            bb = Sub.copy st.bb;
+            bb_buffer = Vv_bb.Bb_intf.inbox_copy st.bb_buffer;
+            sub_outbox = Outbox.create ();
+          }
+
     (* Inert states, for the engine's stalled-run fast-forward: [step] on
        an empty inbox is a permanent no-op exactly when the sub-machine
        has delivered a subject (Phase 1 never re-enters), no propose
@@ -355,6 +376,62 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
         | Some { Tally.a; b; _ } ->
             Some (s, a, Option.value b ~default:a)
         | None -> None)
+
+  (* The scripted adversary's trigger: the first round honest votes
+     appear.  It captures the subject and the live option set (distinct
+     honest choices in option order) so every script index has a fixed
+     meaning. *)
+  let script_trigger view =
+    match observed_votes view with
+    | [] -> None
+    | ((_, (s, _)) :: _) as votes ->
+        let domain =
+          List.sort_uniq Oid.compare
+            (List.filter_map
+               (fun (_, (subj, c)) -> if subj = s then Some c else None)
+               votes)
+        in
+        if domain = [] then None else Some (s, Array.of_list domain)
+
+  (* Clamp: scripts are enumerated for up to d options but must stay
+     meaningful when fewer are live. *)
+  let live domain i = domain.(min (max i 0) (Array.length domain - 1))
+
+  (* Broadcast along [view.reach] (not all of [n]) so plans stay legal
+     under local broadcast and on sparse topologies. *)
+  let reach_broadcast view m =
+    List.concat_map
+      (fun src ->
+        List.map
+          (fun dst -> { Adversary.src; dst; msg = m })
+          (view.Adversary.reach src))
+      view.Adversary.byzantine
+
+  let script_interp (s, domain) action view =
+    match action with
+    | Strategy.Skip -> []
+    | Strategy.Vote_all i ->
+        reach_broadcast view (Vote { subject = s; choice = live domain i })
+    | Strategy.Vote_split (i, j) ->
+        List.concat_map
+          (fun src ->
+            List.map
+              (fun dst ->
+                let choice = live domain (if dst mod 2 = 0 then i else j) in
+                { Adversary.src; dst; msg = Vote { subject = s; choice } })
+              (view.Adversary.reach src))
+          view.Adversary.byzantine
+    | Strategy.Propose_all i ->
+        reach_broadcast view (Propose { subject = s; choice = live domain i })
+    | Strategy.Vote_and_propose (i, j) ->
+        reach_broadcast view (Vote { subject = s; choice = live domain i })
+        @ reach_broadcast view (Propose { subject = s; choice = live domain j })
+
+  let script_name actions = Fmt.str "%a" Strategy.pp_script actions
+
+  let scripted actions =
+    Adversary.of_script ~quiet_trigger:true ~name:(script_name actions)
+      ~trigger:script_trigger ~interp:script_interp actions
 
   let adversary_of ?(tie = Vv_ballot.Tie_break.default) (spec : Strategy.t) :
       msg Adversary.t =
@@ -459,83 +536,64 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
                             msg = Vote { subject = s; choice };
                           }))
                     view.Adversary.byzantine)
-    | Strategy.Scripted actions ->
-        (* Trigger on the first round honest votes appear; capture the
-           subject and the live option set (distinct honest choices in
-           option order) so every script index has a fixed meaning. *)
-        let trigger view =
-          match observed_votes view with
-          | [] -> None
-          | ((_, (s, _)) :: _) as votes ->
-              let domain =
-                List.sort_uniq Oid.compare
-                  (List.filter_map
-                     (fun (_, (subj, c)) -> if subj = s then Some c else None)
-                     votes)
-              in
-              if domain = [] then None else Some (s, Array.of_list domain)
-        in
-        let live domain i =
-          (* Clamp: scripts are enumerated for up to d options but must stay
-             meaningful when fewer are live. *)
-          domain.(min (max i 0) (Array.length domain - 1))
-        in
-        (* Broadcast along [view.reach] (not all of [n]) so plans stay legal
-           under local broadcast and on sparse topologies. *)
-        let reach_broadcast view m =
-          List.concat_map
-            (fun src ->
-              List.map
-                (fun dst -> { Adversary.src; dst; msg = m })
-                (view.Adversary.reach src))
-            view.Adversary.byzantine
-        in
-        let interp (s, domain) action view =
-          match action with
-          | Strategy.Skip -> []
-          | Strategy.Vote_all i ->
-              reach_broadcast view (Vote { subject = s; choice = live domain i })
-          | Strategy.Vote_split (i, j) ->
-              List.concat_map
-                (fun src ->
-                  List.map
-                    (fun dst ->
-                      let choice = live domain (if dst mod 2 = 0 then i else j) in
-                      { Adversary.src; dst; msg = Vote { subject = s; choice } })
-                    (view.Adversary.reach src))
-                view.Adversary.byzantine
-          | Strategy.Propose_all i ->
-              reach_broadcast view (Propose { subject = s; choice = live domain i })
-          | Strategy.Vote_and_propose (i, j) ->
-              reach_broadcast view (Vote { subject = s; choice = live domain i })
-              @ reach_broadcast view
-                  (Propose { subject = s; choice = live domain j })
-        in
-        Adversary.of_script ~quiet_trigger:true
-          ~name:(Fmt.str "%a" Strategy.pp_script actions)
-          ~trigger ~interp actions
+    | Strategy.Scripted actions -> scripted actions
 
-  (* One full run, summarised substrate-independently. *)
+  (* One engine result, summarised substrate-independently. *)
+  let exec_of cfg (res : E.result) =
+    let honest = Config.honest_ids cfg in
+    {
+      outputs = List.map (fun id -> res.E.outputs.(id)) honest;
+      decision_rounds = List.map (fun id -> res.E.decision_round.(id)) honest;
+      rounds = res.E.rounds_used;
+      stalled = res.E.stalled;
+      honest_msgs = res.E.metrics.Metrics.honest_messages;
+      byz_msgs = res.E.metrics.Metrics.byzantine_messages;
+      trace = res.E.trace;
+    }
+
+  let inputs_of ~variant ~speaker ~subject ~preferences id =
+    { variant; speaker; subject; preference = preferences id }
+
   let execute_checked cfg ~variant ~speaker ~subject ~preferences ~strategy =
-    let inputs id =
-      { variant; speaker; subject; preference = preferences id }
-    in
     let adversary = adversary_of ~tie:variant.Variant.tie strategy in
-    match E.run cfg ~inputs ~adversary () with
-    | Error _ as e -> e
-    | Ok res ->
-        let honest = Config.honest_ids cfg in
-        Ok
-          {
-            outputs = List.map (fun id -> res.E.outputs.(id)) honest;
-            decision_rounds =
-              List.map (fun id -> res.E.decision_round.(id)) honest;
-            rounds = res.E.rounds_used;
-            stalled = res.E.stalled;
-            honest_msgs = res.E.metrics.Metrics.honest_messages;
-            byz_msgs = res.E.metrics.Metrics.byzantine_messages;
-            trace = res.E.trace;
-          }
+    Result.map (exec_of cfg)
+      (E.run cfg
+         ~inputs:(inputs_of ~variant ~speaker ~subject ~preferences)
+         ~adversary ())
+
+  (* Every scripted adversary stays silent and quiescent until its
+     trigger fires, so all scripts against one configuration run the same
+     execution through the honest steps of the trigger round.  That prefix
+     runs once, against a stand-in script whose trigger never fires, and
+     pauses on the scripts' own trigger; each script then resumes a copy
+     of the checkpoint.  A prefix that ends with no trigger is every
+     script's whole run. *)
+  let execute_scripted cfg ~variant ~speaker ~subject ~preferences =
+    let stand_in =
+      Adversary.of_script ~quiet_trigger:true ~name:"scripted-prefix"
+        ~trigger:(fun _ -> None)
+        ~interp:(fun () () _ -> [])
+        []
+    in
+    match
+      E.run_prefix cfg
+        ~inputs:(inputs_of ~variant ~speaker ~subject ~preferences)
+        ~copy:P.copy ~adversary:stand_in
+        ~pause:(fun view -> Option.is_some (script_trigger view))
+        ()
+    with
+    | Error err -> fun _ -> Error err
+    | Ok (E.Finished res) ->
+        let exec = exec_of cfg res in
+        fun actions ->
+          Ok
+            {
+              exec with
+              trace = { exec.trace with Trace.adversary = script_name actions };
+            }
+    | Ok (E.Paused cp) ->
+        fun actions ->
+          Result.map (exec_of cfg) (E.resume cp ~adversary:(scripted actions) ())
 
   let execute cfg ~variant ~speaker ~subject ~preferences ~strategy =
     match execute_checked cfg ~variant ~speaker ~subject ~preferences ~strategy with

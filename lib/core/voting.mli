@@ -36,11 +36,17 @@ module Make (Sub : Vv_bb.Bb_intf.S) : sig
     preference : Oid.t;  (** this node's vote [v_i] *)
   }
 
-  module P :
-    Vv_sim.Protocol.S
-      with type input = input
-       and type msg = msg
-       and type output = Oid.t
+  module P : sig
+    include
+      Vv_sim.Protocol.S
+        with type input = input
+         and type msg = msg
+         and type output = Oid.t
+
+    val copy : state -> state
+    (** A state that later steps on either copy cannot affect in the
+        other: what {!E.run_prefix} needs to checkpoint a run. *)
+  end
 
   module E : module type of Vv_sim.Engine.Make (P)
 
@@ -51,6 +57,7 @@ module Make (Sub : Vv_bb.Bb_intf.S) : sig
 
   val adversary_of :
     ?tie:Vv_ballot.Tie_break.t -> Strategy.t -> msg Vv_sim.Adversary.t
+
 
   val execute_checked :
     Vv_sim.Config.t ->
@@ -63,6 +70,21 @@ module Make (Sub : Vv_bb.Bb_intf.S) : sig
   (** One full run against the strategy's adversary; an adversary that
       violates the fault plan or communication model is an [Error], not an
       exception. *)
+
+  val execute_scripted :
+    Vv_sim.Config.t ->
+    variant:Variant.t ->
+    speaker:Vv_sim.Types.node_id ->
+    subject:subject ->
+    preferences:(Vv_sim.Types.node_id -> Oid.t) ->
+    Strategy.script_action list ->
+    (exec, [ `Invalid_adversary of string ]) result
+  (** [execute_scripted cfg ...] runs the part every scripted adversary
+      shares — the run up to the honest steps of the first round with
+      honest votes in the traffic, where a script starts acting — and
+      returns a function that finishes it against one script.  Each call
+      equals {!execute_checked} with [~strategy:(Strategy.Scripted
+      actions)], trace included. *)
 
   val execute :
     Vv_sim.Config.t ->

@@ -48,7 +48,10 @@ let parse line =
           | Some (Json.Int subject), Some (Json.List items) ->
               let rec ints acc = function
                 | [] -> Ok (List.rev acc)
-                | Json.Int i :: rest -> ints (Oid.of_int i :: acc) rest
+                | Json.Int i :: rest when i >= 0 ->
+                    ints (Oid.of_int i :: acc) rest
+                | Json.Int _ :: _ ->
+                    Error "submit: inputs must be non-negative option ids"
                 | _ -> Error "submit: inputs must be a list of integers"
               in
               Result.map

@@ -15,6 +15,8 @@ type incoming =
 
 val id_of : incoming -> Json.t
 val parse : string -> (incoming, string) result
+(** Any line — malformed JSON, an unknown method, a negative option id —
+    yields [Error] with a message for the error response; never raises. *)
 
 val result : id:Json.t -> Json.t -> string
 val error : id:Json.t -> string -> string

@@ -65,7 +65,21 @@
    per-round send counts, adversary injections, chaos-substrate activity
    (dropped / duplicated / retransmitted), per-node phase transitions (via
    [P.phase]) and decide rounds.  The snapshot is immutable and is the
-   source of the result's {!Metrics.t}. *)
+   source of the result's {!Metrics.t}.
+
+   Pause and resume: the round loop is split after step 3.  [run_prefix]
+   stops there in the first round whose honest sends satisfy a predicate
+   — before the adversary observes them — and returns the whole run state
+   as a checkpoint; [resume] copies the checkpoint and finishes the copy
+   (steps 4-5 of the paused round, then every later round) against a
+   given adversary.  The copy takes everything a later round writes: node
+   states (through the caller's [copy]), the node, delay and chaos RNG
+   streams, both schedulers, the paused round's honest sends and chaos
+   counters, and the trace builder (renamed to the resuming adversary).
+   The paused round's arena — the Byzantine inboxes the adversary may
+   read — is borrowed until the copy's next delivery.  The checkpoint is
+   never written, so it can be resumed any number of times, each equal
+   to the uninterrupted run against the same adversary. *)
 
 exception Invalid_adversary of string
 
@@ -118,6 +132,14 @@ let buf_clear b =
   (* Drop message references so finished rounds do not pin payloads. *)
   Array.fill b.bmsgs 0 b.blen dummy;
   b.blen <- 0
+
+(* A copy holding the live entries only (the checkpoint copy). *)
+let buf_copy b =
+  {
+    meta = Array.sub b.meta 0 b.blen;
+    bmsgs = Array.sub b.bmsgs 0 b.blen;
+    blen = b.blen;
+  }
 
 (* Round-indexed circular bucket scheduler: the replacement for the old
    Hashtbl-of-lists pending map.  Slot = round land (cap - 1); a slot
@@ -195,6 +217,19 @@ module Sched = struct
     else None
 
   let is_empty t = t.live = 0
+
+  (* An independent copy: live buckets are copied, empty ones fresh. *)
+  let copy t =
+    {
+      cap = t.cap;
+      buckets =
+        Array.map
+          (fun b ->
+            if b.buf.blen = 0 then { round = -1; buf = buf_make () }
+            else { round = b.round; buf = buf_copy b.buf })
+          t.buckets;
+      live = t.live;
+    }
 
   (* Fold over every delivery still scheduled, across all live buckets,
      in no particular order (callers sort).  Feeds the adversary's
@@ -294,413 +329,569 @@ module Make (P : Protocol.S) = struct
               groups)
           by_src
 
-  let run_exn (cfg : Config.t) ~inputs ?(adversary = Adversary.passive) () =
+  (* Everything one execution reads and writes after setup.  [run_exn]
+     builds one and drives it to the end; [run_prefix] stops driving it
+     after a round's honest steps and hands it out as a checkpoint, which
+     [resume] copies before driving the copy on. *)
+  type run = {
+    cfg : Config.t;
+    inputs : Types.node_id -> P.input;
+    n : int;
+    max_rounds : int;
+    chaos_active : bool;
+    debugging : bool;
+    step_until : int array;
+        (* last round (inclusive) each node still steps: crash nodes step
+           through their crash round, Byzantine nodes never do *)
+    byzantine : Types.node_id list;
+    ctxs : Protocol.ctx array;  (* per-node contexts, each with its RNG *)
+    delay_rng : Vv_prelude.Rng.t;
+    chaos_rng : Vv_prelude.Rng.t;
+    tb : Trace.builder;
+    states : P.state array;
+        (* written before first read (round 0 is init); Byzantine slots
+           are never written *)
+    outputs : P.output option array;
+    decision_round : int option array;
+    phases : string option array;
+    mutable undecided_honest : int;
+    pending : Sched.t;  (* future deliveries *)
+    retries : Sched.t;  (* retransmission timers *)
+    (* per-round chaos accounting, reset each round *)
+    mutable dropped : int;
+    mutable duplicated : int;
+    mutable retransmitted : int;
+    (* Delivery arena: each round's bucket is counting-sorted by key
+       [dst * n + src] (stable in scheduling order), reproducing the old
+       per-recipient stable-sort-by-sender inbox order exactly; nodes then
+       read (offset, length) windows of the arena.  A resumed copy borrows
+       the checkpoint's arena for the paused round and allocates its own
+       before its first write ([arena_owned]). *)
+    mutable arena_srcs : int array;
+    mutable arena_msgs : Obj.t array;
+    mutable arena_owned : bool;
+    counts : int array;
+    inbox_off : int array;
+    inbox_len : int array;
+    mutable have_inbox : bool;
+    inbox : P.msg Inbox.t;
+    outbox : P.msg Outbox.t;
+    honest_buf : buf;
+        (* the round's expanded honest sends (after crash filtering),
+           packed; doubles as the adversary's observation and the routing
+           work list *)
+    mutable newly_decided : Types.node_id list;
+    mutable rounds_used : int;
+    mutable stalled : bool;
+  }
+
+  let create (cfg : Config.t) ~inputs ~(adversary : P.msg Adversary.t) =
     let n = cfg.Config.n in
-    let max_rounds = cfg.Config.max_rounds in
-    let network = cfg.Config.network in
-    let retransmit = cfg.Config.retransmit in
-    let chaos_active = not (Network.is_none network) in
-    let chaos = chaos_active || retransmit <> None in
+    let chaos_active = not (Network.is_none cfg.Config.network) in
     let master = Vv_prelude.Rng.create cfg.Config.seed in
     let node_rngs = Array.init n (fun _ -> Vv_prelude.Rng.split master) in
     let delay_rng = Vv_prelude.Rng.split master in
-    (* Chaos draws come from a separate stream seeded by the network plan
-       alone, so a chaos plan replays identically across engine seeds and
-       the delay/node streams are untouched by its presence. *)
-    let chaos_rng = Network.rng network in
     let delta = Delay.bound cfg.Config.delay in
-    let debugging =
-      match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
-    in
-    (* Per-node context records, allocated once per run. *)
-    let ctxs =
-      Array.init n (fun id ->
-          {
-            Protocol.n;
-            t = cfg.Config.t_max;
-            me = id;
-            comm = cfg.Config.comm;
-            delta;
-            rng = node_rngs.(id);
-          })
-    in
-    let tb =
-      Trace.builder ~chaos ~protocol:P.name ~adversary:adversary.Adversary.name
-        ~n ~t:cfg.Config.t_max ()
-    in
-    (* Node states, written before they are first read (round 0 is init). *)
-    let states : P.state array = Obj.magic (Array.make n dummy) in
-    let outputs : P.output option array = Array.make n None in
-    let decision_round : int option array = Array.make n None in
-    let phases : string option array = Array.make n None in
-    let note_phase ~round id state =
-      let phase = P.phase state in
-      match phases.(id) with
-      | Some p when String.equal p phase -> ()
-      | Some _ | None ->
-          phases.(id) <- Some phase;
-          Trace.record_phase tb ~round ~node:id ~phase
-    in
-    (* Last round (inclusive) each node still steps: crash nodes step
-       through their crash round, Byzantine nodes never do. *)
-    let step_until =
-      Array.init n (fun id ->
-          match cfg.Config.faults.(id) with
-          | Fault.Honest -> max_int
-          | Fault.Crash { at_round; _ } -> at_round
-          | Fault.Byzantine -> -1)
-    in
-    let honest = Config.honest_ids cfg in
-    let byzantine = Config.byzantine_ids cfg in
-    let undecided_honest = ref (List.length honest) in
-    let reach_fn = Config.reach cfg in
-    (* Future deliveries and retransmission timers, as packed circular
-       bucket queues. *)
-    let pending = Sched.create () in
-    let retries = Sched.create () in
-    let schedule ~arrival ~src ~dst msg =
-      if arrival < max_rounds then
-        Sched.push pending arrival ((src lsl dst_bits) lor dst) msg
-    in
-    let queue_retry ~round ~attempt ~src ~dst msg =
-      match retransmit with
-      | Some policy when attempt < policy.Retransmit.max_attempts ->
-          let next = attempt + 1 in
-          let at = round + Retransmit.backoff policy ~attempt:next in
-          if at < max_rounds then
-            Sched.push retries at
-              ((next lsl attempt_shift) lor (src lsl dst_bits) lor dst)
-              msg
-      | Some _ | None -> ()
-    in
-    (* Per-round chaos accounting, reset each round. *)
-    let dropped = ref 0 and duplicated = ref 0 and retransmitted = ref 0 in
-    let base_delay ~round ~src ~dst =
-      Delay.resolve cfg.Config.delay delay_rng ~round ~src ~dst
-    in
-    (* Jitter must stay within the delay model's own delivery guarantee:
-       the substrate reorders arrivals but cannot break the assumption
-       honest protocols rely on.  The cap is per send round — constant
-       (= delta_t) for the bounded models, the fairness cap under
-       [Asynchronous], and the shrinking [gst + bound - round] admissible
-       window pre-GST under [Eventually_synchronous]. *)
-    let clamp ~round d =
-      match Delay.max_delay cfg.Config.delay ~round with
-      | Some b -> if d < b then d else b
-      | None -> d
-    in
-    (* [route] is the send->delivery path: chaos verdict, delay
-       assignment, arrival-time cut check, retransmission queuing.  The
-       non-chaos path is exactly the legacy delay assignment (and draws
-       nothing from the chaos stream). *)
-    let route ~round ~attempt ~src ~dst msg =
-      if not chaos_active then
-        let arrival = round + base_delay ~round ~src ~dst in
-        schedule ~arrival ~src ~dst msg
-      else
-        (* Packed verdict ([Network.transit_i]): no allocation per chaos
-           delivery, identical draw order to the record form. *)
-        let v = Network.transit_i network chaos_rng ~round ~src ~dst in
-        if v = Network.dropped_i then begin
-          incr dropped;
-          queue_retry ~round ~attempt ~src ~dst msg
-        end
-        else begin
-          let extra_delay = v lsr 1 in
-          let arrival =
-            round + clamp ~round (base_delay ~round ~src ~dst + extra_delay)
-          in
-          (* A message in flight into a partition/outage window is lost
-             at the receiver. *)
-          if Network.cut network ~round:arrival ~src ~dst then begin
-            incr dropped;
-            queue_retry ~round ~attempt ~src ~dst msg
-          end
-          else schedule ~arrival ~src ~dst msg;
-          if v land 1 = 1 then begin
-            incr duplicated;
-            (* The duplicate gets its own delay draws and is never
-               retried — the original covers the retransmission. *)
-            let extra = Network.extra_delay network chaos_rng in
-            let arrival =
-              round + clamp ~round (base_delay ~round ~src ~dst + extra)
-            in
-            if Network.cut network ~round:arrival ~src ~dst then incr dropped
-            else schedule ~arrival ~src ~dst msg
-          end
-        end
-    in
-    (* Delivery arena: each round's bucket is counting-sorted by key
-       [dst * n + src] (stable in scheduling order), reproducing the old
-       per-recipient stable-sort-by-sender inbox order exactly; nodes
-       then read (offset, length) windows of the arena. *)
-    let arena_srcs = ref [||] and arena_msgs = ref [||] in
-    let counts = Array.make (n * n) 0 in
-    let inbox_off = Array.make n 0 in
-    let inbox_len = Array.make n 0 in
-    let have_inbox = ref false in
-    let sort_into_arena (b : buf) =
-      let len = b.blen in
-      if Array.length !arena_srcs < len then begin
-        let cap = max len (2 * Array.length !arena_srcs) in
-        arena_srcs := Array.make cap 0;
-        arena_msgs := Array.make cap dummy
-      end;
-      Array.fill counts 0 (n * n) 0;
-      for i = 0 to len - 1 do
-        let m = b.meta.(i) in
-        let key = ((m land id_mask) * n) + ((m lsr dst_bits) land id_mask) in
-        counts.(key) <- counts.(key) + 1
-      done;
-      let cum = ref 0 in
-      for key = 0 to (n * n) - 1 do
-        if key mod n = 0 then inbox_off.(key / n) <- !cum;
-        let c = counts.(key) in
-        counts.(key) <- !cum;
-        cum := !cum + c
-      done;
-      for d = 0 to n - 1 do
-        inbox_len.(d) <-
-          (if d = n - 1 then len else inbox_off.(d + 1)) - inbox_off.(d)
-      done;
-      for i = 0 to len - 1 do
-        let m = b.meta.(i) in
-        let src = (m lsr dst_bits) land id_mask in
-        let key = ((m land id_mask) * n) + src in
-        let pos = counts.(key) in
-        counts.(key) <- pos + 1;
-        !arena_srcs.(pos) <- src;
-        !arena_msgs.(pos) <- b.bmsgs.(i)
-      done
-    in
-    (* This round's inbox of node [id], as the old assoc-list shape (for
-       the adversary's view only — honest nodes read the window). *)
-    let segment_list id =
-      if not !have_inbox then []
+    {
+      cfg;
+      inputs;
+      n;
+      max_rounds = cfg.Config.max_rounds;
+      chaos_active;
+      debugging =
+        (match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false);
+      step_until =
+        Array.init n (fun id ->
+            match cfg.Config.faults.(id) with
+            | Fault.Honest -> max_int
+            | Fault.Crash { at_round; _ } -> at_round
+            | Fault.Byzantine -> -1);
+      byzantine = Config.byzantine_ids cfg;
+      delay_rng;
+      (* Chaos draws come from a separate stream seeded by the network
+         plan alone, so a chaos plan replays identically across engine
+         seeds and the delay/node streams are untouched by its presence. *)
+      chaos_rng = Network.rng cfg.Config.network;
+      ctxs =
+        Array.init n (fun id ->
+            {
+              Protocol.n;
+              t = cfg.Config.t_max;
+              me = id;
+              comm = cfg.Config.comm;
+              delta;
+              rng = node_rngs.(id);
+            });
+      tb =
+        Trace.builder
+          ~chaos:(chaos_active || cfg.Config.retransmit <> None)
+          ~protocol:P.name ~adversary:adversary.Adversary.name ~n
+          ~t:cfg.Config.t_max ();
+      states = Obj.magic (Array.make n dummy);
+      outputs = Array.make n None;
+      decision_round = Array.make n None;
+      phases = Array.make n None;
+      undecided_honest = List.length (Config.honest_ids cfg);
+      pending = Sched.create ();
+      retries = Sched.create ();
+      dropped = 0;
+      duplicated = 0;
+      retransmitted = 0;
+      arena_srcs = [||];
+      arena_msgs = [||];
+      arena_owned = true;
+      counts = Array.make (n * n) 0;
+      inbox_off = Array.make n 0;
+      inbox_len = Array.make n 0;
+      have_inbox = false;
+      inbox = Inbox.create ();
+      outbox = Outbox.create ();
+      honest_buf = buf_make ();
+      newly_decided = [];
+      rounds_used = 0;
+      stalled = false;
+    }
+
+  (* An independent copy of [r] paused after the honest steps of [round]:
+     everything a later round writes is copied, scratch is fresh, and
+     what no later round touches (configuration, the states of nodes that
+     never step again, the arena until it is next written) is shared. *)
+  let copy_run ~copy r ~round ~(adversary : P.msg Adversary.t) =
+    {
+      r with
+      ctxs =
+        Array.map
+          (fun ctx ->
+            { ctx with Protocol.rng = Vv_prelude.Rng.copy ctx.Protocol.rng })
+          r.ctxs;
+      delay_rng = Vv_prelude.Rng.copy r.delay_rng;
+      chaos_rng = Vv_prelude.Rng.copy r.chaos_rng;
+      tb = Trace.copy r.tb ~adversary:adversary.Adversary.name;
+      states =
+        Array.mapi
+          (fun id st -> if r.step_until.(id) > round then copy st else st)
+          r.states;
+      outputs = Array.copy r.outputs;
+      decision_round = Array.copy r.decision_round;
+      phases = Array.copy r.phases;
+      pending = Sched.copy r.pending;
+      retries = Sched.copy r.retries;
+      arena_owned = false;
+      counts = Array.make (r.n * r.n) 0;
+      inbox_off = Array.copy r.inbox_off;
+      inbox_len = Array.copy r.inbox_len;
+      inbox = Inbox.create ();
+      outbox = Outbox.create ();
+      honest_buf = buf_copy r.honest_buf;
+    }
+
+  let note_phase r ~round id state =
+    let phase = P.phase state in
+    match r.phases.(id) with
+    | Some p when String.equal p phase -> ()
+    | Some _ | None ->
+        r.phases.(id) <- Some phase;
+        Trace.record_phase r.tb ~round ~node:id ~phase
+
+  let schedule r ~arrival ~src ~dst msg =
+    if arrival < r.max_rounds then
+      Sched.push r.pending arrival ((src lsl dst_bits) lor dst) msg
+
+  let queue_retry r ~round ~attempt ~src ~dst msg =
+    match r.cfg.Config.retransmit with
+    | Some policy when attempt < policy.Retransmit.max_attempts ->
+        let next = attempt + 1 in
+        let at = round + Retransmit.backoff policy ~attempt:next in
+        if at < r.max_rounds then
+          Sched.push r.retries at
+            ((next lsl attempt_shift) lor (src lsl dst_bits) lor dst)
+            msg
+    | Some _ | None -> ()
+
+  let base_delay r ~round ~src ~dst =
+    Delay.resolve r.cfg.Config.delay r.delay_rng ~round ~src ~dst
+
+  (* Jitter must stay within the delay model's own delivery guarantee:
+     the substrate reorders arrivals but cannot break the assumption
+     honest protocols rely on.  The cap is per send round — constant
+     (= delta_t) for the bounded models, the fairness cap under
+     [Asynchronous], and the shrinking [gst + bound - round] admissible
+     window pre-GST under [Eventually_synchronous]. *)
+  let clamp r ~round d =
+    match Delay.max_delay r.cfg.Config.delay ~round with
+    | Some b -> if d < b then d else b
+    | None -> d
+
+  (* [route] is the send->delivery path: chaos verdict, delay assignment,
+     arrival-time cut check, retransmission queuing.  The non-chaos path
+     is exactly the legacy delay assignment (and draws nothing from the
+     chaos stream). *)
+  let route r ~round ~attempt ~src ~dst msg =
+    if not r.chaos_active then
+      let arrival = round + base_delay r ~round ~src ~dst in
+      schedule r ~arrival ~src ~dst msg
+    else
+      (* Packed verdict ([Network.transit_i]): no allocation per chaos
+         delivery, identical draw order to the record form. *)
+      let network = r.cfg.Config.network in
+      let v = Network.transit_i network r.chaos_rng ~round ~src ~dst in
+      if v = Network.dropped_i then begin
+        r.dropped <- r.dropped + 1;
+        queue_retry r ~round ~attempt ~src ~dst msg
+      end
       else begin
-        let off = inbox_off.(id) in
-        let rec go i acc =
-          if i < off then acc
-          else
-            go (i - 1)
-              ((!arena_srcs.(i), (Obj.obj !arena_msgs.(i) : P.msg)) :: acc)
+        let extra_delay = v lsr 1 in
+        let arrival =
+          round + clamp r ~round (base_delay r ~round ~src ~dst + extra_delay)
         in
-        go (off + inbox_len.(id) - 1) []
+        (* A message in flight into a partition/outage window is lost at
+           the receiver. *)
+        if Network.cut network ~round:arrival ~src ~dst then begin
+          r.dropped <- r.dropped + 1;
+          queue_retry r ~round ~attempt ~src ~dst msg
+        end
+        else schedule r ~arrival ~src ~dst msg;
+        if v land 1 = 1 then begin
+          r.duplicated <- r.duplicated + 1;
+          (* The duplicate gets its own delay draws and is never retried —
+             the original covers the retransmission. *)
+          let extra = Network.extra_delay network r.chaos_rng in
+          let arrival =
+            round + clamp r ~round (base_delay r ~round ~src ~dst + extra)
+          in
+          if Network.cut network ~round:arrival ~src ~dst then
+            r.dropped <- r.dropped + 1
+          else schedule r ~arrival ~src ~dst msg
+        end
+      end
+
+  let rec route_plans r ~round = function
+    | [] -> ()
+    | (p : P.msg Adversary.delivery_plan) :: rest ->
+        route r ~round ~attempt:0 ~src:p.Adversary.src ~dst:p.Adversary.dst
+          (Obj.repr p.Adversary.msg);
+        route_plans r ~round rest
+
+  let sort_into_arena r (b : buf) =
+    let n = r.n in
+    let len = b.blen in
+    if (not r.arena_owned) || Array.length r.arena_srcs < len then begin
+      let cap =
+        if r.arena_owned then max len (2 * Array.length r.arena_srcs) else len
+      in
+      r.arena_srcs <- Array.make cap 0;
+      r.arena_msgs <- Array.make cap dummy;
+      r.arena_owned <- true
+    end;
+    let counts = r.counts in
+    Array.fill counts 0 (n * n) 0;
+    for i = 0 to len - 1 do
+      let m = b.meta.(i) in
+      let key = ((m land id_mask) * n) + ((m lsr dst_bits) land id_mask) in
+      counts.(key) <- counts.(key) + 1
+    done;
+    let cum = ref 0 in
+    for key = 0 to (n * n) - 1 do
+      if key mod n = 0 then r.inbox_off.(key / n) <- !cum;
+      let c = counts.(key) in
+      counts.(key) <- !cum;
+      cum := !cum + c
+    done;
+    for d = 0 to n - 1 do
+      r.inbox_len.(d) <-
+        (if d = n - 1 then len else r.inbox_off.(d + 1)) - r.inbox_off.(d)
+    done;
+    let srcs = r.arena_srcs and msgs = r.arena_msgs in
+    for i = 0 to len - 1 do
+      let m = b.meta.(i) in
+      let src = (m lsr dst_bits) land id_mask in
+      let key = ((m land id_mask) * n) + src in
+      let pos = counts.(key) in
+      counts.(key) <- pos + 1;
+      srcs.(pos) <- src;
+      msgs.(pos) <- b.bmsgs.(i)
+    done
+
+  (* This round's inbox of node [id], as the old assoc-list shape (for the
+     adversary's view only — honest nodes read the window). *)
+  let segment_list r id =
+    if not r.have_inbox then []
+    else begin
+      let off = r.inbox_off.(id) in
+      let rec go i acc =
+        if i < off then acc
+        else
+          go (i - 1)
+            ((r.arena_srcs.(i), (Obj.obj r.arena_msgs.(i) : P.msg)) :: acc)
+      in
+      go (off + r.inbox_len.(id) - 1) []
+    end
+
+  let expand_outbox r ~round ~src =
+    let cfg = r.cfg and outbox = r.outbox in
+    let reach = cfg.Config.reach_arr.(src) in
+    for i = 0 to Outbox.length outbox - 1 do
+      let dst = Outbox.dst outbox i in
+      let msg = Obj.repr (Outbox.msg outbox i) in
+      if dst = Outbox.broadcast_dst then
+        for j = 0 to Array.length reach - 1 do
+          let d = reach.(j) in
+          if Config.delivers cfg ~src ~round ~dst:d then
+            buf_push r.honest_buf ((src lsl dst_bits) lor d) msg
+        done
+      else begin
+        (* Honest nodes under local broadcast may only broadcast. *)
+        (match cfg.Config.comm with
+        | Types.Local_broadcast ->
+            invalid_arg
+              (Fmt.str "%s: node %d attempted unicast under local broadcast"
+                 P.name src)
+        | Types.Point_to_point -> ());
+        let neighbour =
+          match cfg.Config.topology with
+          | None -> dst >= 0 && dst < r.n
+          | Some _ ->
+              let rec mem j =
+                j < Array.length reach && (reach.(j) = dst || mem (j + 1))
+              in
+              mem 0
+        in
+        if not neighbour then
+          invalid_arg
+            (Fmt.str "%s: node %d unicast to non-neighbour %d" P.name src dst);
+        if Config.delivers cfg ~src ~round ~dst then
+          buf_push r.honest_buf ((src lsl dst_bits) lor dst) msg
+      end
+    done
+
+  (* One reusable adversary view per driven run (the indexed-window
+     analogue of the inbox): [round]/[sent_len] are refreshed each round,
+     accessors read the live send buffer and arena, so observation is free
+     until the adversary asks for content. *)
+  let make_view r =
+    {
+      Adversary.round = 0;
+      sent_len = 0;
+      sent_src = (fun i -> (r.honest_buf.meta.(i) lsr dst_bits) land id_mask);
+      sent_dst = (fun i -> r.honest_buf.meta.(i) land id_mask);
+      sent_msg = (fun i -> (Obj.obj r.honest_buf.bmsgs.(i) : P.msg));
+      byz_inbox = segment_list r;
+      in_flight =
+        (fun () ->
+          Sched.fold r.pending
+            (fun acc rd m ->
+              (rd, (m lsr dst_bits) land id_mask, m land id_mask) :: acc)
+            []
+          |> List.sort compare);
+      byzantine = r.byzantine;
+      n = r.n;
+      reach = Config.reach r.cfg;
+    }
+
+  (* Point the view at [round]'s honest sends. *)
+  let observe r view round =
+    view.Adversary.round <- round;
+    view.Adversary.sent_len <- r.honest_buf.blen
+
+  (* Steps 1-3 of [round]: deliver, fire retransmission timers, step the
+     live nodes.  A checkpoint is taken right after this half. *)
+  let honest_half r round =
+    r.rounds_used <- round + 1;
+    r.dropped <- 0;
+    r.duplicated <- 0;
+    r.retransmitted <- 0;
+    r.newly_decided <- [];
+    (* 1. deliver: sort this round's bucket into the arena. *)
+    (match Sched.take r.pending round with
+    | None -> r.have_inbox <- false
+    | Some b ->
+        sort_into_arena r b;
+        buf_clear b;
+        r.have_inbox <- true);
+    (* 2. fire retransmission timers due this round, in queue order. *)
+    (match Sched.take r.retries round with
+    | None -> ()
+    | Some b ->
+        (* Routing may queue further retries (always for later rounds) and
+           appends this round's sends to [pending]; neither touches this
+           round's retry bucket, which is released once drained. *)
+        for i = 0 to b.blen - 1 do
+          r.retransmitted <- r.retransmitted + 1;
+          let m = b.meta.(i) in
+          route r ~round
+            ~attempt:(m lsr attempt_shift)
+            ~src:((m lsr dst_bits) land id_mask)
+            ~dst:(m land id_mask) b.bmsgs.(i)
+        done;
+        buf_clear b);
+    buf_clear r.honest_buf;
+    (* 3. step honest and not-yet-crashed nodes in id order. *)
+    let inbox = r.inbox and outbox = r.outbox in
+    for id = 0 to r.n - 1 do
+      if round <= r.step_until.(id) then begin
+        if r.have_inbox then
+          Inbox.set_view inbox ~srcs:r.arena_srcs ~msgs:r.arena_msgs
+            ~off:r.inbox_off.(id) ~len:r.inbox_len.(id)
+        else Inbox.set_empty inbox;
+        Outbox.clear outbox;
+        let state' =
+          if round = 0 then P.init r.ctxs.(id) (r.inputs id) ~outbox
+          else P.step r.ctxs.(id) r.states.(id) ~round ~inbox ~outbox
+        in
+        r.states.(id) <- state';
+        note_phase r ~round id state';
+        (match P.output state' with
+        | Some _ as out -> (
+            match r.outputs.(id) with
+            | Some _ -> ()
+            | None ->
+                r.outputs.(id) <- out;
+                r.decision_round.(id) <- Some round;
+                r.newly_decided <- id :: r.newly_decided;
+                if Fault.is_honest r.cfg.Config.faults.(id) then
+                  r.undecided_honest <- r.undecided_honest - 1;
+                Trace.record_decide r.tb ~round ~node:id;
+                if r.debugging then
+                  Log.debug (fun m ->
+                      m "%s: node %d decided at round %d" P.name id round))
+        | None -> ());
+        expand_outbox r ~round ~src:id
+      end
+    done
+
+  (* Whether every node that will still step is inert (Byzantine nodes
+     never step and hold no state; a crash node past its crash round is as
+     quiet as one mid-life). *)
+  let all_inert r round =
+    let inert = ref true in
+    for id = 0 to r.n - 1 do
+      if r.step_until.(id) > round && not (P.inert r.states.(id)) then
+        inert := false
+    done;
+    !inert
+
+  (* Steps 4-5 of [round] and its trace record; [true] while the run goes
+     on, [false] once it is over (with [stalled] set). *)
+  let adversary_half r (adversary : P.msg Adversary.t) view round =
+    (* 4. rushing adversary: observes this round's honest messages.  A
+       statically passive adversary skips the view entirely. *)
+    let plans =
+      if adversary.Adversary.passive then []
+      else begin
+        observe r view round;
+        let plans = adversary.Adversary.act view in
+        (match plans with [] -> () | _ :: _ -> validate_adversary r.cfg plans);
+        plans
       end
     in
-    let inbox : P.msg Inbox.t = Inbox.create () in
-    let outbox : P.msg Outbox.t = Outbox.create () in
-    (* The round's expanded honest sends (after crash filtering), packed;
-       doubles as the adversary's observation and the routing work list. *)
-    let honest_buf = buf_make () in
-    let expand_outbox ~round ~src =
-      let reach = cfg.Config.reach_arr.(src) in
-      let olen = Outbox.length outbox in
-      for i = 0 to olen - 1 do
-        let dst = Outbox.dst outbox i in
-        let msg = Obj.repr (Outbox.msg outbox i) in
-        if dst = Outbox.broadcast_dst then
-          for j = 0 to Array.length reach - 1 do
-            let d = reach.(j) in
-            if Config.delivers cfg ~src ~round ~dst:d then
-              buf_push honest_buf ((src lsl dst_bits) lor d) msg
-          done
-        else begin
-          (* Honest nodes under local broadcast may only broadcast. *)
-          (match cfg.Config.comm with
-          | Types.Local_broadcast ->
-              invalid_arg
-                (Fmt.str "%s: node %d attempted unicast under local broadcast"
-                   P.name src)
-          | Types.Point_to_point -> ());
-          let neighbour =
-            match cfg.Config.topology with
-            | None -> dst >= 0 && dst < n
-            | Some _ ->
-                let rec mem j =
-                  j < Array.length reach && (reach.(j) = dst || mem (j + 1))
-                in
-                mem 0
-          in
-          if not neighbour then
-            invalid_arg
-              (Fmt.str "%s: node %d unicast to non-neighbour %d" P.name src dst);
-          if Config.delivers cfg ~src ~round ~dst then
-            buf_push honest_buf ((src lsl dst_bits) lor dst) msg
-        end
-      done
-    in
-    (* One reusable adversary view per run (the indexed-window analogue of
-       the inbox): [round]/[sent_len] are refreshed each round, accessors
-       read the live send buffer and arena, so observation is free until
-       the adversary asks for content. *)
-    let view =
-      {
-        Adversary.round = 0;
-        sent_len = 0;
-        sent_src = (fun i -> (honest_buf.meta.(i) lsr dst_bits) land id_mask);
-        sent_dst = (fun i -> honest_buf.meta.(i) land id_mask);
-        sent_msg = (fun i -> (Obj.obj honest_buf.bmsgs.(i) : P.msg));
-        byz_inbox = segment_list;
-        in_flight =
-          (fun () ->
-            Sched.fold pending
-              (fun acc r m ->
-                (r, (m lsr dst_bits) land id_mask, m land id_mask) :: acc)
-              []
-            |> List.sort compare);
-        byzantine;
-        n;
-        reach = reach_fn;
-      }
-    in
-    let rounds_used = ref 0 in
-    let stalled = ref false in
-    let newly_decided = ref [] in
-    (try
-       for round = 0 to max_rounds - 1 do
-         rounds_used := round + 1;
-         dropped := 0;
-         duplicated := 0;
-         retransmitted := 0;
-         newly_decided := [];
-         (* 1. deliver: sort this round's bucket into the arena. *)
-         (match Sched.take pending round with
-         | None -> have_inbox := false
-         | Some b ->
-             sort_into_arena b;
-             buf_clear b;
-             have_inbox := true);
-         (* 2. fire retransmission timers due this round, in queue order. *)
-         (match Sched.take retries round with
-         | None -> ()
-         | Some b ->
-             (* The buffer must be released before routing (retries can
-                queue further retries for later rounds, and routing this
-                round's sends appends to [pending]) — copy it out via the
-                round's scratch buffer.  Retries are rare enough that the
-                swap is free in the common case. *)
-             let len = b.blen in
-             for i = 0 to len - 1 do
-               incr retransmitted;
-               let m = b.meta.(i) in
-               route ~round
-                 ~attempt:(m lsr attempt_shift)
-                 ~src:((m lsr dst_bits) land id_mask)
-                 ~dst:(m land id_mask) b.bmsgs.(i)
-             done;
-             buf_clear b);
-         buf_clear honest_buf;
-         (* 3. step honest and not-yet-crashed nodes in id order. *)
-         for id = 0 to n - 1 do
-           if round <= step_until.(id) then begin
-             if !have_inbox then
-               Inbox.set_view inbox ~srcs:!arena_srcs ~msgs:!arena_msgs
-                 ~off:inbox_off.(id) ~len:inbox_len.(id)
-             else Inbox.set_empty inbox;
-             Outbox.clear outbox;
-             let state' =
-               if round = 0 then P.init ctxs.(id) (inputs id) ~outbox
-               else P.step ctxs.(id) states.(id) ~round ~inbox ~outbox
-             in
-             states.(id) <- state';
-             note_phase ~round id state';
-             (match P.output state' with
-             | Some _ as out -> (
-                 match outputs.(id) with
-                 | Some _ -> ()
-                 | None ->
-                     outputs.(id) <- out;
-                     decision_round.(id) <- Some round;
-                     newly_decided := id :: !newly_decided;
-                     if Fault.is_honest cfg.Config.faults.(id) then
-                       decr undecided_honest;
-                     Trace.record_decide tb ~round ~node:id;
-                     if debugging then
-                       Log.debug (fun m ->
-                           m "%s: node %d decided at round %d" P.name id round))
-             | None -> ());
-             expand_outbox ~round ~src:id
-           end
-         done;
-         (* 4. rushing adversary: observes this round's honest messages.
-            A statically passive adversary skips the view entirely. *)
-         let plans =
-           if adversary.Adversary.passive then []
-           else begin
-             view.Adversary.round <- round;
-             view.Adversary.sent_len <- honest_buf.blen;
-             let plans = adversary.Adversary.act view in
-             (match plans with [] -> () | _ :: _ -> validate_adversary cfg plans);
-             plans
-           end
-         in
-         (* 5. route: adversary plans first, then honest sends — the RNG
-            draw order the goldens pin. *)
-         List.iter
-           (fun (p : P.msg Adversary.delivery_plan) ->
-             route ~round ~attempt:0 ~src:p.Adversary.src ~dst:p.Adversary.dst
-               (Obj.repr p.Adversary.msg))
-           plans;
-         for i = 0 to honest_buf.blen - 1 do
-           let m = honest_buf.meta.(i) in
-           route ~round ~attempt:0
-             ~src:((m lsr dst_bits) land id_mask)
-             ~dst:(m land id_mask) honest_buf.bmsgs.(i)
-         done;
-         Trace.record_round tb ~round ~honest_sent:honest_buf.blen
-           ~byz_sent:(List.length plans) ~dropped:!dropped
-           ~duplicated:!duplicated ~retransmitted:!retransmitted
-           ~newly_decided:!newly_decided;
-         if debugging then
-           Log.debug (fun m ->
-               m "%s: round %d sent honest=%d byzantine=%d dropped=%d (%s)"
-                 P.name round honest_buf.blen (List.length plans) !dropped
-                 adversary.Adversary.name);
-         if !undecided_honest = 0 then raise Exit;
-         (* Fast-forward: when nothing is in flight, no timer can fire, the
-            adversary is quiescent and every still-stepping node is inert,
-            all remaining rounds are provably quiet — synthesize their
-            (identical) trace records and jump to the stall verdict. *)
-         if
-           round < max_rounds - 1
-           && Sched.is_empty pending && Sched.is_empty retries
-           && (adversary.Adversary.passive || adversary.Adversary.quiescent ())
-         then begin
-           let all_inert = ref true in
-           for id = 0 to n - 1 do
-             (* Byzantine nodes never step (and hold no state); a crash
-                node past its crash round is as quiet as one mid-life and
-                inert.  Only nodes that will still step need the check. *)
-             if step_until.(id) > round && not (P.inert states.(id)) then
-               all_inert := false
-           done;
-           if !all_inert then begin
-             for r = round + 1 to max_rounds - 1 do
-               Trace.record_round tb ~round:r ~honest_sent:0 ~byz_sent:0
-                 ~dropped:0 ~duplicated:0 ~retransmitted:0 ~newly_decided:[]
-             done;
-             rounds_used := max_rounds;
-             stalled := true;
-             raise Exit
-           end
-         end
-       done;
-       stalled := !undecided_honest > 0
-     with Exit -> ());
-    let trace = Trace.snapshot tb ~stalled:!stalled in
+    (* 5. route: adversary plans first, then honest sends — the RNG draw
+       order the goldens pin. *)
+    route_plans r ~round plans;
+    let honest_buf = r.honest_buf in
+    for i = 0 to honest_buf.blen - 1 do
+      let m = honest_buf.meta.(i) in
+      route r ~round ~attempt:0
+        ~src:((m lsr dst_bits) land id_mask)
+        ~dst:(m land id_mask) honest_buf.bmsgs.(i)
+    done;
+    Trace.record_round r.tb ~round ~honest_sent:honest_buf.blen
+      ~byz_sent:(List.length plans) ~dropped:r.dropped ~duplicated:r.duplicated
+      ~retransmitted:r.retransmitted ~newly_decided:r.newly_decided;
+    if r.debugging then
+      Log.debug (fun m ->
+          m "%s: round %d sent honest=%d byzantine=%d dropped=%d (%s)" P.name
+            round honest_buf.blen (List.length plans) r.dropped
+            adversary.Adversary.name);
+    if r.undecided_honest = 0 then false
+    else if
+      (* Fast-forward: when nothing is in flight, no timer can fire, the
+         adversary is quiescent and every still-stepping node is inert,
+         all remaining rounds are provably quiet — synthesize their
+         (identical) trace records and jump to the stall verdict. *)
+      round < r.max_rounds - 1
+      && Sched.is_empty r.pending && Sched.is_empty r.retries
+      && (adversary.Adversary.passive || adversary.Adversary.quiescent ())
+      && all_inert r round
+    then begin
+      for rd = round + 1 to r.max_rounds - 1 do
+        Trace.record_round r.tb ~round:rd ~honest_sent:0 ~byz_sent:0 ~dropped:0
+          ~duplicated:0 ~retransmitted:0 ~newly_decided:[]
+      done;
+      r.rounds_used <- r.max_rounds;
+      r.stalled <- true;
+      false
+    end
+    else if round = r.max_rounds - 1 then begin
+      r.stalled <- true;
+      false
+    end
+    else true
+
+  let pauses r view ~pause round =
+    match pause with
+    | None -> false
+    | Some holds ->
+        observe r view round;
+        holds view
+
+  (* The round loop.  [rounds] runs [round] from its first step; [finish]
+     enters it after the honest half (a resumed checkpoint).  Returns
+     [Some round] when [pause] held after that round's honest half, and
+     [None] once the run is over. *)
+  let rec rounds r adversary view ~pause round =
+    honest_half r round;
+    if pauses r view ~pause round then Some round
+    else finish r adversary view ~pause round
+
+  and finish r adversary view ~pause round =
+    if adversary_half r adversary view round then
+      rounds r adversary view ~pause (round + 1)
+    else None
+
+  let start r adversary ~pause =
+    if r.max_rounds > 0 then rounds r adversary (make_view r) ~pause 0
+    else begin
+      r.stalled <- r.undecided_honest > 0;
+      None
+    end
+
+  let result_of r =
+    let trace = Trace.snapshot r.tb ~stalled:r.stalled in
     {
-      config = cfg;
-      outputs;
-      decision_round;
-      rounds_used = !rounds_used;
+      config = r.cfg;
+      outputs = r.outputs;
+      decision_round = r.decision_round;
+      rounds_used = r.rounds_used;
       metrics = Metrics.of_trace trace;
       trace;
-      stalled = !stalled;
+      stalled = r.stalled;
     }
+
+  let run_exn (cfg : Config.t) ~inputs ?(adversary = Adversary.passive) () =
+    let r = create cfg ~inputs ~adversary in
+    ignore (start r adversary ~pause:None : int option);
+    result_of r
 
   let run (cfg : Config.t) ~inputs ?adversary () =
     match run_exn cfg ~inputs ?adversary () with
     | res -> Ok res
+    | exception Invalid_adversary reason -> Error (`Invalid_adversary reason)
+
+  type checkpoint = { run : run; round : int; copy : P.state -> P.state }
+
+  type prefix = Paused of checkpoint | Finished of result
+
+  let run_prefix (cfg : Config.t) ~inputs ~copy ?(adversary = Adversary.passive)
+      ~pause () =
+    let r = create cfg ~inputs ~adversary in
+    match start r adversary ~pause:(Some pause) with
+    | Some round -> Ok (Paused { run = r; round; copy })
+    | None -> Ok (Finished (result_of r))
+    | exception Invalid_adversary reason -> Error (`Invalid_adversary reason)
+
+  let resume (cp : checkpoint) ?(adversary = Adversary.passive) () =
+    let r = copy_run ~copy:cp.copy cp.run ~round:cp.round ~adversary in
+    match finish r adversary (make_view r) ~pause:None cp.round with
+    | (_ : int option) -> Ok (result_of r)
     | exception Invalid_adversary reason -> Error (`Invalid_adversary reason)
 end

@@ -60,4 +60,39 @@ module Make (P : Protocol.S) : sig
     result
   (** Same, but raises {!Invalid_adversary} — the original behaviour, kept
       for interactive callers and tests that assert on the exception. *)
+
+  type checkpoint
+  (** A run stopped after the honest steps of one round, before the
+      adversary observed them.  Never modified: {!resume} works on a
+      copy. *)
+
+  type prefix =
+    | Paused of checkpoint
+    | Finished of result
+        (** the run ended before the pause predicate ever held *)
+
+  val run_prefix :
+    Config.t ->
+    inputs:(Types.node_id -> P.input) ->
+    copy:(P.state -> P.state) ->
+    ?adversary:P.msg Adversary.t ->
+    pause:(P.msg Adversary.view -> bool) ->
+    unit ->
+    (prefix, [ `Invalid_adversary of string ]) Stdlib.result
+  (** Runs like {!run}, but after the honest steps of each round evaluates
+      [pause] on the round's view ([round], [sent_len] and the send
+      accessors are current) and stops at the first round where it holds.
+      [copy] must return a state independent of its argument: {!resume}
+      applies it to every node state a later round can still write. *)
+
+  val resume :
+    checkpoint ->
+    ?adversary:P.msg Adversary.t ->
+    unit ->
+    (result, [ `Invalid_adversary of string ]) Stdlib.result
+  (** Finishes a copy of the checkpoint against [adversary], starting with
+      its observation of the paused round's honest sends.  Equal to
+      {!run} (trace included, under [adversary]'s name) against an
+      adversary that behaves like the prefix's up to the pause and like
+      [adversary] from then on.  Callable any number of times. *)
 end

@@ -88,6 +88,10 @@ let builder ?(chaos = false) ~protocol ~adversary ~n ~t () =
     b_decided = 0;
   }
 
+(* The builder's fields are mutable but its lists are persistent, so a
+   shallow copy is independent of the original. *)
+let copy b ~adversary = { b with b_adversary = adversary }
+
 let record_phase b ~round ~node ~phase =
   b.b_phases <- { at_round = round; node; phase } :: b.b_phases
 

@@ -63,6 +63,11 @@ val builder :
     chaos substrate or a retransmission policy, which switches the
     emitters to the extended schema. *)
 
+val copy : builder -> adversary:string -> builder
+(** An independent copy of the history so far, recording the rest of the
+    run under [adversary]'s name — how a resumed run continues the trace
+    of the prefix it was paused from. *)
+
 val record_phase : builder -> round:int -> node:Types.node_id -> phase:string -> unit
 
 val record_decide : builder -> round:int -> node:Types.node_id -> unit

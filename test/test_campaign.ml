@@ -69,17 +69,23 @@ let test_gst_golden () =
   Alcotest.(check string) "gst_full.csv" (golden "gst_full.csv")
     (Emit.tables_string Emit.Csv e.Campaign.tables)
 
-(* The check golden ends with the verdict line, exactly as the CLI prints
-   it in CSV mode. *)
-let test_check_golden () =
+(* The check goldens end with the verdict line, exactly as the CLI prints
+   it in CSV mode.  The full tier pins all 43,043 runs the sweep
+   classifies, each resumed from its cell's shared prefix. *)
+let check_report ~profile ~jobs =
   let c = Vv_check.Report.campaign () in
-  let e = (Campaign.run ~profile:Campaign.Smoke ~jobs:0 c).Campaign.emitted in
+  let e = (Campaign.run ~profile ~jobs c).Campaign.emitted in
   Alcotest.(check bool) "check ok" true e.Campaign.ok;
   let body = Emit.tables_string Emit.Csv e.Campaign.tables in
-  let report =
-    match e.Campaign.verdict with Some v -> body ^ v ^ "\n" | None -> body
-  in
-  Alcotest.(check string) "check_smoke.csv" (golden "check_smoke.csv") report
+  match e.Campaign.verdict with Some v -> body ^ v ^ "\n" | None -> body
+
+let test_check_golden () =
+  Alcotest.(check string) "check_smoke.csv" (golden "check_smoke.csv")
+    (check_report ~profile:Campaign.Smoke ~jobs:0)
+
+let test_check_full_golden ~jobs () =
+  Alcotest.(check string) "check_full.csv" (golden "check_full.csv")
+    (check_report ~profile:Campaign.Full ~jobs)
 
 (* --- registry shape --- *)
 
@@ -217,6 +223,10 @@ let () =
           Alcotest.test_case "chaos smoke vs pin" `Quick test_chaos_golden;
           Alcotest.test_case "gst smoke+full vs pins" `Quick test_gst_golden;
           Alcotest.test_case "check smoke vs pin" `Quick test_check_golden;
+          Alcotest.test_case "check full vs pin, jobs=1" `Quick
+            (test_check_full_golden ~jobs:1);
+          Alcotest.test_case "check full vs pin, jobs=0" `Quick
+            (test_check_full_golden ~jobs:0);
         ] );
       ( "registry",
         [

@@ -273,6 +273,107 @@ let test_jobs_invariance () =
            b.Check.witness))
     r1.Check.tightness r0.Check.tightness
 
+(* --- prefix sharing ------------------------------------------------------ *)
+
+(* [Runner.run_checked] resumes scripted specs from a one-entry memo of
+   their shared prefix.  Against the unmemoized path, on sequences that
+   both hit the memo (consecutive scripts of one cell, in shuffled order)
+   and miss it (a jump to another cell, or a spec differing from the
+   memo's key in exactly one non-strategy field). *)
+
+let smoke_execs = lazy (Space.executions Space.smoke)
+let full_execs = lazy (Space.executions Space.full)
+
+(* The spec with one non-strategy field changed. *)
+let respec ?inputs ?protocol ?bb ?tie ?delay ?network ?retransmit ?seed
+    ?max_rounds ?subject ?speaker ?judgment_override (s : Runner.spec) =
+  let ( |? ) o d = Option.value o ~default:d in
+  let ( |?? ) o d = match o with Some _ -> o | None -> d in
+  Runner.spec ~byzantine:s.Runner.byzantine ~crash:s.Runner.crash
+    ~protocol:(protocol |? s.Runner.protocol)
+    ~bb:(bb |? s.Runner.bb) ~strategy:s.Runner.strategy
+    ~tie:(tie |? s.Runner.tie)
+    ~delay:(delay |? s.Runner.delay)
+    ~network:(network |? s.Runner.network)
+    ?retransmit:(retransmit |?? s.Runner.retransmit)
+    ~seed:(seed |? s.Runner.seed)
+    ~max_rounds:(max_rounds |? s.Runner.max_rounds)
+    ~subject:(subject |? s.Runner.subject)
+    ~speaker:(speaker |? s.Runner.speaker)
+    ?judgment_override:(judgment_override |?? s.Runner.judgment_override)
+    ~n:s.Runner.n ~t:s.Runner.t
+    (inputs |? s.Runner.inputs)
+
+let one_field_changes =
+  let o = Vv_ballot.Option_id.of_int in
+  [
+    (fun s -> respec ~seed:(s.Runner.seed + 1) s);
+    (fun s -> respec ~max_rounds:8 s);
+    (fun s -> respec ~subject:2 s);
+    (fun s -> respec ~speaker:1 s);
+    (fun s -> respec ~tie:Vv_ballot.Tie_break.Prefer_smaller s);
+    (fun s -> respec ~delay:(Vv_sim.Delay.Fixed 2) s);
+    (fun s -> respec ~network:(Vv_sim.Network.make ~drop:0.2 ~seed:3 ()) s);
+    (fun s -> respec ~retransmit:(Vv_sim.Retransmit.make ()) s);
+    (fun s -> respec ~judgment_override:Vv_core.Variant.Delta_t s);
+    (fun s -> respec ~inputs:(o 2 :: List.tl s.Runner.inputs) s);
+    (fun s ->
+      respec
+        ~bb:(match s.Runner.bb with Bb.Eig -> Bb.Phase_king | _ -> Bb.Eig)
+        s);
+    (fun s ->
+      respec
+        ~protocol:
+          (match s.Runner.protocol with
+          | Runner.Algo1 -> Runner.Algo3_incremental
+          | Runner.Algo3_incremental -> Runner.Algo1
+          | Runner.Algo2_sct -> Runner.Sct_incremental
+          | Runner.Sct_incremental -> Runner.Algo2_sct
+          | Runner.Algo4_local -> Runner.Algo4_local
+          | Runner.Cft -> Runner.Cft)
+        s);
+  ]
+
+(* Windows of consecutive executions from either tier, scripts shuffled
+   within a window; after any spec, possibly a one-field change of it and
+   the spec again. *)
+let gen_sequence =
+  QCheck.Gen.(
+    let window =
+      let* full = bool in
+      let execs = Lazy.force (if full then full_execs else smoke_execs) in
+      let* start = int_bound (Array.length execs - 1) in
+      let* len = int_range 1 8 in
+      let len = min len (Array.length execs - start) in
+      shuffle_l
+        (List.init len (fun i -> Space.spec_of execs.(start + i)))
+    in
+    let with_changes s =
+      let* change = int_bound (3 * List.length one_field_changes) in
+      return
+        (match List.nth_opt one_field_changes change with
+        | Some f -> [ s; f s; s ]
+        | None -> [ s ])
+    in
+    let* windows = list_size (int_range 1 5) window in
+    let* specs = flatten_l (List.map with_changes (List.concat windows)) in
+    return (List.concat specs))
+
+let pp_spec ppf (s : Runner.spec) =
+  Fmt.pf ppf "%s/%s n=%d t=%d seed=%d rounds=%d %a"
+    (Runner.protocol_label s.Runner.protocol)
+    (Bb.name s.Runner.bb) s.Runner.n s.Runner.t s.Runner.seed
+    s.Runner.max_rounds Strategy.pp s.Runner.strategy
+
+let prop_shared_equals_unshared =
+  QCheck.Test.make ~count:60
+    ~name:"run_checked (shared prefix) = unshared, trace included"
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(list ~sep:(any "; ") pp_spec))
+       gen_sequence)
+    (List.for_all (fun s ->
+         Runner.run_checked s = Runner.run_checked_unshared s))
+
 let () =
   Alcotest.run "check"
     [
@@ -313,4 +414,6 @@ let () =
             test_smoke_tightness_per_kind;
           Alcotest.test_case "jobs invariance" `Quick test_jobs_invariance;
         ] );
+      ( "prefix",
+        [ QCheck_alcotest.to_alcotest prop_shared_equals_unshared ] );
     ]

@@ -519,6 +519,176 @@ let sct_incremental_safety =
       in
       r.Runner.safety_admissible)
 
+(* --- engine pause/resume --- *)
+
+(* A run paused after the honest steps of any round and resumed must
+   equal the uninterrupted run — outputs, rounds, stall flag and trace —
+   over every substrate and over the engine's less-travelled paths:
+   staggered delays, a chaos network, retransmission and a crash. *)
+module Resume (Sub : Vv_bb.Bb_intf.S) = struct
+  module V = Vv_core.Voting.Make (Sub)
+  module Trace = Vv_sim.Trace
+
+  let check_same what (want : V.E.result) (got : V.E.result) =
+    check_bool (what ^ ": outputs") true (want.V.E.outputs = got.V.E.outputs);
+    check_bool (what ^ ": decision rounds") true
+      (want.V.E.decision_round = got.V.E.decision_round);
+    check_int (what ^ ": rounds used") want.V.E.rounds_used got.V.E.rounds_used;
+    check_bool (what ^ ": stalled") want.V.E.stalled got.V.E.stalled;
+    check Alcotest.string (what ^ ": trace csv") (Trace.to_csv want.V.E.trace)
+      (Trace.to_csv got.V.E.trace);
+    check Alcotest.string (what ^ ": trace json")
+      (Vv_prelude.Json.to_string (Trace.to_json want.V.E.trace))
+      (Vv_prelude.Json.to_string (Trace.to_json got.V.E.trace));
+    check_bool (what ^ ": trace") true (want.V.E.trace = got.V.E.trace)
+
+  let inputs id =
+    {
+      V.variant = Vv_core.Variant.algo1;
+      speaker = 0;
+      subject = 1;
+      preference = o (if id < 3 then 0 else 1);
+    }
+
+  let ok what = function
+    | Ok x -> x
+    | Error (`Invalid_adversary reason) -> Alcotest.failf "%s: %s" what reason
+
+  (* A stateless adversary that reads the Byzantine inboxes: each
+     Byzantine node forwards what it received to node 0.  Resuming it
+     twice checks that the paused round's inboxes survive a resume. *)
+  let echo =
+    Vv_sim.Adversary.named ~quiescent:(fun () -> true) "echo" (fun view ->
+        List.concat_map
+          (fun src ->
+            List.map
+              (fun (_, msg) -> { Vv_sim.Adversary.src; dst = 0; msg })
+              (view.Vv_sim.Adversary.byz_inbox src))
+          view.Vv_sim.Adversary.byzantine)
+
+  (* Pause at every round the run executes.  The passive and echo
+     adversaries are stateless, so each checkpoint is resumed twice; the
+     collude-second instance that ran the prefix is resumed once. *)
+  let test (label, cfg) =
+    let run adversary = V.E.run_exn cfg ~inputs ~adversary () in
+    let passive = run (V.adversary_of Strategy.Passive) in
+    let echoed = run echo in
+    let collude = run (V.adversary_of Strategy.Collude_second) in
+    (* the paths each configuration is here for are taken *)
+    let tr = passive.V.E.trace in
+    check_bool (label ^ ": adversaries act") true
+      (collude.V.E.trace.Trace.byz_msgs > 0
+      && echoed.V.E.trace.Trace.byz_msgs > 0);
+    (match label with
+    | "chaos" ->
+        check_bool "chaos drops and duplicates" true
+          (tr.Trace.dropped_msgs > 0 && tr.Trace.dup_msgs > 0)
+    | "retransmit" ->
+        check_bool "retransmissions fire" true (tr.Trace.retrans_msgs > 0)
+    | _ -> ());
+    let rounds =
+      List.fold_left
+        (fun acc r -> max acc r.V.E.rounds_used)
+        0 [ passive; echoed; collude ]
+    in
+    for round = 0 to rounds - 1 do
+      let what = Fmt.str "%s/%s, paused at round %d" Sub.name label round in
+      let prefix adversary =
+        ok what
+          (V.E.run_prefix cfg ~inputs ~copy:V.P.copy ~adversary
+             ~pause:(fun view -> view.Vv_sim.Adversary.round = round)
+             ())
+      in
+      List.iter
+        (fun (adversary, whole) ->
+          match prefix adversary with
+          | V.E.Finished res -> check_same (what ^ ", finished") whole res
+          | V.E.Paused cp ->
+              check_same (what ^ ", first resume") whole
+                (ok what (V.E.resume cp ~adversary ()));
+              check_same (what ^ ", second resume") whole
+                (ok what (V.E.resume cp ~adversary ())))
+        [ (V.adversary_of Strategy.Passive, passive); (echo, echoed) ];
+      let adversary = V.adversary_of Strategy.Collude_second in
+      match prefix adversary with
+      | V.E.Finished res -> check_same (what ^ ", collude finished") collude res
+      | V.E.Paused cp ->
+          check_same (what ^ ", collude") collude
+            (ok what (V.E.resume cp ~adversary ()))
+    done
+end
+
+let resume_configs =
+  let open Vv_sim in
+  let faults ?(crash = false) () =
+    Array.init 6 (fun id ->
+        if id = 5 then Fault.Byzantine
+        else if crash && id = 4 then
+          Fault.Crash { at_round = 3; deliver_to = [ 0; 2 ] }
+        else Fault.Honest)
+  in
+  let make ?crash ?(delay = Delay.Synchronous) ?network ?retransmit () =
+    Config.make ~faults:(faults ?crash ()) ~delay ?network ?retransmit
+      ~max_rounds:40 ~seed:17 ~n:6 ~t_max:1 ()
+  in
+  let chaos = Network.make ~drop:0.1 ~duplicate:0.1 ~jitter:1 ~seed:5 () in
+  [
+    ("uniform", make ~delay:(Delay.Uniform { lo = 1; hi = 2 }) ());
+    ("chaos", make ~delay:(Delay.Uniform { lo = 1; hi = 2 }) ~network:chaos ());
+    ( "retransmit",
+      make
+        ~network:(Network.make ~drop:0.05 ~seed:9 ())
+        ~retransmit:(Retransmit.make ~base:1 ~cap:2 ())
+        () );
+    ("crash", make ~crash:true ());
+  ]
+
+let test_resume_equals_uninterrupted () =
+  let module Ds = Resume (Vv_bb.Dolev_strong) in
+  let module Eig = Resume (Vv_bb.Eig) in
+  let module Pk = Resume (Vv_bb.Phase_king) in
+  let module Plain = Resume (Vv_bb.Plain) in
+  List.iter
+    (fun c ->
+      Ds.test c;
+      Eig.test c;
+      Pk.test c;
+      Plain.test c)
+    resume_configs
+
+(* Prefix sharing end to end: one [execute_scripted] prefix, every script
+   of a small alphabet resumed from it, each equal to its own full run. *)
+let test_execute_scripted () =
+  let module V = Vv_core.Voting.Make (Vv_bb.Dolev_strong) in
+  let cfg =
+    Vv_sim.Config.make
+      ~faults:
+        (Array.init 5 (fun id ->
+             if id = 4 then Vv_sim.Fault.Byzantine else Vv_sim.Fault.Honest))
+      ~max_rounds:30 ~n:5 ~t_max:1 ()
+  in
+  let variant = Vv_core.Variant.algo1 and speaker = 0 and subject = 1 in
+  let preferences id = o (if id < 2 then 0 else 1) in
+  let finish = V.execute_scripted cfg ~variant ~speaker ~subject ~preferences in
+  let alphabet =
+    Strategy.[ Skip; Vote_all 0; Vote_all 1; Propose_all 1; Vote_split (0, 1) ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let script = [ a; b ] in
+          let want =
+            V.execute_checked cfg ~variant ~speaker ~subject ~preferences
+              ~strategy:(Strategy.Scripted script)
+          in
+          check_bool
+            (Fmt.str "%a" Strategy.pp_script script)
+            true
+            (want = finish script))
+        alphabet)
+    alphabet
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -596,6 +766,13 @@ let () =
           Alcotest.test_case "scale: N=40, t=8" `Quick test_scale_n40;
           Alcotest.test_case "tie stalls without faults" `Quick
             test_tie_stalls_without_faults;
+        ] );
+      ( "resume",
+        [
+          Alcotest.test_case "resumed run equals uninterrupted" `Quick
+            test_resume_equals_uninterrupted;
+          Alcotest.test_case "scripts resume one shared prefix" `Quick
+            test_execute_scripted;
         ] );
       ("theorems", qcheck_cases);
     ]

@@ -213,6 +213,60 @@ let test_rpc_allocation () =
     (per_request <= words_per_request_budget);
   Alcotest.(check bool) "requests actually allocate" true (per_request > 0)
 
+(* --- scripted prefix sharing --- *)
+
+(* [Runner.run_checked] resumes each script of a checker cell from the
+   prefix all its scripts share, held in a one-entry memo per domain.  A
+   key that always misses, or a resume that runs the prefix again, keeps
+   every output byte-identical and only costs time, so neither the
+   goldens nor the bench gate would notice; the allocation of a resumed
+   script against a fresh run does.  The cell is the first full-tier EIG
+   (6,2) Byzantine one, whose prefix is the broadcast with the largest
+   relay tree; a resumed script allocated 876 words there against 11,973
+   for a fresh run when this pin was set. *)
+let words_of f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  int_of_float (Gc.minor_words () -. w0)
+
+let test_prefix_sharing_allocation () =
+  let module Space = Vv_check.Space in
+  let module Runner = Vv_core.Runner in
+  let execs = Array.to_list (Space.executions Space.full) in
+  let eig_6_2 (e : Space.execution) =
+    let c = e.Space.cell in
+    c.Space.bb = Vv_bb.Bb.Eig && Space.uses_substrate c.Space.protocol
+    && c.Space.n = 6 && c.Space.t = 2
+    &&
+    match c.Space.fault with
+    | Space.Byzantine _ -> true
+    | Space.Crash_one _ -> false
+  in
+  let cell =
+    match List.find_opt eig_6_2 execs with
+    | Some e -> e.Space.cell
+    | None -> Alcotest.fail "no EIG (6,2) Byzantine cell in the full tier"
+  in
+  let specs =
+    List.filter_map
+      (fun (e : Space.execution) ->
+        if e.Space.cell = cell then Some (Space.spec_of e) else None)
+      execs
+  in
+  match specs with
+  | first :: second :: _ ->
+      (* the first script runs the cell's prefix; the second resumes it *)
+      ignore (Runner.run_checked first);
+      let resumed = words_of (fun () -> Runner.run_checked second) in
+      let fresh = words_of (fun () -> Runner.run_checked_unshared second) in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "resumed script: %d words, more than a quarter of a fresh run's %d"
+           resumed fresh)
+        true
+        (4 * resumed <= fresh)
+  | _ -> Alcotest.fail "the cell has fewer than two scripts"
+
 let () =
   Alcotest.run "perf"
     [
@@ -228,5 +282,7 @@ let () =
             test_transit_allocation;
           Alcotest.test_case "serve framing words/request" `Quick
             test_rpc_allocation;
+          Alcotest.test_case "resumed script vs fresh run words" `Quick
+            test_prefix_sharing_allocation;
         ] );
     ]

@@ -51,6 +51,9 @@ let with_server ?batch ?jobs ?snapshot ?max_outq ?sndbuf f =
 
 (* --- rpc parsing --- *)
 
+let negative_submit =
+  {|{"id":1,"method":"submit","params":{"subject":1,"inputs":[-1,0,0,0]}}|}
+
 let test_rpc_parse () =
   (match Rpc.parse {|{"id":7,"method":"submit","params":{"subject":3,"inputs":[0,1,0]}}|} with
   | Ok (Rpc.Submit { id; subject; inputs }) ->
@@ -66,7 +69,61 @@ let test_rpc_parse () =
   check_bool "non-object rejected" true (Result.is_error (Rpc.parse "[1,2]"));
   check_bool "bad inputs rejected" true
     (Result.is_error
-       (Rpc.parse {|{"id":1,"method":"submit","params":{"subject":1,"inputs":["a"]}}|}))
+       (Rpc.parse {|{"id":1,"method":"submit","params":{"subject":1,"inputs":["a"]}}|}));
+  check_bool "negative option id rejected" true
+    (Result.is_error (Rpc.parse negative_submit))
+
+(* Outside input never raises: arbitrary strings, and valid request lines
+   with bytes overwritten, inserted or deleted. *)
+let prop_parsers_never_raise =
+  let valid =
+    [
+      {|{"id":7,"method":"submit","params":{"subject":3,"inputs":[0,1,0]}}|};
+      {|{"id":"x","method":"catchup","params":{"from":12}}|};
+      {|{"id":1,"method":"status"}|};
+      {|{"method":"decision","params":{"index":3,"slot":0,"lane":3}}|};
+      negative_submit;
+    ]
+  in
+  let mutate line =
+    QCheck.Gen.(
+      let* edits = int_range 1 4 in
+      let rec go line k =
+        if k = 0 then return line
+        else
+          let len = String.length line in
+          let* pos = int_bound len in
+          let* byte = char in
+          let* op = int_bound 2 in
+          let line =
+            match op with
+            | 0 when pos < len ->
+                String.mapi (fun i c -> if i = pos then byte else c) line
+            | 1 ->
+                String.sub line 0 pos ^ String.make 1 byte
+                ^ String.sub line pos (len - pos)
+            | _ when pos < len ->
+                String.sub line 0 pos ^ String.sub line (pos + 1) (len - pos - 1)
+            | _ -> line
+          in
+          go line (k - 1)
+      in
+      go line edits)
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, string_size (int_bound 64));
+          (3, oneofl valid >>= mutate);
+        ])
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"Rpc.parse, Json.of_string: Ok or Error, never raise"
+    (QCheck.make ~print:String.escaped gen) (fun line ->
+      (match Json.of_string line with Ok _ | Error _ -> ());
+      (match Rpc.parse line with Ok _ | Error _ -> ());
+      true)
 
 let test_rpc_decision_roundtrip () =
   let slot = Ledger.compute (cfg ()) ~index:5 ~subject:42 (mixed_inputs 0) in
@@ -185,6 +242,59 @@ let test_bad_requests_get_errors () =
         !errs)
   in
   check_int "every bad request answered with an error" 3 (List.length errors)
+
+(* Send [line], return the response. *)
+let roundtrip conn line =
+  Client.send conn line;
+  match Client.recv_line ~timeout:10. conn with
+  | None -> Alcotest.failf "no response to %s" line
+  | Some resp -> (
+      match Json.of_string resp with
+      | Ok (Json.Obj fields) -> fields
+      | _ -> Alcotest.failf "response is not an object: %s" resp)
+
+(* A malformed submit line gets an error response and the daemon keeps
+   serving: the next request on the same connection is answered. *)
+let bad_submit_then_status conn =
+  check_bool "malformed submit answered with an error" true
+    (List.mem_assoc "error" (roundtrip conn negative_submit));
+  check_bool "next request answered" true
+    (List.mem_assoc "result" (roundtrip conn {|{"id":2,"method":"status"}|}))
+
+let test_malformed_submit_primary () =
+  let (), _ =
+    with_server ~batch:2 (fun path ->
+        let conn = Client.connect_unix ~retry_for:10. path in
+        bad_submit_then_status conn;
+        ignore (roundtrip conn {|{"id":3,"method":"shutdown"}|});
+        Client.close conn)
+  in
+  ()
+
+let test_malformed_submit_follower () =
+  let path_p = fresh_path () and path_f = fresh_path () in
+  let listen_p = Server.listen_unix path_p in
+  let primary =
+    Domain.spawn (fun () -> Server.serve ~batch:4 ~listen:listen_p (cfg ()))
+  in
+  let listen_f = Server.listen_unix path_f in
+  let follower =
+    Domain.spawn (fun () ->
+        Replica.run ~batch:4 ~retry_every:0.05
+          ~primary:(Unix.ADDR_UNIX path_p) ~listen:listen_f (cfg ()))
+  in
+  let fconn = Client.connect_unix ~retry_for:10. path_f in
+  bad_submit_then_status fconn;
+  ignore (roundtrip fconn {|{"id":3,"method":"shutdown"}|});
+  ignore (Domain.join follower : Replica.outcome);
+  let conn = Client.connect_unix ~retry_for:10. path_p in
+  ignore (roundtrip conn {|{"id":4,"method":"shutdown"}|});
+  ignore (Domain.join primary : Server.outcome);
+  Client.close conn;
+  Client.close fconn;
+  Unix.close listen_p;
+  Unix.close listen_f;
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path_p; path_f ]
 
 (* A server dying under a client must surface as [Error] from the load
    driver — not as an uncaught EPIPE/ECONNRESET escaping [send] or
@@ -565,8 +675,12 @@ let test_log_append_after_torn_tail () =
   let slots, bytes = Lazy.force full_log in
   let e = Engine.create ~batch:4 (cfg ()) in
   List.iter (fun s -> ignore (Engine.append_committed e s)) slots;
-  let path = fresh_log () in
-  let dir_entries () = Array.length (Sys.readdir (Filename.dirname path)) in
+  (* A directory of its own: the writer's temp file is a sibling of the
+     log, and no other process's files are counted. *)
+  let dir = fresh_log () in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "decisions.log" in
+  let dir_entries () = Array.length (Sys.readdir dir) in
   List.iter
     (fun (what, data) ->
       write_file path data;
@@ -586,7 +700,8 @@ let test_log_append_after_torn_tail () =
   Sys.remove path;
   Server.write_snapshot e (Some path);
   check_bool "missing file written whole" true (read_file path = bytes);
-  Sys.remove path
+  Sys.remove path;
+  Unix.rmdir dir
 
 (* Any bytes at all: [load_engine] returns [Ok] with a prefix of the log
    the bytes came from, or [Error]; it never raises, and a second load
@@ -928,6 +1043,7 @@ let () =
           Alcotest.test_case "parse" `Quick test_rpc_parse;
           Alcotest.test_case "decision line round-trip" `Quick
             test_rpc_decision_roundtrip;
+          QCheck_alcotest.to_alcotest prop_parsers_never_raise;
         ] );
       ( "daemon",
         [
@@ -947,6 +1063,10 @@ let () =
             test_listen_unix_socket_hygiene;
           Alcotest.test_case "racy load decides the subject set" `Quick
             test_racy_load_subject_set;
+          Alcotest.test_case "malformed submit: primary answers, serves on"
+            `Quick test_malformed_submit_primary;
+          Alcotest.test_case "malformed submit: follower answers, serves on"
+            `Quick test_malformed_submit_follower;
         ] );
       ( "replica",
         [
