@@ -1,4 +1,4 @@
-.PHONY: check check-parallel check-model chaos-smoke gst-smoke validity-smoke serve-smoke serve-replica-smoke build test bench bench-smoke bench-baseline bench-gate
+.PHONY: check check-parallel check-model chaos-smoke gst-smoke validity-smoke serve-smoke serve-replica-smoke vvbench-smoke build test bench bench-smoke bench-baseline bench-gate
 
 check: ## build everything, then run the full test suite
 	dune build && dune runtest
@@ -66,6 +66,16 @@ serve-replica-smoke: ## crash-recovery soak: primary + follower, kill -9 the pri
 	wait $$follower || status=1; \
 	rm -f _build/srs-p.sock _build/srs-f.sock _build/srs-p.snap _build/srs-f.snap; \
 	exit $$status
+
+vvbench-smoke: ## every benchmark workload for 2 s; fails unless its correctness gate holds (correct, 0 failed)
+	@for w in check-full serve-commit serve-recover; do \
+	  last=$$(bash vvbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+	  echo "$$w: $$(printf '%s' "$$last" | cut -c 1-72)"; \
+	  case "$$last" in \
+	    '{"correct": true, "attempted": '*', "failed": 0, '*) ;; \
+	    *) echo "$$w: correctness gate failed"; exit 1 ;; \
+	  esac; \
+	done
 
 build:
 	dune build

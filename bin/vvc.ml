@@ -682,7 +682,8 @@ let serve_cmd =
                      restart resumes where it left off.")
   in
   let quiet =
-    C.Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress stderr logging.")
+    C.Arg.(value & flag
+           & info [ "quiet"; "q" ] ~doc:"Suppress the daemon's stderr log.")
   in
   let follow =
     C.Arg.(value
@@ -745,27 +746,21 @@ let serve_cmd =
       | Some path when Sys.file_exists path -> Sys.remove path
       | _ -> ()
     in
-    match follow with
-    | Some addr ->
-        let log = if quiet then None else Some (Fmt.epr "[follow] %s@.") in
-        let outcome =
-          Vv_serve.Replica.run ~batch ~jobs ?snapshot ?log ~max_outq
+    Logs.set_reporter (Logs.format_reporter ());
+    Logs.Src.set_level Vv_serve.Server.log_src
+      (if quiet then None else Some Logs.Info);
+    let o =
+      match follow with
+      | Some addr ->
+          Vv_serve.Replica.run ~batch ~jobs ?snapshot ~max_outq
             ~primary:(parse_follow addr) ~listen cfg
-        in
-        cleanup ();
-        Fmt.pr "served %d clients, final height %d, %d catchups@."
-          outcome.Vv_serve.Replica.served_clients
-          outcome.Vv_serve.Replica.height outcome.Vv_serve.Replica.catchups
-    | None ->
-        let log = if quiet then None else Some (Fmt.epr "[serve] %s@.") in
-        let outcome =
-          Vv_serve.Server.serve ~batch ~jobs ?snapshot ?log ~max_outq ~listen
-            cfg
-        in
-        cleanup ();
-        Fmt.pr "served %d clients, final height %d, %d slow disconnects@."
-          outcome.Vv_serve.Server.served_clients outcome.Vv_serve.Server.height
-          outcome.Vv_serve.Server.slow_disconnects
+      | None ->
+          Vv_serve.Server.serve ~batch ~jobs ?snapshot ~max_outq ~listen cfg
+    in
+    cleanup ();
+    Fmt.pr
+      "served %d clients, final height %d, %d slow disconnects, %d catchups@."
+      o.Vv_serve.Server.served_clients o.height o.slow_disconnects o.catchups
   in
   C.Cmd.v (C.Cmd.info "serve" ~doc)
     C.Term.(

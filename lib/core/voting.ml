@@ -546,8 +546,8 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
       decision_rounds = List.map (fun id -> res.E.decision_round.(id)) honest;
       rounds = res.E.rounds_used;
       stalled = res.E.stalled;
-      honest_msgs = res.E.metrics.Metrics.honest_messages;
-      byz_msgs = res.E.metrics.Metrics.byzantine_messages;
+      honest_msgs = res.E.trace.Trace.honest_msgs;
+      byz_msgs = res.E.trace.Trace.byz_msgs;
       trace = res.E.trace;
     }
 

@@ -173,6 +173,6 @@ let run ?(strategy = Originate_second) ?(tie = Vv_ballot.Tie_break.default)
       Vv_ballot.Validity.voting_validity ~tie ~honest_inputs ~outputs;
     stalled = res.E.stalled;
     rounds = res.E.rounds_used;
-    messages = Metrics.total res.E.metrics;
+    messages = Trace.messages_total res.E.trace;
     trace = res.E.trace;
   }

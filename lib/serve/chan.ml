@@ -3,8 +3,9 @@
 
    Inbound: [read_lines] drains whatever the kernel has buffered and
    returns the complete lines, keeping a partial trailing line for the
-   next call.  Outbound: [enqueue] appends one line to a FIFO of unsent
-   payloads and opportunistically flushes; the select loop retries
+   next call; a partial line past [max_line] marks the channel dead.
+   Outbound: [enqueue] appends one line to a FIFO of unsent payloads and
+   opportunistically flushes; the select loop retries
    [flush_write] whenever the fd turns writable.  Writes therefore never
    block the daemon — a consumer that stops reading only grows its own
    queue, and [enqueue] reports [`Overflow] once the queue passes the
@@ -89,23 +90,26 @@ let rec read_available t =
       t.alive <- false;
       0
 
+(* The longest partial line a channel buffers: request and decision lines
+   are a few hundred bytes, so a peer past this is marked dead. *)
+let max_line = 1 lsl 20
+
+(* Only the bytes just read are scanned, so a long line costs time linear
+   in its length. *)
 let read_lines t =
   if not t.alive then []
-  else
-    match read_available t with
-    | 0 -> []
-    | len ->
-        Buffer.add_subbytes t.inbuf t.scratch 0 len;
-        let data = Buffer.contents t.inbuf in
+  else begin
+    let len = read_available t in
+    let lines = ref [] and start = ref 0 in
+    for i = 0 to len - 1 do
+      if Bytes.get t.scratch i = '\n' then begin
+        Buffer.add_subbytes t.inbuf t.scratch !start (i - !start);
+        lines := Buffer.contents t.inbuf :: !lines;
         Buffer.clear t.inbuf;
-        let lines = ref [] in
-        let start = ref 0 in
-        String.iteri
-          (fun i c ->
-            if c = '\n' then begin
-              lines := String.sub data !start (i - !start) :: !lines;
-              start := i + 1
-            end)
-          data;
-        Buffer.add_substring t.inbuf data !start (String.length data - !start);
-        List.rev !lines
+        start := i + 1
+      end
+    done;
+    Buffer.add_subbytes t.inbuf t.scratch !start (len - !start);
+    if Buffer.length t.inbuf > max_line then t.alive <- false;
+    List.rev !lines
+  end

@@ -37,4 +37,6 @@ val flush_write : t -> unit
 val read_lines : t -> string list
 (** Drain readable bytes and return the complete lines, buffering any
     partial trailing line. [[]] when nothing is available — check
-    {!alive} afterwards to distinguish quiet from EOF/error. *)
+    {!alive} afterwards to distinguish quiet from EOF/error. A partial
+    line longer than 1 MiB marks the channel dead: no request or
+    decision line comes near it. Linear in the bytes read. *)

@@ -1,6 +1,8 @@
 (* The `vvc serve` daemon loop: a select-based single-threaded server
    multiplexing line-delimited JSON-RPC clients over a Unix or TCP
-   socket, feeding one {!Vv_multishot.Engine}.
+   socket, feeding one {!Vv_multishot.Engine}.  [run_loop] is the only
+   loop: the primary ([serve]) and the follower ({!Replica.run}) are two
+   [role]s in it.
 
    Lifecycle of a submission: a [submit] line is parsed, queued on the
    engine (ack carries the assigned position), and after each read burst
@@ -8,8 +10,9 @@
    across the engine's [jobs] domains) and its decisions are broadcast to
    every connected client as notifications.  [flush] forces a partial
    slot; [status] reports engine stats; [catchup ~from] replays the
-   committed log to one client (how a restarted consumer or a {!Replica}
-   follower resynchronises); [shutdown] snapshots and stops the loop.
+   committed log to one client from a cursor, a window at a time (how a
+   restarted consumer or a {!Replica} follower resynchronises);
+   [shutdown] snapshots and stops the loop.
 
    Write path: every connection is a {!Chan} — a non-blocking fd with a
    bounded outbound queue flushed when select reports writability — so a
@@ -86,7 +89,16 @@ let bound_port fd =
 
 (* --- the serve loop --- *)
 
-type outcome = { height : int; served_clients : int; slow_disconnects : int }
+let log_src = Logs.Src.create "vv.serve" ~doc:"serve daemon: primary and follower"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
+
+type outcome = {
+  height : int;
+  served_clients : int;
+  slow_disconnects : int;
+  catchups : int;
+}
 
 (* --- the decision log --- *)
 
@@ -272,10 +284,10 @@ let write_log engine = function
           Error (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message e))
       | exception End_of_file -> Error (path ^ ": shrank while being read"))
 
-let write_snapshot ?log engine path =
-  match (write_log engine path, log) with
-  | Error msg, Some f -> f (Printf.sprintf "snapshot write failed: %s" msg)
-  | _ -> ()
+let write_snapshot engine path =
+  match write_log engine path with
+  | Error msg -> Log.err (fun m -> m "snapshot write failed: %s" msg)
+  | Ok () -> ()
 
 (* Rebuild the engine from an open log.  Records count once their
    newline is written; the first record that is torn or damaged ends the
@@ -354,41 +366,71 @@ let load_engine ?batch ?jobs ~snapshot cfg =
       | _ -> fail "not a regular file"
       | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e))
 
-let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
-    ~listen cfg =
+(* What sets a primary and a follower apart; the rest is [run_loop]. *)
+type role = {
+  name : string;
+  submit : id:Json.t -> subject:int -> Vv_ballot.Option_id.t list -> string;
+  flush : unit -> Ledger.slot list;
+  step : unit -> Ledger.slot list;
+  status : unit -> (string * Json.t) list;
+  upstream : unit -> Chan.t option;
+  timeout : float;
+}
+
+(* One connection.  While a catchup replays, [replay] holds the slots it
+   has still to queue (then every slot committed since); the connection
+   is off the broadcast, and requests read behind the catchup wait in
+   [held]. *)
+type client = {
+  chan : Chan.t;
+  mutable replay : Ledger.slot list option;
+  mutable held : string list;
+}
+
+let run_loop ?batch ?jobs ?snapshot ~max_outq ?sndbuf ~listen cfg make_role =
   (* A client that disappears mid-write must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let engine =
     match load_engine ?batch ?jobs ~snapshot cfg with
     | Ok e -> e
-    | Error msg -> failwith ("Server.serve: cannot load snapshot: " ^ msg)
+    | Error msg -> failwith ("cannot load snapshot: " ^ msg)
   in
-  let info msg = match log with Some f -> f msg | None -> () in
-  info
-    (Printf.sprintf "serving n=%d t=%d batch=%d height=%d"
-       cfg.Ledger.n cfg.Ledger.t (Engine.batch engine) (Engine.height engine));
-  let clients : (Unix.file_descr, Chan.t) Hashtbl.t = Hashtbl.create 64 in
+  let role = make_role engine in
+  let batch = Engine.batch engine in
+  Log.info (fun m ->
+      m "%s serving n=%d t=%d batch=%d height=%d" role.name cfg.Ledger.n
+        cfg.Ledger.t batch (Engine.height engine));
+  let clients : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 64 in
+  let upstream = ref None in
   let served = ref 0 in
   let slow = ref 0 in
   let running = ref true in
+  (* A replay queues lines only while its connection's unsent bytes are
+     within half the budget, so a reading client never overflows on its
+     own catchup. *)
+  let window = max_outq / 2 in
   let send ch line =
     match Chan.enqueue ch ~max_outq line with
     | `Ok -> ()
     | `Overflow ->
         incr slow;
-        info
-          (Printf.sprintf
-             "disconnecting slow consumer (%d unsent bytes > %d budget)"
-             (Chan.unsent ch) max_outq)
+        Log.warn (fun m ->
+            m "disconnecting slow consumer (%d unsent bytes > %d budget)"
+              (Chan.unsent ch) max_outq)
   in
-  let broadcast line = Hashtbl.iter (fun _ ch -> send ch line) clients in
+  let broadcast line =
+    Hashtbl.iter
+      (fun _ c -> if Option.is_none c.replay then send c.chan line)
+      clients
+  in
   (* Last-gasp flush so responses reach clients that are reading. *)
   let close_all () =
+    Option.iter Chan.close !upstream;
     Hashtbl.iter
-      (fun _ ch ->
-        Chan.flush_write ch;
-        Chan.close ch)
+      (fun _ c ->
+        Chan.flush_write c.chan;
+        Chan.close c.chan)
       clients
   in
   (* Write before broadcast: no client sees a decision a crash can lose.
@@ -401,60 +443,74 @@ let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
       | Error msg ->
           close_all ();
           let msg = "decision log write failed, stopping: " ^ msg in
-          info msg;
-          failwith ("Server.serve: " ^ msg));
-      List.iter
-        (fun s -> broadcast (Rpc.decision ~batch:(Engine.batch engine) s))
-        decided
+          Log.err (fun m -> m "%s" msg);
+          failwith (role.name ^ ": " ^ msg));
+      List.iter (fun s -> broadcast (Rpc.decision ~batch s)) decided
     end
   in
-  let handle ch line =
+  let rec handle c line =
     if String.trim line <> "" then
       match Rpc.parse line with
-      | Error msg -> send ch (Rpc.error ~id:Json.Null msg)
-      | Ok (Rpc.Submit { id; subject; inputs }) -> (
-          match Engine.submit engine ~subject inputs with
-          | position ->
-              send ch
-                (Rpc.submit_ack ~id ~position
-                   ~slot:(Engine.slot_of engine position)
-                   ~lane:(Engine.lane_of engine position))
-          | exception Invalid_argument msg -> send ch (Rpc.error ~id msg))
+      | Error msg -> send c.chan (Rpc.error ~id:Json.Null msg)
+      | Ok (Rpc.Submit { id; subject; inputs }) ->
+          send c.chan (role.submit ~id ~subject inputs)
       | Ok (Rpc.Flush { id }) ->
-          let decided = Engine.flush engine in
+          let decided = role.flush () in
           commit decided;
-          send ch
+          send c.chan
             (Rpc.result ~id
                (Json.Obj [ ("flushed", Json.Int (List.length decided)) ]))
       | Ok (Rpc.Status { id }) ->
-          send ch
-            (Rpc.result ~id
-               (Rpc.status_json
-                  ~extra:[ ("role", Json.String "primary") ]
-                  engine))
+          let extra = ("role", Json.String role.name) :: role.status () in
+          send c.chan (Rpc.result ~id (Rpc.status_json ~extra engine))
       | Ok (Rpc.Catchup { id; from }) ->
           let replay = Engine.decisions_from engine from in
-          send ch
+          send c.chan
             (Rpc.result ~id
                (Json.Obj [ ("replaying", Json.Int (List.length replay)) ]));
-          List.iter
-            (fun s -> send ch (Rpc.decision ~batch:(Engine.batch engine) s))
-            replay
+          c.replay <- Some replay;
+          refill c
       | Ok (Rpc.Shutdown { id }) ->
-          send ch
+          send c.chan
             (Rpc.result ~id (Json.Obj [ ("stopping", Json.Bool true) ]));
           running := false
+  and handle_lines c = function
+    | [] -> ()
+    | line :: rest when Option.is_none c.replay ->
+        handle c line;
+        handle_lines c rest
+    | lines -> c.held <- lines
+  (* Queue replay lines within the window.  The cursor closes only once
+     it has queued every committed slot, so replay and broadcast form one
+     gapless sequence; then the held requests are handled. *)
+  and refill c =
+    match c.replay with
+    | Some (s :: rest) when Chan.alive c.chan && Chan.unsent c.chan <= window
+      ->
+        send c.chan (Rpc.decision ~batch s);
+        c.replay <-
+          Some
+            (if rest = [] then Engine.decisions_from engine (s.Ledger.index + 1)
+             else rest);
+        refill c
+    | Some [] ->
+        let held = c.held in
+        c.replay <- None;
+        c.held <- [];
+        handle_lines c held
+    | Some _ | None -> ()
   in
   let accept () =
     match Unix.accept listen with
     | cfd, _ ->
-        (match sndbuf with
-        | Some bytes -> (
+        Option.iter
+          (fun bytes ->
             try Unix.setsockopt_int cfd Unix.SO_SNDBUF bytes
             with Unix.Unix_error _ -> ())
-        | None -> ());
+          sndbuf;
         incr served;
-        Hashtbl.replace clients cfd (Chan.of_fd cfd)
+        Hashtbl.replace clients cfd
+          { chan = Chan.of_fd cfd; replay = None; held = [] }
     | exception
         Unix.Unix_error
           ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED),
@@ -462,51 +518,85 @@ let serve ?batch ?jobs ?snapshot ?log ?(max_outq = default_max_outq) ?sndbuf
         ()
   in
   while !running do
+    upstream := role.upstream ();
+    let up_fd want =
+      match !upstream with Some ch when want ch -> [ Chan.fd ch ] | _ -> []
+    in
+    (* A replaying connection is not read: its requests wait their turn. *)
     let rfds =
       Hashtbl.fold
-        (fun fd ch acc -> if Chan.alive ch then fd :: acc else acc)
-        clients [ listen ]
+        (fun fd c acc ->
+          if Chan.alive c.chan && Option.is_none c.replay then fd :: acc
+          else acc)
+        clients
+        (listen :: up_fd Chan.alive)
     in
     let wfds =
       Hashtbl.fold
-        (fun fd ch acc -> if Chan.want_write ch then fd :: acc else acc)
-        clients []
+        (fun fd c acc -> if Chan.want_write c.chan then fd :: acc else acc)
+        clients (up_fd Chan.want_write)
     in
-    match Unix.select rfds wfds [] 1.0 with
+    match Unix.select rfds wfds [] role.timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, writable, _ ->
         List.iter
           (fun fd ->
-            match Hashtbl.find_opt clients fd with
-            | Some ch -> Chan.flush_write ch
-            | None -> ())
+            match (Hashtbl.find_opt clients fd, !upstream) with
+            | Some c, _ -> Chan.flush_write c.chan
+            | None, Some ch when Chan.fd ch = fd -> Chan.flush_write ch
+            | None, _ -> ())
           writable;
+        (* The upstream, if any, is read by the role's [step]. *)
         List.iter
           (fun fd ->
             if fd = listen then accept ()
             else
               match Hashtbl.find_opt clients fd with
-              | None -> ()
-              | Some ch -> List.iter (handle ch) (Chan.read_lines ch))
+              | Some c -> handle_lines c (Chan.read_lines c.chan)
+              | None -> ())
           readable;
-        (* Decide every slot the burst filled, then drop dead clients. *)
-        commit (Engine.step engine);
+        (* Commit what the pass decided, drop dead clients, then refill
+           every open replay. *)
+        commit (role.step ());
         let dead =
           Hashtbl.fold
-            (fun fd ch acc -> if Chan.alive ch then acc else (fd, ch) :: acc)
+            (fun fd c acc -> if Chan.alive c.chan then acc else (fd, c) :: acc)
             clients []
         in
         List.iter
-          (fun (fd, ch) ->
-            Chan.close ch;
+          (fun (fd, c) ->
+            Chan.close c.chan;
             Hashtbl.remove clients fd)
-          dead
+          dead;
+        Hashtbl.iter (fun _ c -> refill c) clients
   done;
-  write_snapshot ?log engine snapshot;
+  write_snapshot engine snapshot;
   close_all ();
-  info (Printf.sprintf "stopped at height %d" (Engine.height engine));
+  Log.info (fun m ->
+      m "%s stopped at height %d" role.name (Engine.height engine));
   {
     height = Engine.height engine;
     served_clients = !served;
     slow_disconnects = !slow;
+    catchups = 0;
   }
+
+let serve ?batch ?jobs ?snapshot ?(max_outq = default_max_outq) ?sndbuf
+    ~listen cfg =
+  run_loop ?batch ?jobs ?snapshot ~max_outq ?sndbuf ~listen cfg (fun engine ->
+      {
+        name = "primary";
+        submit =
+          (fun ~id ~subject inputs ->
+            match Engine.submit engine ~subject inputs with
+            | position ->
+                Rpc.submit_ack ~id ~position
+                  ~slot:(Engine.slot_of engine position)
+                  ~lane:(Engine.lane_of engine position)
+            | exception Invalid_argument msg -> Rpc.error ~id msg);
+        flush = (fun () -> Engine.flush engine);
+        step = (fun () -> Engine.step engine);
+        status = (fun () -> []);
+        upstream = (fun () -> None);
+        timeout = 1.0;
+      })

@@ -9,7 +9,9 @@
     non-blocking queue ({!Chan}), flushed when select reports the fd
     writable — one stalled consumer can never delay decision broadcast
     to the others. A client whose unsent queue exceeds [max_outq] bytes
-    is disconnected (it can reconnect and [catchup]). *)
+    is disconnected (it can reconnect and [catchup]); a catchup replay
+    is paced so that it never trips that bound on its own. The loop is
+    shared with the follower ({!Replica}): see {!run_loop}. *)
 
 val default_max_outq : int
 (** 1 MiB: the per-client unsent-byte budget used when [?max_outq] is
@@ -27,11 +29,19 @@ val listen_tcp : ?host:string -> int -> Unix.file_descr
 
 val bound_port : Unix.file_descr -> int
 
+val log_src : Logs.src
+(** The daemon's log source ["vv.serve"], shared by both roles: Info for
+    lifecycle (start, stop, a follower's link up), Warning for slow
+    consumers and a follower's lost link, Error for a failed log write. *)
+
 type outcome = {
   height : int;
   served_clients : int;
   slow_disconnects : int;
       (** clients dropped by the bounded-outbound-queue policy *)
+  catchups : int;
+      (** a follower's connections to its primary, each one resync; 0 on
+          a primary *)
 }
 
 (** {1 The decision log}
@@ -71,9 +81,9 @@ val write_log :
     is raised. The one write path of the primary and of {!Replica}; both
     stop rather than broadcast slots it could not write. *)
 
-val write_snapshot :
-  ?log:(string -> unit) -> Vv_multishot.Engine.t -> string option -> unit
-(** {!write_log}, with a failure passed to [log] instead of returned. *)
+val write_snapshot : Vv_multishot.Engine.t -> string option -> unit
+(** {!write_log}, with a failure logged at Error on {!log_src} instead of
+    returned. *)
 
 val load_engine :
   ?batch:int ->
@@ -90,28 +100,78 @@ val load_engine :
     last record, a path that is not a regular file, or an I/O failure.
     Shared with {!Replica}. *)
 
+(** {1 The daemon loop} *)
+
+type role = {
+  name : string;  (** ["primary"] or ["follower"]: status [role], logs *)
+  submit :
+    id:Vv_prelude.Json.t -> subject:int -> Vv_ballot.Option_id.t list -> string;
+      (** the response line to a [submit] request *)
+  flush : unit -> Vv_multishot.Ledger.slot list;
+      (** the slots a [flush] request decides *)
+  step : unit -> Vv_multishot.Ledger.slot list;
+      (** after every select pass: the slots the pass decided or received *)
+  status : unit -> (string * Vv_prelude.Json.t) list;
+      (** [status] fields after [role] *)
+  upstream : unit -> Chan.t option;
+      (** before every select: a further channel to wait on (the
+          follower's link to its primary, reconnected when due) *)
+  timeout : float;  (** select timeout, seconds *)
+}
+(** What sets a primary and a follower apart in {!run_loop}. *)
+
+val run_loop :
+  ?batch:int ->
+  ?jobs:int ->
+  ?snapshot:string ->
+  max_outq:int ->
+  ?sndbuf:int ->
+  listen:Unix.file_descr ->
+  Vv_multishot.Ledger.config ->
+  (Vv_multishot.Engine.t -> role) ->
+  outcome
+(** The one daemon loop, behind {!serve} and {!Replica.run}. It loads the
+    engine ({!load_engine}; [Failure] on [Error]), builds the role from
+    it, and selects over the listener, its clients and the role's
+    upstream until a [shutdown] request. After every pass it commits
+    [role.step ()]: the slots are appended to the log before any is
+    broadcast, and a failed write closes every connection and raises
+    [Failure] naming it (fail-stop). [status], [catchup], [shutdown] and
+    parse errors are answered here; [submit] and [flush] by the role.
+
+    A [catchup ~from] answers [replaying] = the slots in [\[from,
+    height)], then streams them from a per-connection cursor: lines are
+    queued only while the connection's unsent bytes are at most half of
+    [max_outq], refilled after every pass. The connection is left off
+    the broadcast, and its later requests wait, until the cursor has
+    queued every committed slot; so a client that keeps reading gets the
+    whole replay and then the live stream with no gap or repeat, however
+    long the log. The outcome's [catchups] is 0; {!Replica.run} fills
+    it. *)
+
 val serve :
   ?batch:int ->
   ?jobs:int ->
   ?snapshot:string ->
-  ?log:(string -> unit) ->
   ?max_outq:int ->
   ?sndbuf:int ->
   listen:Unix.file_descr ->
   Vv_multishot.Ledger.config ->
   outcome
-(** Run the loop until a [shutdown] request. With [?snapshot], every
-    commit burst appends its records to the decision log before any of
-    its decisions is broadcast (write before broadcast: no client sees a
-    decision that a crash can lose), and an existing log is loaded at
-    startup with {!load_engine} so a restarted server resumes at its
-    previous height (raises [Failure] when that returns [Error]). A
-    commit whose records cannot be written ({!write_log} returns
-    [Error]) stops the server: the burst is not broadcast, no further
-    request is served, queued responses are flushed, every connection
-    is closed, and [serve] raises [Failure] naming the write error.
-    [batch]/[jobs] are {!Vv_multishot.Engine.create} parameters;
-    [max_outq] (default {!default_max_outq}) bounds each client's unsent
-    bytes before the slow-consumer disconnect; [sndbuf] shrinks each
-    accepted socket's kernel send buffer (testing/tuning hook). The
-    caller owns [listen] (and the socket file, for Unix sockets). *)
+(** The primary: {!run_loop} with a role that queues [submit]s on the
+    engine and decides every filled slot after each read burst. Runs
+    until a [shutdown] request. With [?snapshot], every commit burst
+    appends its records to the decision log before any of its decisions
+    is broadcast (write before broadcast: no client sees a decision that
+    a crash can lose), and an existing log is loaded at startup with
+    {!load_engine} so a restarted server resumes at its previous height
+    (raises [Failure] when that returns [Error]). A commit whose records
+    cannot be written ({!write_log} returns [Error]) stops the server:
+    the burst is not broadcast, no further request is served, queued
+    responses are flushed, every connection is closed, and [serve]
+    raises [Failure] naming the write error. [batch]/[jobs] are
+    {!Vv_multishot.Engine.create} parameters; [max_outq] (default
+    {!default_max_outq}) bounds each client's unsent bytes before the
+    slow-consumer disconnect; [sndbuf] shrinks each accepted socket's
+    kernel send buffer (testing/tuning hook). The caller owns [listen]
+    (and the socket file, for Unix sockets). *)

@@ -65,7 +65,7 @@
    per-round send counts, adversary injections, chaos-substrate activity
    (dropped / duplicated / retransmitted), per-node phase transitions (via
    [P.phase]) and decide rounds.  The snapshot is immutable and is the
-   source of the result's {!Metrics.t}.
+   result's only message and round accounting.
 
    Pause and resume: the round loop is split after step 3.  [run_prefix]
    stops there in the first round whose honest sends satisfy a predicate
@@ -251,7 +251,6 @@ module Make (P : Protocol.S) = struct
     outputs : P.output option array;  (** indexed by node id; Byzantine slots stay [None] *)
     decision_round : int option array;
     rounds_used : int;
-    metrics : Metrics.t;
     trace : Trace.snapshot;
     stalled : bool;  (** hit [max_rounds] with undecided honest nodes *)
   }
@@ -862,7 +861,6 @@ module Make (P : Protocol.S) = struct
       outputs = r.outputs;
       decision_round = r.decision_round;
       rounds_used = r.rounds_used;
-      metrics = Metrics.of_trace trace;
       trace;
       stalled = r.stalled;
     }

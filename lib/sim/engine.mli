@@ -30,7 +30,6 @@ module Make (P : Protocol.S) : sig
         (** number of rounds executed (round indices 0 .. [rounds_used] - 1);
             equals the trace's [total_rounds], at most [Config.max_rounds],
             and exactly [max_rounds] on stalled runs *)
-    metrics : Metrics.t;  (** derived from [trace]; immutable *)
     trace : Trace.snapshot;
     stalled : bool;
         (** true when [max_rounds] elapsed with undecided honest nodes — an

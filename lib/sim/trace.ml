@@ -5,9 +5,9 @@
    substrate — dropped/duplicated/retransmitted deliveries) plus every
    per-node phase transition reported by the protocol's [Protocol.S.phase].
    At the end of the run the accumulated history is frozen into an
-   immutable [snapshot] — the replacement for the old mutable [Metrics.t]
-   aliasing: callers get a value they can store, diff, and emit (CSV/JSON)
-   without worrying about the engine mutating it behind their back.
+   immutable [snapshot]: callers get a value they can store, diff, and
+   emit (CSV/JSON) without worrying about the engine mutating it behind
+   their back.
 
    The [chaos] flag records whether the run had the substrate (or
    retransmission) engaged; the CSV/JSON emitters add the chaos columns

@@ -4,9 +4,9 @@
     adversary injections, chaos-substrate activity (dropped / duplicated /
     retransmitted deliveries), per-node phase transitions (as reported by
     {!Protocol.S.phase}) and decide rounds — and freezes it into a
-    [snapshot] on completion. Snapshots replace the old mutable
-    {!Metrics.t} accounting as the unit of observability: one value per
-    run, safe to store and aggregate, with CSV and JSON emitters.
+    [snapshot] on completion. A snapshot is the unit of observability,
+    and a run's only message and round accounting: one value per run,
+    safe to store and aggregate, with CSV and JSON emitters.
 
     Runs without the chaos substrate ([chaos = false]) emit exactly the
     pre-substrate CSV/JSON shape — the chaos columns appear only when the

@@ -36,8 +36,8 @@ let fresh_path =
 
 (* Boot a daemon on a fresh socket, run [f path], always join the server
    (f is responsible for sending shutdown). *)
-let with_server ?batch ?jobs ?snapshot ?max_outq ?sndbuf f =
-  let path = fresh_path () in
+let with_server ?(path = fresh_path ()) ?batch ?jobs ?snapshot ?max_outq
+    ?sndbuf f =
   let listen = Server.listen_unix path in
   let daemon =
     Domain.spawn (fun () ->
@@ -402,10 +402,15 @@ let test_listen_unix_socket_hygiene () =
 
 (* --- follower replication --- *)
 
-let await_follower_height ~timeout conn target =
+(* Poll [path]'s height over a fresh connection each time: a connection
+   left open would fall behind a relayed stream between polls. *)
+let await_height ~timeout path target =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec poll () =
-    match Client.status conn with
+    let c = Client.connect_unix ~retry_for:10. path in
+    let status = Client.status c in
+    Client.close c;
+    match status with
     | Ok (Json.Obj fields)
       when List.assoc_opt "height" fields = Some (Json.Int target) ->
         true
@@ -444,7 +449,7 @@ let test_follower_replicates () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "follower accepted a submit");
   check_bool "follower converged" true
-    (await_follower_height ~timeout:15. fconn 12);
+    (await_height ~timeout:15. path_f 12);
   let primary_log =
     match Client.catchup ~from:0 conn with
     | Ok l -> l
@@ -655,6 +660,23 @@ let test_log_damage_before_last () =
   check_bool "torn header refused" true (Result.is_error (load path));
   Sys.remove path
 
+(* The messages the serve log source reports while [f] runs. *)
+let logged_during f =
+  let logged = ref [] in
+  let report src _level ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kasprintf
+          (fun m ->
+            if src == Server.log_src then logged := m :: !logged;
+            over ();
+            k ())
+          fmt)
+  in
+  let previous = Logs.reporter () in
+  Logs.set_reporter { Logs.report };
+  Fun.protect ~finally:(fun () -> Logs.set_reporter previous) f;
+  List.rev !logged
+
 let test_log_not_a_file () =
   let dir = fresh_log () in
   Unix.mkdir dir 0o755;
@@ -663,9 +685,8 @@ let test_log_not_a_file () =
   | Ok _ -> Alcotest.fail "a directory loaded as a log");
   (* Writing to it is logged, never raised. *)
   let e = Engine.create ~batch:4 (cfg ()) in
-  let logged = ref [] in
-  Server.write_snapshot ~log:(fun m -> logged := m :: !logged) e (Some dir);
-  check_bool "write failure logged" true (!logged <> []);
+  let logged = logged_during (fun () -> Server.write_snapshot e (Some dir)) in
+  check_bool "write failure logged" true (logged <> []);
   check_bool "no leftovers" true (Sys.readdir dir = [||]);
   Unix.rmdir dir
 
@@ -892,7 +913,6 @@ let test_unwritable_log_stops () =
   ignore (Client.status watch_p);
   ignore (Client.status watch_f);
   let conn = Client.connect_unix ~retry_for:10. path_p in
-  let probe_f = Client.connect_unix ~retry_for:10. path_f in
   let submit i = Client.run_load ~conns:[ conn ] [ (i, mixed_inputs i) ] in
   let swap file =
     Sys.remove file;
@@ -919,7 +939,7 @@ let test_unwritable_log_stops () =
   in
   check_bool "slot 0 decided" true (Result.is_ok (submit 0));
   check_bool "follower logged slot 0" true
-    (await_follower_height ~timeout:15. probe_f 1);
+    (await_height ~timeout:15. path_f 1);
   swap snap_f;
   check_bool "slot 1 decided" true (Result.is_ok (submit 1));
   check Alcotest.(list int) "follower relayed only slot 0" [ 0 ]
@@ -930,11 +950,176 @@ let test_unwritable_log_stops () =
   check Alcotest.(list int) "primary broadcast only slots 0-1" [ 0; 1 ]
     (notified watch_p);
   stopped "primary" primary;
-  List.iter Client.close [ conn; probe_f; watch_p; watch_f ];
+  List.iter Client.close [ conn; watch_p; watch_f ];
   Unix.close listen_p;
   Unix.close listen_f;
   List.iter Unix.rmdir [ snap_p; snap_f ];
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path_p; path_f ]
+
+(* --- catchup cursor and line bound --- *)
+
+(* A decision log of [height] synthetic slots at batch 4, in a fresh
+   file: cheap to build at any length. *)
+let synthetic_log height =
+  let e = Engine.create ~batch:4 (cfg ()) in
+  for index = 0 to height - 1 do
+    ignore
+      (Engine.append_committed e
+         {
+           Ledger.index;
+           subject = index;
+           decision = Some (o (index mod 3));
+           speaker = index mod 7;
+           attempts = 1;
+           valid = true;
+           rounds_total = 4;
+         })
+  done;
+  let path = fresh_log () in
+  (match Server.write_log e (Some path) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "synthetic log: %s" msg);
+  (Engine.decisions e, path)
+
+let stop_via path =
+  let c = Client.connect_unix ~retry_for:10. path in
+  ignore (roundtrip c {|{"id":"stop","method":"shutdown"}|});
+  Client.close c
+
+(* A client that asks for a catchup, then waits before reading, still
+   gets the whole replay: the cursor queues it a window at a time, so it
+   never trips the 16 KiB budget. *)
+let test_paused_reader_whole_replay () =
+  let slots, snapshot = synthetic_log 2000 in
+  let (replaying, got), outcome =
+    with_server ~batch:4 ~snapshot ~max_outq:16384 ~sndbuf:4096 (fun path ->
+        let conn = Client.connect_unix ~retry_for:10. path in
+        Client.send conn {|{"id":"cu","method":"catchup","params":{"from":0}}|};
+        Unix.sleepf 0.3;
+        let replaying =
+          match Client.recv_line ~timeout:10. conn with
+          | Some line -> (
+              match Json.of_string line with
+              | Ok (Json.Obj fields) -> List.assoc_opt "result" fields
+              | _ -> None)
+          | None -> None
+        in
+        let rec drain acc k =
+          if k = 0 then List.rev acc
+          else
+            match Client.recv_line ~timeout:10. conn with
+            | None -> List.rev acc
+            | Some line -> (
+                match Rpc.decision_of_line line with
+                | Some s -> drain (s :: acc) (k - 1)
+                | None -> drain acc k)
+        in
+        let got = drain [] (List.length slots) in
+        Client.close conn;
+        stop_via path;
+        (replaying, got))
+  in
+  check_bool "replaying = the log's height" true
+    (replaying = Some (Json.Obj [ ("replaying", Json.Int 2000) ]));
+  check_int "every replay line" 2000 (List.length got);
+  check_bool "replay == log, in order" true (got = slots);
+  check_int "no slow disconnect" 0 outcome.Server.slow_disconnects;
+  Sys.remove snapshot
+
+(* A fresh follower of that primary resyncs with one catchup, and a
+   prompt one-shot catchup gets the whole log. *)
+let test_fresh_follower_one_catchup () =
+  let slots, snapshot = synthetic_log 2000 in
+  let f_out, outcome =
+    with_server ~batch:4 ~snapshot ~max_outq:16384 ~sndbuf:4096 (fun path ->
+        let path_f = fresh_path () in
+        let listen_f = Server.listen_unix path_f in
+        let follower =
+          Domain.spawn (fun () ->
+              Replica.run ~batch:4 ~retry_every:0.05
+                ~primary:(Unix.ADDR_UNIX path) ~listen:listen_f (cfg ()))
+        in
+        check_bool "follower converged" true
+          (await_height ~timeout:15. path_f 2000);
+        let conn = Client.connect_unix ~retry_for:10. path in
+        (match Client.catchup ~from:0 conn with
+        | Ok l -> check_bool "one-shot catchup == log" true (l = slots)
+        | Error msg -> Alcotest.failf "primary catchup: %s" msg);
+        let fconn = Client.connect_unix ~retry_for:10. path_f in
+        (match Client.catchup ~from:0 fconn with
+        | Ok l -> check_bool "follower log == primary log" true (l = slots)
+        | Error msg -> Alcotest.failf "follower catchup: %s" msg);
+        List.iter Client.close [ conn; fconn ];
+        stop_via path_f;
+        let f_out = Domain.join follower in
+        stop_via path;
+        Unix.close listen_f;
+        if Sys.file_exists path_f then Sys.remove path_f;
+        f_out)
+  in
+  check_int "one catchup" 1 f_out.Replica.catchups;
+  check_int "follower height" 2000 f_out.Replica.height;
+  check_int "primary: no slow disconnect" 0 outcome.Server.slow_disconnects;
+  Sys.remove snapshot
+
+(* A follower applies the primary's slow-consumer policy to its own
+   clients, and counts it: a client that stops reading while the
+   follower relays a long resync is dropped. *)
+let test_follower_counts_slow_consumers () =
+  let _, snapshot = synthetic_log 2000 in
+  let path_p = fresh_path () and path_f = fresh_path () in
+  let listen_f = Server.listen_unix path_f in
+  (* The primary is not up yet: the follower retries until it is. *)
+  let follower =
+    Domain.spawn (fun () ->
+        Replica.run ~batch:4 ~max_outq:8192 ~retry_every:0.05
+          ~primary:(Unix.ADDR_UNIX path_p) ~listen:listen_f (cfg ()))
+  in
+  let stalled = Client.connect_unix ~retry_for:10. path_f in
+  ignore (Client.status stalled);
+  let f_out, _ =
+    with_server ~path:path_p ~batch:4 ~snapshot (fun path ->
+        check_bool "follower converged" true
+          (await_height ~timeout:15. path_f 2000);
+        stop_via path_f;
+        let f_out = Domain.join follower in
+        stop_via path;
+        f_out)
+  in
+  check_bool "the stalled client was dropped" true
+    (f_out.Replica.slow_disconnects >= 1);
+  Client.close stalled;
+  Unix.close listen_f;
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path_f; snapshot ]
+
+(* A peer streaming one line with no newline is cut off once the line
+   passes the channel's 1 MiB bound; other clients are still served. *)
+let test_unterminated_line_cut_off () =
+  let (cut, answered), _ =
+    with_server ~batch:2 (fun path ->
+        let flood = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect flood (Unix.ADDR_UNIX path);
+        let chunk = String.make 65536 'x' in
+        let rec push sent =
+          sent < 2 lsl 20
+          &&
+          match Unix.write_substring flood chunk 0 (String.length chunk) with
+          | n -> push (sent + n)
+          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+              true
+        in
+        let cut = push 0 in
+        Unix.close flood;
+        let conn = Client.connect_unix ~retry_for:10. path in
+        let answered =
+          List.mem_assoc "result" (roundtrip conn {|{"id":1,"method":"status"}|})
+        in
+        ignore (roundtrip conn {|{"id":2,"method":"shutdown"}|});
+        Client.close conn;
+        (cut, answered))
+  in
+  check_bool "a 2 MiB line is cut off" true cut;
+  check_bool "another client is still answered" true answered
 
 (* --- the client line reader --- *)
 
@@ -1076,6 +1261,17 @@ let () =
             test_write_before_broadcast;
           Alcotest.test_case "unwritable log stops the daemon" `Quick
             test_unwritable_log_stops;
+          Alcotest.test_case "fresh follower resyncs with one catchup" `Quick
+            test_fresh_follower_one_catchup;
+          Alcotest.test_case "follower counts slow consumers" `Quick
+            test_follower_counts_slow_consumers;
+        ] );
+      ( "cursor",
+        [
+          Alcotest.test_case "paused reader gets the whole replay" `Quick
+            test_paused_reader_whole_replay;
+          Alcotest.test_case "unterminated 2 MiB line cut off" `Quick
+            test_unterminated_line_cut_off;
         ] );
       ( "log",
         [

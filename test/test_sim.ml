@@ -57,7 +57,7 @@ let test_full_delivery () =
     (fun seen -> check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
         "every node sees every input (incl. self)" expected seen)
     (values res);
-  check_int "honest messages" 16 res.metrics.Metrics.honest_messages;
+  check_int "honest messages" 16 res.trace.Trace.honest_msgs;
   check_bool "not stalled" false res.stalled
 
 let test_crash_mid_broadcast () =
@@ -101,7 +101,7 @@ let test_byzantine_equivocation_p2p_allowed () =
   (match values res with
   | seen0 :: _ -> check_bool "per-recipient message" true (List.mem (3, 900) seen0)
   | [] -> Alcotest.fail "no outputs");
-  check_int "byz messages counted" 4 res.metrics.Metrics.byzantine_messages
+  check_int "byz messages counted" 4 res.trace.Trace.byz_msgs
 
 let test_local_broadcast_blocks_equivocation () =
   let cfg =
@@ -298,7 +298,7 @@ let test_topology_broadcast_reaches_neighbours () =
       check_bool "1 hears 2" true (List.mem (2, 102) seen1)
   | _ -> Alcotest.fail "outputs");
   (* 4 nodes x 3 recipients each. *)
-  check_int "message count" 12 res.metrics.Metrics.honest_messages
+  check_int "message count" 12 res.trace.Trace.honest_msgs
 
 let test_topology_validation () =
   Alcotest.check_raises "symmetry"
@@ -331,7 +331,7 @@ let test_topology_local_broadcast_neighbourhood () =
       (fun ~src:_ _ -> Some 9)
   in
   let res = E.run_exn cfg ~inputs:(fun id -> id) ~adversary:to_neighbourhood () in
-  check_int "neighbourhood size messages" 3 res.metrics.Metrics.byzantine_messages
+  check_int "neighbourhood size messages" 3 res.trace.Trace.byz_msgs
 
 let test_config_validation () =
   Alcotest.check_raises "n positive" (Invalid_argument "Config.make: n must be positive")
