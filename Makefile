@@ -1,4 +1,4 @@
-.PHONY: check check-parallel check-model chaos-smoke gst-smoke validity-smoke serve-smoke serve-replica-smoke vvbench-smoke build test bench bench-smoke bench-baseline bench-gate
+.PHONY: check check-parallel check-model chaos-smoke gst-smoke validity-smoke serve-smoke serve-replica-smoke vvbench-smoke cli-smoke build test bench bench-smoke bench-baseline bench-gate
 
 check: ## build everything, then run the full test suite
 	dune build && dune runtest
@@ -76,6 +76,23 @@ vvbench-smoke: ## every benchmark workload for 2 s; fails unless its correctness
 	    *) echo "$$w: correctness gate failed"; exit 1 ;; \
 	  esac; \
 	done
+
+cli-smoke: ## bad sizes for serve and ledger: each a usage error (exit 124), no uncaught exception, no socket file left
+	dune build
+	@rm -f _build/cli-smoke.sock; status=0; \
+	for args in "serve --socket _build/cli-smoke.sock --batch 0" \
+	  "serve --socket _build/cli-smoke.sock -n 0" \
+	  "serve --socket _build/cli-smoke.sock -n 3 -t 5" \
+	  "ledger -n 0" "ledger -n 3 -t 5"; do \
+	  timeout 10 _build/default/bin/vvc.exe $$args > /dev/null 2> _build/cli-smoke.err; \
+	  code=$$?; \
+	  if [ $$code -ne 124 ] || grep -qi "uncaught exception" _build/cli-smoke.err \
+	     || [ -e _build/cli-smoke.sock ]; then \
+	    echo "vvc $$args: exit $$code"; cat _build/cli-smoke.err; status=1; \
+	  else echo "vvc $$args: usage error (exit 124)"; fi; \
+	  rm -f _build/cli-smoke.sock; \
+	done; \
+	rm -f _build/cli-smoke.err; exit $$status
 
 build:
 	dune build

@@ -336,6 +336,19 @@ let run_cmd =
 
 (* --- ledger --- *)
 
+(* [sized ~n ~t run] runs [run] once the sizes meet what Ledger.config
+   and the multishot Engine.create require (with the last [t] nodes
+   Byzantine); a bad size is a usage error (exit 124) found before
+   anything is bound, not an uncaught Invalid_argument. *)
+let sized ?(batch = 1) ?(jobs = 0) ~n ~t run =
+  let usage fmt = Fmt.kstr (fun msg -> `Error (true, msg)) fmt in
+  if n < 1 then usage "-n must be at least 1, not %d" n
+  else if t < 0 || t > n then
+    usage "-t must be between 0 and -n (%d), not %d" n t
+  else if batch < 1 then usage "--batch must be at least 1, not %d" batch
+  else if jobs < 0 then usage "--jobs must be non-negative, not %d" jobs
+  else `Ok (run ())
+
 let ledger_cmd =
   let doc = "Run a multi-shot voting ledger over random slot electorates." in
   let n = C.Arg.(value & opt int 9 & info [ "n" ] ~doc:"Total nodes.") in
@@ -408,8 +421,11 @@ let ledger_cmd =
         (List.length (Vv_multishot.Ledger.committed ledger))
         (Vv_multishot.Ledger.all_committed_valid ledger)
   in
+  let checked format n t slots seed =
+    sized ~n ~t (fun () -> run format n t slots seed)
+  in
   C.Cmd.v (C.Cmd.info "ledger" ~doc)
-    C.Term.(const run $ format_term $ n $ t $ slots $ seed)
+    C.Term.(ret (const checked $ format_term $ n $ t $ slots $ seed))
 
 (* --- radio --- *)
 
@@ -762,11 +778,18 @@ let serve_cmd =
       "served %d clients, final height %d, %d slow disconnects, %d catchups@."
       o.Vv_serve.Server.served_clients o.height o.slow_disconnects o.catchups
   in
+  let checked socket port host n t protocol batch jobs seed snapshot quiet
+      follow max_outq =
+    sized ~batch ~jobs ~n ~t (fun () ->
+        run socket port host n t protocol batch jobs seed snapshot quiet follow
+          max_outq)
+  in
   C.Cmd.v (C.Cmd.info "serve" ~doc)
     C.Term.(
-      const run $ socket_arg "the daemon" $ port_arg "the daemon" $ host_arg
-      $ n $ t $ protocol $ batch $ jobs $ seed $ snapshot $ quiet $ follow
-      $ max_outq)
+      ret
+        (const checked $ socket_arg "the daemon" $ port_arg "the daemon"
+        $ host_arg $ n $ t $ protocol $ batch $ jobs $ seed $ snapshot $ quiet
+        $ follow $ max_outq))
 
 let load_cmd =
   let doc =

@@ -203,7 +203,8 @@ let same_prefix (a : spec) (b : spec) =
   && judgment_override = b.judgment_override
 
 (* One entry per domain: the last scripted specification, its config, and
-   its shared prefix (Voting.execute_scripted).  The checker enumerates
+   its checkpoints (Voting.execute_scripted: the shared prefix, and one
+   checkpoint per depth along the last script).  The checker enumerates
    the scripts of a cell consecutively, so each cell runs its prefix once
    per domain; domain-local storage, as [Auth.secret_cache] uses, keeps
    parallel workers apart. *)

@@ -85,9 +85,10 @@ val run_checked :
     or the communication model is reported as an [Error] — batch callers
     aggregate it instead of dying.
 
-    A [Strategy.Scripted] specification resumes the prefix its scripts
-    share ({!Voting.Make.execute_scripted}) from a one-entry memo per
-    domain, keyed on every field but the strategy; the outcome equals
+    A [Strategy.Scripted] specification resumes the deepest checkpoint
+    its script shares with the previous one
+    ({!Voting.Make.execute_scripted}) from a one-entry memo per domain,
+    keyed on every field but the strategy; the outcome equals
     {!run_checked_unshared}'s. *)
 
 val run_checked_unshared :

@@ -48,15 +48,20 @@ type t =
           vote is observed — the enumerable adversary universe of the
           exhaustive checker (Vv_check). *)
 
-let pp_script_action ppf = function
-  | Skip -> Fmt.string ppf "-"
-  | Vote_all i -> Fmt.pf ppf "v%d" i
-  | Vote_split (i, j) -> Fmt.pf ppf "v%dx%d" i j
-  | Propose_all i -> Fmt.pf ppf "p%d" i
-  | Vote_and_propose (i, j) -> Fmt.pf ppf "v%dp%d" i j
+(* Labels are built without Format: the checker names one trace per
+   script, tens of thousands per sweep. *)
+let action_label = function
+  | Skip -> "-"
+  | Vote_all i -> "v" ^ string_of_int i
+  | Vote_split (i, j) -> "v" ^ string_of_int i ^ "x" ^ string_of_int j
+  | Propose_all i -> "p" ^ string_of_int i
+  | Vote_and_propose (i, j) -> "v" ^ string_of_int i ^ "p" ^ string_of_int j
 
-let pp_script ppf actions =
-  Fmt.pf ppf "scripted:%a" Fmt.(list ~sep:(any ".") pp_script_action) actions
+let script_label actions =
+  "scripted:" ^ String.concat "." (List.map action_label actions)
+
+let pp_script_action ppf a = Fmt.string ppf (action_label a)
+let pp_script ppf actions = Fmt.string ppf (script_label actions)
 
 let pp ppf = function
   | Passive -> Fmt.string ppf "passive"

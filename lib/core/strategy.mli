@@ -45,6 +45,11 @@ type t =
           the first honest vote is observed — the enumerable adversary
           universe of the exhaustive checker. *)
 
+val script_label : script_action list -> string
+(** ["scripted:"] then the actions, ["."]-separated: [-] for [Skip],
+    [v1], [v0x1], [p1], [v0p1] — the adversary name of a scripted run's
+    trace, and what {!pp_script} prints. *)
+
 val pp_script_action : script_action Fmt.t
 val pp_script : script_action list Fmt.t
 val pp : t Fmt.t

@@ -67,8 +67,9 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
           (* reusable scratch the sub-machine emits into; its entries are
              transfer-wrapped into [Prepare] after every sub-call *)
       mutable subject : subject option;  (* set once; may be Bb_intf.bottom *)
-      votes : (Types.node_id, subject * Oid.t) Hashtbl.t;  (* first per sender *)
-      proposes : (Types.node_id, subject * Oid.t) Hashtbl.t;
+      votes : (subject * Oid.t) option array;
+          (* first vote per sender, indexed by sender id *)
+      proposes : (subject * Oid.t) option array;
       (* Incrementally maintained tallies of the votes/proposes matching
          [subject] (meaningful once the subject is known), with dirty
          flags — so rounds without relevant arrivals skip the propose and
@@ -116,8 +117,8 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
         bb_buffer = Vv_bb.Bb_intf.inbox_create ();
         sub_outbox;
         subject = None;
-        votes = Hashtbl.create 16;
-        proposes = Hashtbl.create 16;
+        votes = Array.make ctx.n None;
+        proposes = Array.make ctx.n None;
         vote_tally = Tally.empty;
         votes_dirty = false;
         prop_tally = Tally.empty;
@@ -130,12 +131,15 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
     (* Tally of the first votes per sender matching subject [s] — the
        from-scratch fold, used once when the subject becomes known (to
        cover messages that arrived early); thereafter the cached tallies
-       are maintained incrementally at ingest. *)
+       are maintained incrementally at ingest.  A tally counts a multiset,
+       so the order of the fold does not matter. *)
     let tally_for table s =
-      Hashtbl.fold
-        (fun _src (subj, choice) acc ->
-          if subj = s then Tally.add acc choice else acc)
-        table Tally.empty
+      Array.fold_left
+        (fun acc first ->
+          match first with
+          | Some (subj, choice) when subj = s -> Tally.add acc choice
+          | Some _ | None -> acc)
+        Tally.empty table
 
     let step (ctx : Protocol.ctx) st ~round ~inbox ~outbox =
       (* Ingest — an indexed loop rather than [Inbox.iter] so a quiet
@@ -148,8 +152,8 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
             | None -> Vv_bb.Bb_intf.inbox_push st.bb_buffer src b
             | Some _ -> ())
         | Vote { subject; choice } ->
-            if not (Hashtbl.mem st.votes src) then begin
-              Hashtbl.add st.votes src (subject, choice);
+            if Option.is_none st.votes.(src) then begin
+              st.votes.(src) <- Some (subject, choice);
               match st.subject with
               | Some s when subject = s ->
                   st.vote_tally <- Tally.add st.vote_tally choice;
@@ -157,8 +161,8 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
               | Some _ | None -> ()
             end
         | Propose { subject; choice } ->
-            if not (Hashtbl.mem st.proposes src) then begin
-              Hashtbl.add st.proposes src (subject, choice);
+            if Option.is_none st.proposes.(src) then begin
+              st.proposes.(src) <- Some (subject, choice);
               match st.subject with
               | Some s when subject = s ->
                   st.prop_tally <- Tally.add st.prop_tally choice;
@@ -272,8 +276,8 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
       let st =
         {
           st with
-          votes = Hashtbl.copy st.votes;
-          proposes = Hashtbl.copy st.proposes;
+          votes = Array.copy st.votes;
+          proposes = Array.copy st.proposes;
         }
       in
       match st.subject with
@@ -427,10 +431,9 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
         reach_broadcast view (Vote { subject = s; choice = live domain i })
         @ reach_broadcast view (Propose { subject = s; choice = live domain j })
 
-  let script_name actions = Fmt.str "%a" Strategy.pp_script actions
-
   let scripted actions =
-    Adversary.of_script ~quiet_trigger:true ~name:(script_name actions)
+    Adversary.of_script ~quiet_trigger:true
+      ~name:(Strategy.script_label actions)
       ~trigger:script_trigger ~interp:script_interp actions
 
   let adversary_of ?(tie = Vv_ballot.Tie_break.default) (spec : Strategy.t) :
@@ -563,11 +566,25 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
 
   (* Every scripted adversary stays silent and quiescent until its
      trigger fires, so all scripts against one configuration run the same
-     execution through the honest steps of the trigger round.  That prefix
-     runs once, against a stand-in script whose trigger never fires, and
-     pauses on the scripts' own trigger; each script then resumes a copy
-     of the checkpoint.  A prefix that ends with no trigger is every
-     script's whole run. *)
+     execution through the honest steps of the trigger round, and all
+     scripts that share their first j actions run the same execution
+     through the honest steps of the j-th round after it.  The returned
+     function keeps one checkpoint per depth along the last script's
+     path.  Level 0 runs once, against a stand-in script whose trigger
+     never fires, and pauses on the scripts' own trigger; level j resumes
+     level j - 1 against action j and pauses after the next round's
+     honest steps.  A script a1 ... ak resumes the deepest level whose
+     actions match its own, builds each missing level once, and runs only
+     ak and the rest of the run.
+
+     A level's adversary starts triggered, with the context the level-0
+     pause captured, and plays its action followed by a [Skip] that never
+     runs: while actions remain the real script is not quiescent, and the
+     placeholder keeps the level's adversary from claiming otherwise to
+     the engine's fast-forward.  A level whose run ends, or whose action
+     the engine rejects, is the result of every script below it, with the
+     trace renamed to the script.  Not for sharing between domains: the
+     path is unsynchronised. *)
   let execute_scripted cfg ~variant ~speaker ~subject ~preferences =
     let stand_in =
       Adversary.of_script ~quiet_trigger:true ~name:"scripted-prefix"
@@ -575,25 +592,60 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
         ~interp:(fun () () _ -> [])
         []
     in
-    match
+    let trigger = ref None in
+    let level0 =
       E.run_prefix cfg
         ~inputs:(inputs_of ~variant ~speaker ~subject ~preferences)
         ~copy:P.copy ~adversary:stand_in
-        ~pause:(fun view -> Option.is_some (script_trigger view))
+        ~pause:(fun view ->
+          trigger := script_trigger view;
+          Option.is_some !trigger)
         ()
-    with
-    | Error err -> fun _ -> Error err
-    | Ok (E.Finished res) ->
-        let exec = exec_of cfg res in
-        fun actions ->
-          Ok
-            {
-              exec with
-              trace = { exec.trace with Trace.adversary = script_name actions };
-            }
-    | Ok (E.Paused cp) ->
-        fun actions ->
-          Result.map (exec_of cfg) (E.resume cp ~adversary:(scripted actions) ())
+    in
+    let triggered ~name actions =
+      let ctx = !trigger in
+      Adversary.of_script ~name ~trigger:(fun _ -> ctx) ~interp:script_interp
+        actions
+    in
+    let descend cp action =
+      E.resume cp
+        ~adversary:
+          (triggered ~name:"scripted-prefix" [ action; Strategy.Skip ])
+        ~pause:(fun _ -> true)
+        ()
+    in
+    (* [go ~label level stored actions]: [actions] are what the script
+       [label] names still plays from [level]; [stored] holds the levels
+       below [level] along the last path.  Returns the script's result
+       and the levels below [level] along its own path. *)
+    let rec go ~label level stored actions =
+      match (level, actions) with
+      | Error err, _ -> (Error err, [])
+      | Ok (E.Finished res), _ ->
+          let exec = exec_of cfg res in
+          let trace = { exec.trace with Trace.adversary = label } in
+          (Ok { exec with trace }, [])
+      | Ok (E.Paused cp), ([] | [ _ ]) -> (
+          match E.resume cp ~adversary:(triggered ~name:label actions) () with
+          | Ok (E.Finished res) -> (Ok (exec_of cfg res), [])
+          | Ok (E.Paused _) -> assert false (* resumed without a pause *)
+          | Error err -> (Error err, []))
+      | Ok (E.Paused cp), action :: rest ->
+          let next, stored =
+            match stored with
+            | (a, next) :: deeper when a = action -> (next, deeper)
+            | _ -> (descend cp action, [])
+          in
+          let res, kept = go ~label next stored rest in
+          (res, (action, next) :: kept)
+    in
+    let path = ref [] in
+    fun actions ->
+      let res, kept =
+        go ~label:(Strategy.script_label actions) level0 !path actions
+      in
+      path := kept;
+      res
 
   let execute cfg ~variant ~speaker ~subject ~preferences ~strategy =
     match execute_checked cfg ~variant ~speaker ~subject ~preferences ~strategy with

@@ -82,9 +82,12 @@ module Make (Sub : Vv_bb.Bb_intf.S) : sig
   (** [execute_scripted cfg ...] runs the part every scripted adversary
       shares — the run up to the honest steps of the first round with
       honest votes in the traffic, where a script starts acting — and
-      returns a function that finishes it against one script.  Each call
-      equals {!execute_checked} with [~strategy:(Strategy.Scripted
-      actions)], trace included. *)
+      returns a function that finishes it against one script.  The
+      function keeps a checkpoint per depth along the last script it
+      ran, so a script that shares its first actions with that one runs
+      only the rest.  Each call equals {!execute_checked} with
+      [~strategy:(Strategy.Scripted actions)], trace included.  The
+      function is stateful: one domain may call it at a time. *)
 
   val execute :
     Vv_sim.Config.t ->

@@ -79,7 +79,10 @@
    The paused round's arena — the Byzantine inboxes the adversary may
    read — is borrowed until the copy's next delivery.  The checkpoint is
    never written, so it can be resumed any number of times, each equal
-   to the uninterrupted run against the same adversary. *)
+   to the uninterrupted run against the same adversary.  [resume] takes
+   the same optional pause as [run_prefix], so a resumed copy can stop
+   again and become a checkpoint of its own: one round loop serves the
+   first checkpoint and every later one. *)
 
 exception Invalid_adversary of string
 
@@ -879,17 +882,20 @@ module Make (P : Protocol.S) = struct
 
   type prefix = Paused of checkpoint | Finished of result
 
-  let run_prefix (cfg : Config.t) ~inputs ~copy ?(adversary = Adversary.passive)
-      ~pause () =
-    let r = create cfg ~inputs ~adversary in
-    match start r adversary ~pause:(Some pause) with
+  (* Drive [r] with [loop] and hand out where it stopped. *)
+  let stop r ~copy loop =
+    match loop () with
     | Some round -> Ok (Paused { run = r; round; copy })
     | None -> Ok (Finished (result_of r))
     | exception Invalid_adversary reason -> Error (`Invalid_adversary reason)
 
-  let resume (cp : checkpoint) ?(adversary = Adversary.passive) () =
+  let run_prefix (cfg : Config.t) ~inputs ~copy ?(adversary = Adversary.passive)
+      ~pause () =
+    let r = create cfg ~inputs ~adversary in
+    stop r ~copy (fun () -> start r adversary ~pause:(Some pause))
+
+  let resume (cp : checkpoint) ?(adversary = Adversary.passive) ?pause () =
     let r = copy_run ~copy:cp.copy cp.run ~round:cp.round ~adversary in
-    match finish r adversary (make_view r) ~pause:None cp.round with
-    | (_ : int option) -> Ok (result_of r)
-    | exception Invalid_adversary reason -> Error (`Invalid_adversary reason)
+    stop r ~copy:cp.copy (fun () ->
+        finish r adversary (make_view r) ~pause cp.round)
 end

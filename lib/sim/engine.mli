@@ -87,11 +87,17 @@ module Make (P : Protocol.S) : sig
   val resume :
     checkpoint ->
     ?adversary:P.msg Adversary.t ->
+    ?pause:(P.msg Adversary.view -> bool) ->
     unit ->
-    (result, [ `Invalid_adversary of string ]) Stdlib.result
-  (** Finishes a copy of the checkpoint against [adversary], starting with
-      its observation of the paused round's honest sends.  Equal to
-      {!run} (trace included, under [adversary]'s name) against an
-      adversary that behaves like the prefix's up to the pause and like
-      [adversary] from then on.  Callable any number of times. *)
+    (prefix, [ `Invalid_adversary of string ]) Stdlib.result
+  (** Continues a copy of the checkpoint against [adversary], starting
+      with its observation of the paused round's honest sends.  Without
+      [pause] the copy runs to the end and the answer is [Finished]:
+      equal to {!run} (trace included, under [adversary]'s name) against
+      an adversary that behaves like the prefix's up to the pause and
+      like [adversary] from then on.  With [pause] the copy stops as
+      {!run_prefix} does, after the honest steps of the first later round
+      where [pause] holds, and the new checkpoint can be resumed in turn.
+      The checkpoint itself is never written: callable any number of
+      times. *)
 end

@@ -374,6 +374,131 @@ let prop_shared_equals_unshared =
     (List.for_all (fun s ->
          Runner.run_checked s = Runner.run_checked_unshared s))
 
+let pp_result ppf = function
+  | Ok (o : Runner.outcome) ->
+      Fmt.pf ppf "%s in %d rounds" o.Runner.trace.Vv_sim.Trace.adversary
+        o.Runner.rounds
+  | Error (`Invalid_adversary reason) -> Fmt.pf ppf "rejected: %s" reason
+
+(* Each spec through the shared path, in the given order, against its
+   unshared run; [want] memoises the unshared runs across orders. *)
+let check_specs what ?(want = Hashtbl.create 0) specs =
+  let mismatches = ref 0 in
+  List.iter
+    (fun (s : Runner.spec) ->
+      let w =
+        match Hashtbl.find_opt want s.Runner.strategy with
+        | Some w -> w
+        | None -> Runner.run_checked_unshared s
+      in
+      let got = Runner.run_checked s in
+      if got <> w then begin
+        incr mismatches;
+        if !mismatches <= 3 then
+          Fmt.epr "%s: %a: shared %a, unshared %a@." what pp_spec s pp_result
+            got pp_result w
+      end)
+    specs;
+  check_int (what ^ ": mismatches") 0 !mismatches
+
+(* Every full-tier execution, in the sweep's order: each cell's scripts
+   walk its checkpoint path as the sweep does. *)
+let test_full_tier_in_order () =
+  check_specs "full tier"
+    (Array.to_list (Array.map Space.spec_of (Lazy.force full_execs)))
+
+(* Three scripted rounds, one level deeper than either tier: every
+   script on each 2-option n=4 Byzantine cell of the full tier (12
+   point-to-point cells of 11^3 scripts, algo4-local's 9^3), in
+   lexicographic order and then shuffled within the cell. *)
+let test_depth_three () =
+  let dims = { Space.full with Space.script_rounds = 3 } in
+  let cells =
+    List.filter
+      (fun (c : Space.cell) ->
+        c.Space.n = 4
+        && List.length c.Space.profile = 2
+        && match c.Space.fault with
+           | Space.Byzantine _ -> true
+           | Space.Crash_one _ -> false)
+      (Space.cells dims)
+  in
+  check_int "cells" 13 (List.length cells);
+  let rng = Random.State.make [| 18 |] in
+  let total = ref 0 in
+  List.iter
+    (fun (cell : Space.cell) ->
+      let specs =
+        List.map
+          (fun script -> Space.spec_of { Space.cell; script })
+          (Space.scripts_of dims cell)
+      in
+      total := !total + List.length specs;
+      let what = Fmt.str "%a" Space.pp_cell cell in
+      let want = Hashtbl.create 2048 in
+      List.iter
+        (fun (s : Runner.spec) ->
+          Hashtbl.replace want s.Runner.strategy (Runner.run_checked_unshared s))
+        specs;
+      check_specs (what ^ ", in order") ~want specs;
+      let shuffled =
+        List.map snd
+          (List.sort
+             (fun (a, _) (b, _) -> Int.compare a b)
+             (List.map (fun s -> (Random.State.bits rng, s)) specs))
+      in
+      check_specs (what ^ ", shuffled") ~want shuffled)
+    cells;
+  check_int "scripts" 16_701 !total
+
+(* A level that ends the run hands its result to every script below it:
+   a first action the engine rejects, and a round budget whose last round
+   is the trigger round or the one after it. *)
+let test_early_exits () =
+  let alphabet = Script.alphabet ~options:2 ~allow_split:true in
+  let below first =
+    List.concat_map
+      (fun a -> [ first; a ] :: List.map (fun b -> [ first; a; b ]) alphabet)
+      alphabet
+  in
+  let spec_of cell script = Space.spec_of { Space.cell; script } in
+  (* local broadcast rejects the equivocating vote at the trigger round *)
+  let local = byz_cell ~protocol:Runner.Algo4_local () in
+  let specs = List.map (spec_of local) (below (Strategy.Vote_split (0, 1))) in
+  check_specs "rejected first action" specs;
+  List.iter
+    (fun s ->
+      check_bool "rejected" true (Result.is_error (Runner.run_checked s)))
+    specs;
+  (* the trigger round: the one where a first action injects *)
+  let cell = byz_cell () in
+  let trigger =
+    match Runner.run_checked_unshared (spec_of cell [ Strategy.Vote_all 0 ]) with
+    | Ok o ->
+        (List.find
+           (fun (r : Vv_sim.Trace.round_record) -> r.Vv_sim.Trace.byz_sent > 0)
+           o.Runner.trace.Vv_sim.Trace.rounds)
+          .Vv_sim.Trace.round
+    | Error _ -> Alcotest.fail "Vote_all rejected"
+  in
+  List.iter
+    (fun extra ->
+      let max_rounds = trigger + extra in
+      let specs =
+        List.concat_map
+          (fun first ->
+            List.map (fun s -> respec ~max_rounds (spec_of cell s)) (below first))
+          alphabet
+      in
+      check_specs (Fmt.str "budget of trigger round + %d" extra) specs;
+      List.iter
+        (fun s ->
+          match Runner.run_checked s with
+          | Ok o -> check_int "ran out the budget" max_rounds o.Runner.rounds
+          | Error _ -> Alcotest.fail "rejected")
+        specs)
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "check"
     [
@@ -415,5 +540,13 @@ let () =
           Alcotest.test_case "jobs invariance" `Quick test_jobs_invariance;
         ] );
       ( "prefix",
-        [ QCheck_alcotest.to_alcotest prop_shared_equals_unshared ] );
+        [
+          QCheck_alcotest.to_alcotest prop_shared_equals_unshared;
+          Alcotest.test_case "full tier in order = unshared" `Quick
+            test_full_tier_in_order;
+          Alcotest.test_case "three rounds, n=4 two options = unshared" `Quick
+            test_depth_three;
+          Alcotest.test_case "early exits at a level = unshared" `Quick
+            test_early_exits;
+        ] );
     ]

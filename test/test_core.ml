@@ -542,6 +542,17 @@ module Resume (Sub : Vv_bb.Bb_intf.S) = struct
       (Vv_prelude.Json.to_string (Trace.to_json got.V.E.trace));
     check_bool (what ^ ": trace") true (want.V.E.trace = got.V.E.trace)
 
+  (* [check_same] without rendering the traces, unless they differ. *)
+  let check_equal what (want : V.E.result) (got : V.E.result) =
+    if
+      not
+        (want.V.E.outputs = got.V.E.outputs
+        && want.V.E.decision_round = got.V.E.decision_round
+        && want.V.E.rounds_used = got.V.E.rounds_used
+        && want.V.E.stalled = got.V.E.stalled
+        && want.V.E.trace = got.V.E.trace)
+    then check_same what want got
+
   let inputs id =
     {
       V.variant = Vv_core.Variant.algo1;
@@ -553,6 +564,12 @@ module Resume (Sub : Vv_bb.Bb_intf.S) = struct
   let ok what = function
     | Ok x -> x
     | Error (`Invalid_adversary reason) -> Alcotest.failf "%s: %s" what reason
+
+  (* A resume without a pause runs to the end. *)
+  let finished what r =
+    match ok what r with
+    | V.E.Finished res -> res
+    | V.E.Paused _ -> Alcotest.failf "%s: paused without a pause" what
 
   (* A stateless adversary that reads the Byzantine inboxes: each
      Byzantine node forwards what it received to node 0.  Resuming it
@@ -605,16 +622,93 @@ module Resume (Sub : Vv_bb.Bb_intf.S) = struct
           | V.E.Finished res -> check_same (what ^ ", finished") whole res
           | V.E.Paused cp ->
               check_same (what ^ ", first resume") whole
-                (ok what (V.E.resume cp ~adversary ()));
+                (finished what (V.E.resume cp ~adversary ()));
               check_same (what ^ ", second resume") whole
-                (ok what (V.E.resume cp ~adversary ())))
+                (finished what (V.E.resume cp ~adversary ())))
         [ (V.adversary_of Strategy.Passive, passive); (echo, echoed) ];
       let adversary = V.adversary_of Strategy.Collude_second in
       match prefix adversary with
       | V.E.Finished res -> check_same (what ^ ", collude finished") collude res
       | V.E.Paused cp ->
           check_same (what ^ ", collude") collude
-            (ok what (V.E.resume cp ~adversary ()))
+            (finished what (V.E.resume cp ~adversary ()))
+    done
+
+  (* Chained checkpoints: pause at every round [p], resume with a pause
+     at every later round [q], and finish the new checkpoint.  One
+     adversary instance drives each chain, so the stateful collude-second
+     gets a fresh prefix per chain; the stateless ones share one prefix
+     per [p], which afterwards still resumes to the same run, because no
+     resume writes a checkpoint. *)
+  let test_chain (label, cfg) =
+    let run adversary = V.E.run_exn cfg ~inputs ~adversary () in
+    (* (stateful, a fresh instance) *)
+    let adversaries =
+      [
+        (false, fun () -> V.adversary_of Strategy.Passive);
+        (false, fun () -> echo);
+        (true, fun () -> V.adversary_of Strategy.Collude_second);
+      ]
+    in
+    let rounds =
+      List.fold_left
+        (fun acc (_, fresh) -> max acc (run (fresh ())).V.E.rounds_used)
+        0 adversaries
+    in
+    let at round view = view.Vv_sim.Adversary.round = round in
+    let prefix what adversary p =
+      ok what
+        (V.E.run_prefix cfg ~inputs ~copy:V.P.copy ~adversary ~pause:(at p) ())
+    in
+    (* a chain pauses at [q] exactly when a run paused at [q] does *)
+    let chain what (reaches, whole) adversary cp q =
+      match ok what (V.E.resume cp ~adversary ~pause:(at q) ()) with
+      | V.E.Finished res ->
+          check_bool (what ^ ", finished early") false reaches.(q);
+          check_equal (what ^ ", finished") whole res
+      | V.E.Paused cp' ->
+          check_bool (what ^ ", paused") true reaches.(q);
+          check_equal (what ^ ", chained") whole
+            (finished what (V.E.resume cp' ~adversary ()))
+    in
+    let cases =
+      List.map
+        (fun (stateful, fresh) ->
+          let reaches =
+            Array.init rounds (fun q ->
+                match prefix "reach" (fresh ()) q with
+                | V.E.Paused _ -> true
+                | V.E.Finished _ -> false)
+          in
+          (stateful, fresh, (reaches, run (fresh ()))))
+        adversaries
+    in
+    for p = 0 to rounds - 1 do
+      List.iteri
+        (fun i (stateful, fresh, ((_, whole) as want)) ->
+          let what q =
+            Fmt.str "%s/%s, adversary %d, paused at %d then %d" Sub.name label
+              i p q
+          in
+          if not stateful then begin
+            let adversary = fresh () in
+            match prefix (what p) adversary p with
+            | V.E.Finished res -> check_equal (what p) whole res
+            | V.E.Paused cp ->
+                for q = p + 1 to rounds - 1 do
+                  chain (what q) want adversary cp q
+                done;
+                check_equal (what p ^ ", first checkpoint afterwards") whole
+                  (finished (what p) (V.E.resume cp ~adversary ()))
+          end
+          else
+            for q = p + 1 to rounds - 1 do
+              let adversary = fresh () in
+              match prefix (what q) adversary p with
+              | V.E.Finished res -> check_equal (what q) whole res
+              | V.E.Paused cp -> chain (what q) want adversary cp q
+            done)
+        cases
     done
 end
 
@@ -643,17 +737,27 @@ let resume_configs =
     ("crash", make ~crash:true ());
   ]
 
+module Ds = Resume (Vv_bb.Dolev_strong)
+module Eig = Resume (Vv_bb.Eig)
+module Pk = Resume (Vv_bb.Phase_king)
+module Plain = Resume (Vv_bb.Plain)
+
 let test_resume_equals_uninterrupted () =
-  let module Ds = Resume (Vv_bb.Dolev_strong) in
-  let module Eig = Resume (Vv_bb.Eig) in
-  let module Pk = Resume (Vv_bb.Phase_king) in
-  let module Plain = Resume (Vv_bb.Plain) in
   List.iter
     (fun c ->
       Ds.test c;
       Eig.test c;
       Pk.test c;
       Plain.test c)
+    resume_configs
+
+let test_chained_checkpoints () =
+  List.iter
+    (fun c ->
+      Ds.test_chain c;
+      Eig.test_chain c;
+      Pk.test_chain c;
+      Plain.test_chain c)
     resume_configs
 
 (* Prefix sharing end to end: one [execute_scripted] prefix, every script
@@ -771,6 +875,8 @@ let () =
         [
           Alcotest.test_case "resumed run equals uninterrupted" `Quick
             test_resume_equals_uninterrupted;
+          Alcotest.test_case "chained checkpoints" `Quick
+            test_chained_checkpoints;
           Alcotest.test_case "scripts resume one shared prefix" `Quick
             test_execute_scripted;
         ] );

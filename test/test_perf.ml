@@ -267,6 +267,66 @@ let test_prefix_sharing_allocation () =
         (4 * resumed <= fresh)
   | _ -> Alcotest.fail "the cell has fewer than two scripts"
 
+(* Each cell also keeps one checkpoint per script depth along the last
+   script's path, so a script whose first action is already checkpointed
+   runs only its last action and the rest of the run.  A path memo that
+   always misses is as invisible to the goldens as the prefix memo
+   above.  The cell is the first full-tier 3-option Byzantine one, whose
+   484 scripts share 22 first actions: the script that builds a first
+   action's checkpoint is compared with the scripts that reuse it.  When
+   this pin was set they averaged 4,140 and 2,866 words; without the
+   path, 4,140 and 4,169. *)
+let test_path_sharing_allocation () =
+  let module Space = Vv_check.Space in
+  let module Runner = Vv_core.Runner in
+  let execs = Array.to_list (Space.executions Space.full) in
+  let three_options (e : Space.execution) =
+    List.length e.Space.cell.Space.profile = 3
+    &&
+    match e.Space.cell.Space.fault with
+    | Space.Byzantine _ -> true
+    | Space.Crash_one _ -> false
+  in
+  let cell =
+    match List.find_opt three_options execs with
+    | Some e -> e.Space.cell
+    | None -> Alcotest.fail "no 3-option Byzantine cell in the full tier"
+  in
+  Alcotest.(check string) "cell" "algo1/dolev-strong n=4 t=1 [1,1,1] byz:1"
+    (Fmt.str "%a" Space.pp_cell cell);
+  let scripts =
+    List.filter_map
+      (fun (e : Space.execution) ->
+        if e.Space.cell = cell then Some (e.Space.script, Space.spec_of e)
+        else None)
+      execs
+  in
+  Alcotest.(check int) "scripts" 484 (List.length scripts);
+  let first = function a :: _ -> Some a | [] -> None in
+  match scripts with
+  | [] -> ()
+  | (script0, spec0) :: rest ->
+      (* the cell's first script also runs its prefix: leave it out *)
+      ignore (Runner.run_checked spec0);
+      let built = ref (0, 0) and reused = ref (0, 0) in
+      ignore
+        (List.fold_left
+           (fun previous (script, spec) ->
+             let words = words_of (fun () -> Runner.run_checked spec) in
+             let acc = if first script = previous then reused else built in
+             acc := (fst !acc + words, snd !acc + 1);
+             first script)
+           (first script0) rest);
+      let mean (words, count) = words / max count 1 in
+      let built = mean !built and reused = mean !reused in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "a script on a checkpointed first action: %d words, more than \
+            3/4 of the %d of the script that built it"
+           reused built)
+        true
+        (4 * reused <= 3 * built)
+
 let () =
   Alcotest.run "perf"
     [
@@ -284,5 +344,7 @@ let () =
             test_rpc_allocation;
           Alcotest.test_case "resumed script vs fresh run words" `Quick
             test_prefix_sharing_allocation;
+          Alcotest.test_case "reused vs built first action words" `Quick
+            test_path_sharing_allocation;
         ] );
     ]
