@@ -77,19 +77,23 @@ vvbench-smoke: ## every benchmark workload for 2 s; fails unless its correctness
 	  esac; \
 	done
 
-cli-smoke: ## bad sizes for serve and ledger: each a usage error (exit 124), no uncaught exception, no socket file left
+cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreachable daemon; never an uncaught exception, no socket file left
 	dune build
 	@rm -f _build/cli-smoke.sock; status=0; \
-	for args in "serve --socket _build/cli-smoke.sock --batch 0" \
-	  "serve --socket _build/cli-smoke.sock -n 0" \
-	  "serve --socket _build/cli-smoke.sock -n 3 -t 5" \
-	  "ledger -n 0" "ledger -n 3 -t 5"; do \
+	for case in "124 serve --socket _build/cli-smoke.sock --batch 0" \
+	  "124 serve --socket _build/cli-smoke.sock -n 0" \
+	  "124 serve --socket _build/cli-smoke.sock -n 3 -t 5" \
+	  "124 ledger -n 0" "124 ledger -n 3 -t 5" \
+	  "124 chaos --trials=0" "124 gst --trials=0" "124 validity --trials=-3" \
+	  "124 load --socket _build/cli-smoke-missing/x.sock --retry-for 0 --subjects=-1" \
+	  "1 load --socket _build/cli-smoke-missing/x.sock --retry-for 0"; do \
+	  want=$${case%% *}; args=$${case#* }; \
 	  timeout 10 _build/default/bin/vvc.exe $$args > /dev/null 2> _build/cli-smoke.err; \
 	  code=$$?; \
-	  if [ $$code -ne 124 ] || grep -qi "uncaught exception" _build/cli-smoke.err \
+	  if [ $$code -ne $$want ] || grep -qi "uncaught exception" _build/cli-smoke.err \
 	     || [ -e _build/cli-smoke.sock ]; then \
-	    echo "vvc $$args: exit $$code"; cat _build/cli-smoke.err; status=1; \
-	  else echo "vvc $$args: usage error (exit 124)"; fi; \
+	    echo "vvc $$args: exit $$code, expected $$want"; cat _build/cli-smoke.err; status=1; \
+	  else echo "vvc $$args: exit $$code as expected"; fi; \
 	  rm -f _build/cli-smoke.sock; \
 	done; \
 	rm -f _build/cli-smoke.err; exit $$status

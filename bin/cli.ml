@@ -51,19 +51,25 @@ let profile_term ~default =
               (paper-sized). Default $(b,%s)."
              (Campaign.profile_label default)))
 
-let jobs_term =
-  let jobs_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> Ok n
-      | Some _ -> Error (`Msg "--jobs must be non-negative")
-      | None -> Error (`Msg "--jobs must be an integer")
-    in
-    C.Arg.conv (parse, Fmt.int)
+(* Count flags: a value below the minimum is a usage error (exit 124)
+   naming the flag, not an exception from deep inside the run. *)
+let int_at_least ~flag min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some _ when min = 0 -> Error (`Msg (flag ^ " must be non-negative"))
+    | Some _ -> Error (`Msg (Fmt.str "%s must be at least %d" flag min))
+    | None -> Error (`Msg (flag ^ " must be an integer"))
   in
+  C.Arg.conv (parse, Fmt.int)
+
+let non_negative_int ~flag = int_at_least ~flag 0
+let positive_int ~flag = int_at_least ~flag 1
+
+let jobs_term =
   C.Arg.(
     value
-    & opt jobs_conv 1
+    & opt (non_negative_int ~flag:"--jobs") 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for the campaign's cell fan-out (default 1; \
@@ -78,6 +84,14 @@ let seed_term =
         ~doc:
           "Campaign base seed; omit to use the campaign's default (which \
            reproduces the published tables).")
+
+(* --trials of the randomised campaigns (chaos, gst, validity). *)
+let trials_term =
+  C.Arg.(
+    value
+    & opt (some (positive_int ~flag:"--trials")) None
+    & info [ "trials" ] ~docv:"K"
+        ~doc:"Override the profile's per-cell trial count (at least 1).")
 
 let progress_term =
   C.Arg.(

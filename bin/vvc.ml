@@ -572,13 +572,6 @@ let chaos_cmd =
           ~doc:"Enable the capped-exponential-backoff retransmission \
                 policy for every run.")
   in
-  let trials =
-    C.Arg.(
-      value
-      & opt (some int) None
-      & info [ "trials" ] ~docv:"K"
-          ~doc:"Override the profile's per-cell trial count.")
-  in
   let run opts retransmit trials =
     Cli.handle opts (Vv_analysis.Exp_chaos.campaign ~retransmit ?trials ())
   in
@@ -586,7 +579,7 @@ let chaos_cmd =
     C.Term.(
       const run
       $ Cli.opts_term ~default_profile:Campaign.Smoke
-      $ retransmit $ trials)
+      $ retransmit $ Cli.trials_term)
 
 (* --- gst --- *)
 
@@ -599,19 +592,12 @@ let gst_cmd =
      E20). Exits nonzero when a predicted-achievable cell shows any \
      violation or stall."
   in
-  let trials =
-    C.Arg.(
-      value
-      & opt (some int) None
-      & info [ "trials" ] ~docv:"K"
-          ~doc:"Override the profile's per-cell trial count.")
-  in
   let run opts trials =
     Cli.handle opts (Vv_analysis.Exp_gst.campaign ?trials ())
   in
   C.Cmd.v (C.Cmd.info "gst" ~doc)
     C.Term.(
-      const run $ Cli.opts_term ~default_profile:Campaign.Smoke $ trials)
+      const run $ Cli.opts_term ~default_profile:Campaign.Smoke $ Cli.trials_term)
 
 (* --- validity --- *)
 
@@ -625,19 +611,12 @@ let validity_cmd =
      (impl, config, validity) cell shows a violation or stall — the \
      executable form of the arXiv 2301.04920 solvability hierarchy."
   in
-  let trials =
-    C.Arg.(
-      value
-      & opt (some int) None
-      & info [ "trials" ] ~docv:"K"
-          ~doc:"Override the profile's per-cell trial count.")
-  in
   let run opts trials =
     Cli.handle opts (Vv_analysis.Exp_validity.campaign ?trials ())
   in
   C.Cmd.v (C.Cmd.info "validity" ~doc)
     C.Term.(
-      const run $ Cli.opts_term ~default_profile:Campaign.Smoke $ trials)
+      const run $ Cli.opts_term ~default_profile:Campaign.Smoke $ Cli.trials_term)
 
 (* --- serve / load --- *)
 
@@ -803,7 +782,10 @@ let load_cmd =
     C.Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Connection pool size.")
   in
   let subjects =
-    C.Arg.(value & opt int 96 & info [ "subjects" ] ~doc:"Subjects to submit.")
+    C.Arg.(
+      value
+      & opt (Cli.non_negative_int ~flag:"--subjects") 96
+      & info [ "subjects" ] ~doc:"Subjects to submit.")
   in
   let seed =
     C.Arg.(value & opt int 0x10ad & info [ "seed" ] ~doc:"Electorate seed.")
@@ -829,13 +811,25 @@ let load_cmd =
   in
   let run format socket port host clients subjects seed shutdown retry_for racy
       =
-    let connect () =
+    let target, connect =
       match (socket, port) with
-      | Some path, None -> Vv_serve.Client.connect_unix ~retry_for path
-      | None, Some p -> Vv_serve.Client.connect_tcp ~retry_for ~host p
+      | Some path, None ->
+          (path, fun () -> Vv_serve.Client.connect_unix ~retry_for path)
+      | None, Some p ->
+          ( Fmt.str "%s:%d" host p,
+            fun () -> Vv_serve.Client.connect_tcp ~retry_for ~host p )
       | _ ->
           Fmt.epr "vvc load: need exactly one of --socket or --port@.";
           exit 1
+    in
+    (* Once --retry-for runs out, an unreachable daemon is a failure
+       like any other, not an exception. *)
+    let connect () =
+      try connect ()
+      with Unix.Unix_error (err, _, _) ->
+        Fmt.epr "vvc load: cannot connect to %s: %s@." target
+          (Unix.error_message err);
+        exit 1
     in
     let conns = List.init (max 1 clients) (fun _ -> connect ()) in
     (* The input arity comes from the daemon, not a local guess. *)

@@ -9,8 +9,24 @@ let voting_preference ~honest_inputs a b =
   let t = honest_tally honest_inputs in
   Tally.count t a > Tally.count t b
 
+(* Everything the plurality-based predicates read from the honest
+   inputs, from one tally and one ranking.  Strictness compares the two
+   highest counts, which every tie-break rule ranks alike. *)
+type summary = {
+  inputs : Option_id.t list;
+  plurality : Option_id.t option;
+  strict : bool;
+}
+
+let summarize ~tie inputs =
+  match Tally.top ~tie (honest_tally inputs) with
+  | None -> { inputs; plurality = None; strict = false }
+  | Some top ->
+      { inputs; plurality = Some top.Tally.a;
+        strict = top.Tally.a_count > top.Tally.b_count }
+
 let honest_plurality ~tie ~honest_inputs =
-  Tally.plurality ~tie (honest_tally honest_inputs)
+  (summarize ~tie honest_inputs).plurality
 
 (* A_G - B_G: the gap between the two most supported honest options. *)
 let honest_gap ~tie ~honest_inputs =
@@ -19,42 +35,49 @@ let honest_gap ~tie ~honest_inputs =
 (* True when one option strictly beats every other honest option, i.e. the
    premise of Definition III.3 holds without needing the tie-break rule. *)
 let has_strict_plurality ~honest_inputs =
-  match Tally.ranked ~tie:Tie_break.default (honest_tally honest_inputs) with
-  | [] -> false
-  | [ _ ] -> true
-  | (_, ca) :: (_, cb) :: _ -> ca > cb
+  (summarize ~tie:Tie_break.default honest_inputs).strict
+
+let decided_all a outputs =
+  List.for_all (function None -> true | Some v -> Option_id.equal v a) outputs
 
 (* Definition III.3 (strict form): whenever a strict plurality A exists,
    every produced output must be A.  Outputs are [None] for nodes that have
    not decided; non-termination does not violate validity (that distinction
    is what safety-guaranteed protocols exploit, Definition V.1). *)
-let voting_validity ~tie ~honest_inputs ~outputs =
-  if not (has_strict_plurality ~honest_inputs) then true
-  else
-    match honest_plurality ~tie ~honest_inputs with
-    | None -> true
-    | Some a ->
-        List.for_all
-          (function None -> true | Some v -> Option_id.equal v a)
-          outputs
+let voting_validity_of s ~outputs =
+  match s.plurality with
+  | Some a when s.strict -> decided_all a outputs
+  | Some _ | None -> true
 
 (* Tie-break-aware form: the required output is the tie-break winner even
    when honest counts tie.  Used when all nodes share the established rule. *)
-let voting_validity_tb ~tie ~honest_inputs ~outputs =
-  match honest_plurality ~tie ~honest_inputs with
-  | None -> true
-  | Some a ->
-      List.for_all
-        (function None -> true | Some v -> Option_id.equal v a)
-        outputs
+let voting_validity_tb_of s ~outputs =
+  match s.plurality with None -> true | Some a -> decided_all a outputs
 
 (* Strong validity (Neiger): every decided output is some honest input. *)
-let strong_validity ~honest_inputs ~outputs =
+let decided_among inputs outputs =
   List.for_all
     (function
-      | None -> true
-      | Some v -> List.exists (Option_id.equal v) honest_inputs)
+      | None -> true | Some v -> List.exists (Option_id.equal v) inputs)
     outputs
+
+let strong_validity_of s ~outputs = decided_among s.inputs outputs
+
+(* Definition V.1: a run of a safety-guaranteed protocol is admissible when
+   every decided output equals the honest plurality — deciding nothing is
+   always admissible. *)
+let safety_guaranteed_admissible_of = voting_validity_tb_of
+
+let voting_validity ~tie ~honest_inputs ~outputs =
+  voting_validity_of (summarize ~tie honest_inputs) ~outputs
+
+let voting_validity_tb ~tie ~honest_inputs ~outputs =
+  voting_validity_tb_of (summarize ~tie honest_inputs) ~outputs
+
+let strong_validity ~honest_inputs ~outputs = decided_among honest_inputs outputs
+
+let safety_guaranteed_admissible ~tie ~honest_inputs ~outputs =
+  safety_guaranteed_admissible_of (summarize ~tie honest_inputs) ~outputs
 
 (* Agreement: all decided outputs are identical. *)
 let agreement ~outputs =
@@ -73,12 +96,6 @@ let integrity_allows ~view ~output =
   List.for_all
     (fun (x, c) -> Option_id.equal x output || c < a)
     (Tally.support view)
-
-(* Definition V.1: a run of a safety-guaranteed protocol is admissible when
-   every decided output equals the honest plurality — deciding nothing is
-   always admissible. *)
-let safety_guaranteed_admissible ~tie ~honest_inputs ~outputs =
-  voting_validity_tb ~tie ~honest_inputs ~outputs
 
 (* delta-differential validity (Fitzi-Garay [23], discussed in Section II):
    no option may beat the decided output by more than [delta] honest votes.

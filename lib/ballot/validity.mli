@@ -22,6 +22,36 @@ val honest_gap :
 val has_strict_plurality : honest_inputs:Option_id.t list -> bool
 (** True when one option strictly beats all others among honest inputs. *)
 
+(** {1 Honest-input summary}
+
+    What the plurality-based predicates read from the honest inputs,
+    computed with one tally: a caller that judges many output vectors
+    against one honest multiset (a checker cell) summarises it once and
+    uses the [_of] forms, which equal the predicates below. *)
+
+type summary = private {
+  inputs : Option_id.t list;  (** the honest inputs, as given *)
+  plurality : Option_id.t option;  (** {!honest_plurality} *)
+  strict : bool;  (** {!has_strict_plurality} *)
+}
+
+val summarize : tie:Tie_break.t -> Option_id.t list -> summary
+
+val voting_validity_of : summary -> outputs:Option_id.t option list -> bool
+(** {!voting_validity}. *)
+
+val voting_validity_tb_of : summary -> outputs:Option_id.t option list -> bool
+(** {!voting_validity_tb}. *)
+
+val strong_validity_of : summary -> outputs:Option_id.t option list -> bool
+(** {!strong_validity}. *)
+
+val safety_guaranteed_admissible_of :
+  summary -> outputs:Option_id.t option list -> bool
+(** {!safety_guaranteed_admissible}. *)
+
+(** {1 Predicates} *)
+
 val voting_validity :
   tie:Tie_break.t ->
   honest_inputs:Option_id.t list ->

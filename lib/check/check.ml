@@ -127,11 +127,22 @@ let aggregate ?max_shrink_trials ?(max_reported = 10)
         Hashtbl.add tbl kind r;
         r
   in
+  (* A cell's executions are consecutive in the sweep, so its group and
+     its witnessed-cell membership are looked up once per run of them;
+     in any other order a lookup is repeated, never wrong. *)
+  let last = ref None in
+  let facts_of cell =
+    match !last with
+    | Some ((c, _, _) as facts) when c == cell -> facts
+    | Some _ | None ->
+        let facts = (cell, group_of cell, ref false) in
+        last := Some facts;
+        facts
+  in
   Array.iteri
     (fun i class_ ->
       let exec = execs.(i) in
-      let cell = exec.Space.cell in
-      let g = group_of cell in
+      let cell, g, witnessed = facts_of exec.Space.cell in
       let bump field =
         g :=
           (match field with
@@ -154,8 +165,11 @@ let aggregate ?max_shrink_trials ?(max_reported = 10)
       if Oracle.witnesses_tightness exec class_ then begin
         if not (List.mem_assoc kind !witness_idx) then
           witness_idx := !witness_idx @ [ (kind, i) ];
-        let cells = tally witnessed_cells kind [] in
-        if not (List.mem cell !cells) then cells := cell :: !cells
+        if not !witnessed then begin
+          let cells = tally witnessed_cells kind [] in
+          if not (List.mem cell !cells) then cells := cell :: !cells;
+          witnessed := true
+        end
       end)
     classes;
   let violation_idx = List.rev !violation_idx in

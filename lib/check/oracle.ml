@@ -77,9 +77,24 @@ let substrate_ok (cell : Space.cell) =
   (not (Space.uses_substrate cell.protocol))
   || cell.n >= Bb.min_n cell.bb ~t:cell.t
 
+(* A cell's bound regime is fixed, and the checker asks for it once per
+   execution in [classify] and twice more in [Check.aggregate], while a
+   cell's executions are consecutive.  So each domain remembers the last
+   cell's answer, keyed physically on the cell: a hit is the same cell
+   value, and a miss (any other cell, in any order) recomputes it. *)
+let bound_memo = Domain.DLS.new_key (fun () -> None)
+
 let bound_holds (cell : Space.cell) =
-  Bounds.satisfied_for (kind_of cell.protocol) ~tie:Vv_ballot.Tie_break.default
-    ~n:cell.n ~t:cell.t (Space.honest_inputs cell)
+  match Domain.DLS.get bound_memo with
+  | Some (c, holds) when c == cell -> holds
+  | Some _ | None ->
+      let holds =
+        Bounds.satisfied_for (kind_of cell.protocol)
+          ~tie:Vv_ballot.Tie_break.default ~n:cell.n ~t:cell.t
+          (Space.honest_inputs cell)
+      in
+      Domain.DLS.set bound_memo (Some (cell, holds));
+      holds
 
 let expected_exact cell = bound_holds cell && substrate_ok cell
 

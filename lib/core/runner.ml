@@ -128,23 +128,22 @@ let config_of (s : spec) =
     ?retransmit:s.retransmit ~max_rounds:s.max_rounds ~seed:s.seed ~n:s.n
     ~t_max:s.t ()
 
-let outcome_of (s : spec) cfg (exec : Voting.exec) =
-  let honest_inputs =
-    List.map (fun id -> List.nth s.inputs id) (Config.honest_ids cfg)
-  in
+(* The honest inputs of a run, summarised once for every verdict. *)
+let honest_of (s : spec) cfg =
+  Validity.summarize ~tie:s.tie
+    (List.map (fun id -> List.nth s.inputs id) (Config.honest_ids cfg))
+
+let outcome_of (honest : Validity.summary) (exec : Voting.exec) =
   let outputs = exec.Voting.outputs in
   {
     outputs;
-    honest_inputs;
+    honest_inputs = honest.Validity.inputs;
     termination = Validity.termination ~outputs;
     agreement = Validity.agreement ~outputs;
-    voting_validity =
-      Validity.voting_validity ~tie:s.tie ~honest_inputs ~outputs;
-    voting_validity_tb =
-      Validity.voting_validity_tb ~tie:s.tie ~honest_inputs ~outputs;
-    strong_validity = Validity.strong_validity ~honest_inputs ~outputs;
-    safety_admissible =
-      Validity.safety_guaranteed_admissible ~tie:s.tie ~honest_inputs ~outputs;
+    voting_validity = Validity.voting_validity_of honest ~outputs;
+    voting_validity_tb = Validity.voting_validity_tb_of honest ~outputs;
+    strong_validity = Validity.strong_validity_of honest ~outputs;
+    safety_admissible = Validity.safety_guaranteed_admissible_of honest ~outputs;
     stalled = exec.Voting.stalled;
     rounds = exec.Voting.rounds;
     honest_msgs = exec.Voting.honest_msgs;
@@ -173,7 +172,7 @@ let spec_variant (s : spec) =
 let run_checked_unshared (s : spec) =
   let cfg = config_of s in
   let execute_checked, _ = instance s in
-  Result.map (outcome_of s cfg)
+  Result.map (outcome_of (honest_of s cfg))
     (execute_checked cfg ~variant:(spec_variant s) ~speaker:s.speaker
        ~subject:s.subject
        ~preferences:(fun id -> List.nth s.inputs id)
@@ -202,17 +201,18 @@ let same_prefix (a : spec) (b : spec) =
   && max_rounds = b.max_rounds && subject = b.subject && speaker = b.speaker
   && judgment_override = b.judgment_override
 
-(* One entry per domain: the last scripted specification, its config, and
-   its checkpoints (Voting.execute_scripted: the shared prefix, and one
-   checkpoint per depth along the last script).  The checker enumerates
-   the scripts of a cell consecutively, so each cell runs its prefix once
-   per domain; domain-local storage, as [Auth.secret_cache] uses, keeps
-   parallel workers apart. *)
+(* One entry per domain: the last scripted specification, its honest
+   inputs' summary, and its checkpoints (Voting.execute_scripted: the
+   shared prefix, and one checkpoint per depth along the last script).
+   The checker enumerates the scripts of a cell consecutively, so each
+   cell runs its prefix and summarises its honest inputs once per domain;
+   domain-local storage, as [Auth.secret_cache] uses, keeps parallel
+   workers apart. *)
 let prefix_memo = Domain.DLS.new_key (fun () -> None)
 
 let shared_prefix (s : spec) =
   match Domain.DLS.get prefix_memo with
-  | Some (key, cfg, finish) when same_prefix key s -> (cfg, finish)
+  | Some (key, honest, finish) when same_prefix key s -> (honest, finish)
   | Some _ | None ->
       let cfg = config_of s in
       let _, execute_scripted = instance s in
@@ -220,14 +220,15 @@ let shared_prefix (s : spec) =
         execute_scripted cfg ~variant:(spec_variant s) ~speaker:s.speaker
           ~subject:s.subject ~preferences:(fun id -> List.nth s.inputs id)
       in
-      Domain.DLS.set prefix_memo (Some (s, cfg, finish));
-      (cfg, finish)
+      let honest = honest_of s cfg in
+      Domain.DLS.set prefix_memo (Some (s, honest, finish));
+      (honest, finish)
 
 let run_checked (s : spec) =
   match s.strategy with
   | Strategy.Scripted actions ->
-      let cfg, finish = shared_prefix s in
-      Result.map (outcome_of s cfg) (finish actions)
+      let honest, finish = shared_prefix s in
+      Result.map (outcome_of honest) (finish actions)
   | Strategy.Passive | Strategy.Collude_second | Strategy.Collude_fixed _
   | Strategy.Split_top2 | Strategy.Propose_second | Strategy.Random_votes _
   | Strategy.Late_collude _ ->

@@ -88,7 +88,8 @@ val run_checked :
     A [Strategy.Scripted] specification resumes the deepest checkpoint
     its script shares with the previous one
     ({!Voting.Make.execute_scripted}) from a one-entry memo per domain,
-    keyed on every field but the strategy; the outcome equals
+    keyed on every field but the strategy, which also holds the honest
+    inputs' {!Vv_ballot.Validity.summary}; the outcome equals
     {!run_checked_unshared}'s. *)
 
 val run_checked_unshared :

@@ -808,17 +808,14 @@ module Make (P : Protocol.S) = struct
     else if
       (* Fast-forward: when nothing is in flight, no timer can fire, the
          adversary is quiescent and every still-stepping node is inert,
-         all remaining rounds are provably quiet — synthesize their
-         (identical) trace records and jump to the stall verdict. *)
+         all remaining rounds are provably quiet — record them as one
+         shared quiet tail and jump to the stall verdict. *)
       round < r.max_rounds - 1
       && Sched.is_empty r.pending && Sched.is_empty r.retries
       && (adversary.Adversary.passive || adversary.Adversary.quiescent ())
       && all_inert r round
     then begin
-      for rd = round + 1 to r.max_rounds - 1 do
-        Trace.record_round r.tb ~round:rd ~honest_sent:0 ~byz_sent:0 ~dropped:0
-          ~duplicated:0 ~retransmitted:0 ~newly_decided:[]
-      done;
+      Trace.record_quiet_tail r.tb ~from:(round + 1) ~rounds:r.max_rounds;
       r.rounds_used <- r.max_rounds;
       r.stalled <- true;
       false

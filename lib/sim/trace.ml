@@ -60,6 +60,10 @@ type builder = {
   b_t : int;
   b_chaos : bool;
   mutable b_rounds : round_record list;  (* reversed *)
+  mutable b_tail : round_record list;
+      (* ascending, shared with other runs ([record_quiet_tail]); after
+         [b_rounds] and never followed by another record *)
+  mutable b_total : int;  (* rounds recorded so far *)
   mutable b_phases : phase_event list;  (* reversed *)
   mutable b_decides : (Types.node_id * int) list;  (* reversed *)
   mutable b_honest : int;
@@ -78,6 +82,8 @@ let builder ?(chaos = false) ~protocol ~adversary ~n ~t () =
     b_t = t;
     b_chaos = chaos;
     b_rounds = [];
+    b_tail = [];
+    b_total = 0;
     b_phases = [];
     b_decides = [];
     b_honest = 0;
@@ -104,6 +110,10 @@ let record_decide b ~round ~node =
    on an otherwise allocation-free path. *)
 let record_round b ~round ~honest_sent ~byz_sent ~dropped ~duplicated
     ~retransmitted ~newly_decided =
+  (match b.b_tail with
+  | [] -> ()
+  | _ :: _ -> invalid_arg "Trace.record_round: the run ended in a quiet tail");
+  b.b_total <- round + 1;
   b.b_honest <- b.b_honest + honest_sent;
   b.b_byz <- b.b_byz + byz_sent;
   b.b_dropped <- b.b_dropped + dropped;
@@ -122,8 +132,57 @@ let record_round b ~round ~honest_sent ~byz_sent ~dropped ~duplicated
     }
     :: b.b_rounds
 
+(* Quiet tails: a stalled run that the engine fast-forwards ends in
+   rounds that send, drop, retransmit and decide nothing, so their
+   records depend only on the round, the budget and the decided total.
+   Each domain keeps one table of them per (budget, decided total),
+   [from.(k)] being the ascending tail that starts at round [k]: the
+   tails for one key are suffixes of each other, so the table is filled
+   downward on demand, at most [rounds] records per key, and a run takes
+   its tail in O(1) once the table reaches its first round.  Records are
+   immutable, so runs share them; domain-local storage keeps parallel
+   workers apart. *)
+type tails = { mutable first : int; from : round_record list array }
+
+let quiet_tails : (int * int, tails) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let quiet_tail ~decided_total ~from ~rounds =
+  let table = Domain.DLS.get quiet_tails in
+  let t =
+    match Hashtbl.find_opt table (rounds, decided_total) with
+    | Some t -> t
+    | None ->
+        let t = { first = rounds; from = Array.make (rounds + 1) [] } in
+        Hashtbl.add table (rounds, decided_total) t;
+        t
+  in
+  while t.first > from do
+    let round = t.first - 1 in
+    t.from.(round) <-
+      {
+        round;
+        honest_sent = 0;
+        byz_sent = 0;
+        dropped = 0;
+        duplicated = 0;
+        retransmitted = 0;
+        newly_decided = [];
+        decided_total;
+      }
+      :: t.from.(round + 1);
+    t.first <- round
+  done;
+  t.from.(from)
+
+let record_quiet_tail b ~from ~rounds =
+  if from < b.b_total then
+    invalid_arg "Trace.record_quiet_tail: round already recorded";
+  b.b_tail <- quiet_tail ~decided_total:b.b_decided ~from ~rounds;
+  b.b_total <- rounds
+
 let snapshot b ~stalled =
-  let rounds = List.rev b.b_rounds in
+  let rounds = List.rev_append b.b_rounds b.b_tail in
   {
     protocol = b.b_protocol;
     adversary = b.b_adversary;
@@ -141,7 +200,7 @@ let snapshot b ~stalled =
     dropped_msgs = b.b_dropped;
     dup_msgs = b.b_dup;
     retrans_msgs = b.b_retrans;
-    total_rounds = (match b.b_rounds with [] -> 0 | r :: _ -> r.round + 1);
+    total_rounds = b.b_total;
     stalled;
     chaos = b.b_chaos;
   }

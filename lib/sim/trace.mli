@@ -84,7 +84,18 @@ val record_round :
   unit
 (** The chaos counters are mandatory (pass [0] outside the substrate):
     one call per round, and optional-argument wrapping would allocate on
-    the engine's hot path. *)
+    the engine's hot path.  Raises [Invalid_argument] after
+    {!record_quiet_tail}. *)
+
+val record_quiet_tail : builder -> from:int -> rounds:int -> unit
+(** Records rounds [from .. rounds - 1] as quiet: nothing sent, dropped,
+    duplicated, retransmitted or newly decided, the decided total
+    unchanged.  Equal to one {!record_round} per round, but O(1): the
+    records are taken from a per-domain table keyed by ([rounds],
+    decided total) and shared with every run that ends the same way.
+    The run ends there — record no round afterwards.  Raises
+    [Invalid_argument] when [from] is already recorded or past
+    [rounds]. *)
 
 val snapshot : builder -> stalled:bool -> snapshot
 (** Freeze. The builder may keep accumulating afterwards; the snapshot is

@@ -448,6 +448,85 @@ let prop_required_output_admissible =
                     Property.all))
         Property.all)
 
+(* The honest-input summary against the tally-based definitions it
+   replaced: one tally and one ranking must give every plurality-based
+   verdict the direct forms give, under every tie-break rule, including
+   empty multisets, undecided outputs and outputs no honest node holds.
+   The legacy wrappers and the Property instances go through the summary
+   too, so they are held to the same reference. *)
+let ties =
+  [
+    Tie_break.Prefer_larger;
+    Tie_break.Prefer_smaller;
+    Tie_break.Custom (fun x y -> Option_id.compare y x);
+    (* 2 > 0 > 3 > 1 *)
+    Tie_break.Custom
+      (fun x y ->
+        let rank v = [| 2; 0; 3; 1; 4 |].(Option_id.to_int v) in
+        Int.compare (rank x) (rank y));
+  ]
+
+let gen_summary_case =
+  QCheck.make
+    ~print:(fun (tie, inputs, outputs) ->
+      Fmt.str "tie %d, inputs %a, outputs %a" tie
+        Fmt.(Dump.list int) inputs
+        Fmt.(Dump.list (Dump.option int)) outputs)
+    QCheck.Gen.(
+      triple (int_range 0 3)
+        (list_size (int_range 0 7) (int_range 0 3))
+        (list_size (int_range 0 5) (opt (int_range 0 4))))
+
+let direct_strict inputs =
+  match Tally.ranked ~tie:Tie_break.default (Tally.of_list inputs) with
+  | [] -> false
+  | [ _ ] -> true
+  | (_, ca) :: (_, cb) :: _ -> ca > cb
+
+let direct_decided_all a outputs =
+  List.for_all (function None -> true | Some v -> Option_id.equal v a) outputs
+
+let prop_summary_matches_direct =
+  QCheck.Test.make ~count:2000 ~name:"honest summary = direct predicates"
+    gen_summary_case (fun (tie, inputs, outputs) ->
+      let tie = List.nth ties tie in
+      let honest_inputs = List.map o inputs in
+      let outputs = List.map (Option.map o) outputs in
+      let plurality = Tally.plurality ~tie (Tally.of_list honest_inputs) in
+      let voting_tb =
+        match plurality with
+        | None -> true
+        | Some a -> direct_decided_all a outputs
+      in
+      let voting = (not (direct_strict honest_inputs)) || voting_tb in
+      let strong =
+        List.for_all
+          (function
+            | None -> true
+            | Some v -> List.exists (Option_id.equal v) honest_inputs)
+          outputs
+      in
+      let s = Validity.summarize ~tie honest_inputs in
+      let adm p = Property.admissible p ~tie ~t_tol:1 ~honest_inputs ~outputs in
+      s.Validity.inputs = honest_inputs
+      && s.Validity.plurality = plurality
+      && s.Validity.strict = direct_strict honest_inputs
+      && Validity.voting_validity_of s ~outputs = voting
+      && Validity.voting_validity_tb_of s ~outputs = voting_tb
+      && Validity.strong_validity_of s ~outputs = strong
+      && Validity.safety_guaranteed_admissible_of s ~outputs = voting_tb
+      && Validity.voting_validity ~tie ~honest_inputs ~outputs = voting
+      && Validity.voting_validity_tb ~tie ~honest_inputs ~outputs = voting_tb
+      && Validity.strong_validity ~honest_inputs ~outputs = strong
+      && Validity.safety_guaranteed_admissible ~tie ~honest_inputs ~outputs
+         = voting_tb
+      && Validity.honest_plurality ~tie ~honest_inputs = plurality
+      && Validity.has_strict_plurality ~honest_inputs
+         = direct_strict honest_inputs
+      && adm Property.voting = voting_tb
+      && adm Property.voting_strict = voting
+      && adm Property.strong = strong)
+
 let test_property_hierarchy () =
   let imp = Property.implies in
   check_bool "implies is reflexive" true
@@ -515,6 +594,7 @@ let qcheck_cases =
       prop_property_voting_matches_legacy;
       prop_hierarchy_sound;
       prop_required_output_admissible;
+      prop_summary_matches_direct;
     ]
 
 let () =

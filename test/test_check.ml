@@ -499,6 +499,110 @@ let test_early_exits () =
         specs)
     [ 1; 2 ]
 
+(* --- per-cell facts ---------------------------------------------------- *)
+
+(* [Oracle.bound_holds] remembers the last cell's bound regime per
+   domain, and [Check.aggregate] looks each cell up once per run of its
+   executions.  The sweep presents a cell's executions consecutively;
+   in any other order both must still be exact. *)
+let full_outcomes =
+  lazy
+    (Array.map
+       (fun e -> Runner.run_checked (Space.spec_of e))
+       (Lazy.force full_execs))
+
+let permutation n seed =
+  let rng = Random.State.make [| seed |] in
+  let a = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+let test_classify_shuffled () =
+  let execs = Lazy.force full_execs and outcomes = Lazy.force full_outcomes in
+  let n = Array.length execs in
+  let perm = permutation n 19 in
+  let direct (cell : Space.cell) =
+    Bounds.satisfied_for
+      (Oracle.kind_of cell.Space.protocol)
+      ~tie:Vv_ballot.Tie_break.default ~n:cell.Space.n ~t:cell.Space.t
+      (Space.honest_inputs cell)
+  in
+  let wrong_bounds = ref 0 in
+  Array.iter
+    (fun i ->
+      let cell = execs.(i).Space.cell in
+      if Oracle.bound_holds cell <> direct cell then incr wrong_bounds)
+    perm;
+  check_int "bound_holds in shuffled order = direct" 0 !wrong_bounds;
+  List.iter
+    (fun property ->
+      let classify i = Oracle.classify ~property execs.(i) outcomes.(i) in
+      let in_order = Array.init n classify in
+      let shuffled = Array.make n Oracle.Exact in
+      Array.iter (fun i -> shuffled.(i) <- classify i) perm;
+      let mismatches = ref 0 in
+      Array.iteri
+        (fun i c ->
+          if not (Oracle.equal_class c shuffled.(i)) then incr mismatches)
+        in_order;
+      check_int
+        (Vv_ballot.Property.id property ^ ": shuffled classes differ")
+        0 !mismatches)
+    Vv_ballot.Property.all
+
+(* Group counts and witnessed-cell counts do not depend on the order the
+   executions arrive in (only the first witness may); the witnessed
+   counts also equal a direct count of distinct witnessed cells. *)
+let test_aggregate_shuffled () =
+  let execs = Lazy.force full_execs and outcomes = Lazy.force full_outcomes in
+  let n = Array.length execs in
+  let classes = Array.init n (fun i -> Oracle.classify execs.(i) outcomes.(i)) in
+  let perm = permutation n 20 in
+  let aggregate execs classes =
+    Check.aggregate ~max_shrink_trials:20 Check.Full ~execs ~classes
+  in
+  let r = aggregate execs classes in
+  let r' =
+    aggregate
+      (Array.map (fun i -> execs.(i)) perm)
+      (Array.map (fun i -> classes.(i)) perm)
+  in
+  check_bool "groups" true (r.Check.groups = r'.Check.groups);
+  check_int "runs" r.Check.total_runs r'.Check.total_runs;
+  check_int "cells" r.Check.total_cells r'.Check.total_cells;
+  check_int "violations" r.Check.violations_total r'.Check.violations_total;
+  check_bool "ok" r.Check.ok r'.Check.ok;
+  List.iter2
+    (fun (a : Check.tightness) (b : Check.tightness) ->
+      let what = Fmt.str "%a" Bounds.pp_kind a.Check.kind in
+      Alcotest.check Testable.kind (what ^ ": kind") a.Check.kind b.Check.kind;
+      check_int (what ^ ": below-bound cells") a.Check.below_bound_cells
+        b.Check.below_bound_cells;
+      check_int (what ^ ": below-bound runs") a.Check.below_bound_runs
+        b.Check.below_bound_runs;
+      check_int (what ^ ": witnessed cells, shuffled") a.Check.witnessed_cells
+        b.Check.witnessed_cells;
+      let witnessed =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun i ->
+               let e = execs.(i) in
+               if
+                 Oracle.kind_of e.Space.cell.Space.protocol = a.Check.kind
+                 && Oracle.witnesses_tightness e classes.(i)
+               then Some e.Space.cell
+               else None)
+             (List.init n Fun.id))
+      in
+      check_int (what ^ ": witnessed cells, direct") (List.length witnessed)
+        a.Check.witnessed_cells)
+    r.Check.tightness r'.Check.tightness
+
 let () =
   Alcotest.run "check"
     [
@@ -548,5 +652,12 @@ let () =
             test_depth_three;
           Alcotest.test_case "early exits at a level = unshared" `Quick
             test_early_exits;
+        ] );
+      ( "cells",
+        [
+          Alcotest.test_case "classify, full tier shuffled = in order" `Quick
+            test_classify_shuffled;
+          Alcotest.test_case "aggregate, full tier shuffled = in order" `Quick
+            test_aggregate_shuffled;
         ] );
     ]

@@ -325,6 +325,63 @@ let test_tie_break_parameter_end_to_end () =
   | w :: _ -> check opt_testable "larger convention" (o 1) w
   | [] -> Alcotest.fail "no decision under prefer-larger"
 
+(* The outcome's verdicts come from one honest-input summary per run
+   (per cell on the scripted path); each must equal the direct predicate
+   over the outcome's own inputs and outputs under the spec's tie rule,
+   on tied and untied electorates, through the unscripted and the
+   scripted (memoised) paths. *)
+let test_outcome_verdicts () =
+  let module Validity = Vv_ballot.Validity in
+  let check_outcome what (s : Runner.spec) (r : Runner.outcome) =
+    let tie = s.Runner.tie
+    and honest_inputs = r.Runner.honest_inputs
+    and outputs = r.Runner.outputs in
+    let verdict name want got = check_bool (what ^ ": " ^ name) want got in
+    verdict "voting" (Validity.voting_validity ~tie ~honest_inputs ~outputs)
+      r.Runner.voting_validity;
+    verdict "voting-tb"
+      (Validity.voting_validity_tb ~tie ~honest_inputs ~outputs)
+      r.Runner.voting_validity_tb;
+    verdict "strong" (Validity.strong_validity ~honest_inputs ~outputs)
+      r.Runner.strong_validity;
+    verdict "safety"
+      (Validity.safety_guaranteed_admissible ~tie ~honest_inputs ~outputs)
+      r.Runner.safety_admissible;
+    verdict "termination" (Validity.termination ~outputs) r.Runner.termination;
+    verdict "agreement" (Validity.agreement ~outputs) r.Runner.agreement
+  in
+  let decided_against = ref 0 in
+  List.iter
+    (fun tie ->
+      List.iter
+        (fun honest ->
+          List.iter
+            (fun strategy ->
+              let s =
+                Runner.simple_spec ~tie ~strategy ~t:1 ~f:1 (List.map o honest)
+              in
+              let what =
+                Fmt.str "%a %a %a" Vv_ballot.Tie_break.pp tie
+                  Fmt.(Dump.list int) honest Strategy.pp strategy
+              in
+              let r = Runner.run s in
+              check_outcome what s r;
+              if not r.Runner.voting_validity_tb then incr decided_against)
+            Strategy.
+              [
+                Passive;
+                Collude_second;
+                Collude_fixed 1;
+                Scripted [ Vote_all 1; Propose_all 1 ];
+                Scripted [ Vote_all 0; Propose_all 0 ];
+              ])
+        [ [ 0; 0; 1; 1 ]; [ 0; 0; 1; 1; 2 ]; [ 0; 0; 0; 1 ] ])
+    Vv_ballot.Tie_break.[ Prefer_larger; Prefer_smaller ];
+  (* the electorates are small enough that some runs decide against the
+     rule, so the verdicts are not vacuously true *)
+  check_bool "some run decides against the plurality" true
+    (!decided_against > 0)
+
 let test_scale_n40 () =
   (* A full Algorithm 1 instance at N = 40, t = f = 8 with a decisive
      electorate: correctness and bounded runtime at an order of magnitude
@@ -760,6 +817,92 @@ let test_chained_checkpoints () =
       Plain.test_chain c)
     resume_configs
 
+(* The engine's quiet tail on a real protocol: an SCT run that stalls
+   (n = 9, t = 2, honest inputs 0,0,0,1,1,2,0, collude-second from nodes 7
+   and 8) fast-forwards once its adversary has acted and every node is
+   inert.  Against a never-quiescent twin of the same adversary every
+   round is stepped; the two runs must agree on everything a caller can
+   see.  A checkpoint taken at any round of the stepped part resumes to
+   the same run. *)
+module Sct_tail = struct
+  module V = Ds.V
+  module Trace = Vv_sim.Trace
+
+  let cfg max_rounds =
+    Vv_sim.Config.make
+      ~faults:
+        (Array.init 9 (fun id ->
+             if id >= 7 then Vv_sim.Fault.Byzantine else Vv_sim.Fault.Honest))
+      ~max_rounds ~n:9 ~t_max:2 ()
+
+  let inputs id =
+    {
+      V.variant = Vv_core.Variant.algo2_sct;
+      speaker = 0;
+      subject = 1;
+      preference = o (List.nth [ 0; 0; 0; 1; 1; 2; 0; 0; 0 ] id);
+    }
+
+  let collude () = V.adversary_of Strategy.Collude_second
+
+  let stepping (a : V.msg Vv_sim.Adversary.t) =
+    { a with Vv_sim.Adversary.passive = false; quiescent = (fun () -> false) }
+
+  let check_same = Ds.check_same
+
+  let last (r : V.E.result) =
+    let l = r.V.E.trace.Trace.rounds in
+    List.nth l (List.length l - 1)
+
+  let test_stepped () =
+    List.iter
+      (fun max_rounds ->
+        let what = Fmt.str "sct, max_rounds %d" max_rounds in
+        let run adversary = V.E.run_exn (cfg max_rounds) ~inputs ~adversary () in
+        let fast = run (collude ()) in
+        let stepped = run (stepping (collude ())) in
+        check_same what stepped fast;
+        check_bool (what ^ ": stalled") true fast.V.E.stalled;
+        check_int (what ^ ": budget used") max_rounds fast.V.E.rounds_used;
+        (* a budget the run outlives ends in the shared tail *)
+        if max_rounds >= 60 then
+          check_bool (what ^ ": tail shared") true
+            (last (run (collude ())) == last fast))
+      [ 2; 7; 60; 200 ]
+
+  let test_resume () =
+    let cfg = cfg 60 in
+    let whole = V.E.run_exn cfg ~inputs ~adversary:(collude ()) () in
+    let stepped =
+      V.E.run_exn cfg ~inputs ~adversary:(stepping (collude ())) ()
+    in
+    (* the last round with traffic; the tail starts after it *)
+    let busy =
+      List.fold_left
+        (fun acc (r : Trace.round_record) ->
+          if r.Trace.honest_sent + r.Trace.byz_sent > 0 then r.Trace.round
+          else acc)
+        0 whole.V.E.trace.Trace.rounds
+    in
+    check_bool "the run goes quiet well before its budget" true (busy + 2 < 60);
+    for p = 0 to busy + 1 do
+      let what = Fmt.str "sct, paused at round %d" p in
+      let adversary = collude () in
+      match
+        V.E.run_prefix cfg ~inputs ~copy:V.P.copy ~adversary
+          ~pause:(fun view -> view.Vv_sim.Adversary.round = p)
+          ()
+      with
+      | Ok (V.E.Paused cp) -> (
+          match V.E.resume cp ~adversary () with
+          | Ok (V.E.Finished res) ->
+              check_same what whole res;
+              check_same (what ^ " vs stepped") stepped res
+          | Ok (V.E.Paused _) | Error _ -> Alcotest.fail what)
+      | Ok (V.E.Finished _) | Error _ -> Alcotest.fail what
+    done
+end
+
 (* Prefix sharing end to end: one [execute_scripted] prefix, every script
    of a small alphabet resumed from it, each equal to its own full run. *)
 let test_execute_scripted () =
@@ -867,6 +1010,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_runner_determinism;
           Alcotest.test_case "tie-break parameter end-to-end" `Quick
             test_tie_break_parameter_end_to_end;
+          Alcotest.test_case "outcome verdicts = Validity predicates" `Quick
+            test_outcome_verdicts;
           Alcotest.test_case "scale: N=40, t=8" `Quick test_scale_n40;
           Alcotest.test_case "tie stalls without faults" `Quick
             test_tie_stalls_without_faults;
@@ -879,6 +1024,10 @@ let () =
             test_chained_checkpoints;
           Alcotest.test_case "scripts resume one shared prefix" `Quick
             test_execute_scripted;
+          Alcotest.test_case "sct quiet tail = stepped tail" `Quick
+            Sct_tail.test_stepped;
+          Alcotest.test_case "sct checkpoint before the quiet tail" `Quick
+            Sct_tail.test_resume;
         ] );
       ("theorems", qcheck_cases);
     ]

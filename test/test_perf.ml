@@ -327,6 +327,46 @@ let test_path_sharing_allocation () =
         true
         (4 * reused <= 3 * built)
 
+(* --- stalled runs --- *)
+
+(* A stalled run that fast-forwards records its quiet rounds as one tail
+   shared through a per-domain table, so what it allocates does not grow
+   with its round budget.  Recording them one by one again keeps every
+   output byte identical, so neither the goldens nor the bench gate would
+   notice; this pin does.  The run is an SCT stall (n = 9, t = 2, honest
+   inputs 0,0,0,1,1,2,0, collude-second from nodes 7 and 8); each budget
+   is run once first, which fills its tail.  When the pin was set both
+   budgets allocated 7,431 words; recording round by round, 9,872 at 60
+   rounds and 79,712 at 2,000. *)
+let test_stalled_run_allocation () =
+  let module Runner = Vv_core.Runner in
+  let run max_rounds =
+    Runner.run
+      (Runner.spec ~byzantine:[ 7; 8 ] ~protocol:Runner.Algo2_sct
+         ~strategy:Vv_core.Strategy.Collude_second ~max_rounds ~n:9 ~t:2
+         (List.map Vv_ballot.Option_id.of_int [ 0; 0; 0; 1; 1; 2; 0; 0; 0 ]))
+  in
+  let words max_rounds =
+    let w0 = Gc.minor_words () in
+    let o = Sys.opaque_identity (run max_rounds) in
+    let w1 = Gc.minor_words () in
+    Alcotest.(check bool)
+      (Printf.sprintf "stalls at %d rounds" max_rounds)
+      true
+      (o.Runner.stalled && o.Runner.rounds = max_rounds);
+    int_of_float (w1 -. w0)
+  in
+  ignore (words 60);
+  ignore (words 2_000);
+  let short = words 60 and long = words 2_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "a 2,000-round stall allocates %d words, more than 64 over the %d of \
+        a 60-round one"
+       long short)
+    true
+    (long <= short + 64)
+
 let () =
   Alcotest.run "perf"
     [
@@ -346,5 +386,7 @@ let () =
             test_prefix_sharing_allocation;
           Alcotest.test_case "reused vs built first action words" `Quick
             test_path_sharing_allocation;
+          Alcotest.test_case "stalled run words vs round budget" `Quick
+            test_stalled_run_allocation;
         ] );
     ]

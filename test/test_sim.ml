@@ -260,6 +260,178 @@ let test_max_rounds_is_a_round_budget () =
         (r.Trace.round >= 0 && r.Trace.round < budget))
     res.EM.trace.Trace.rounds
 
+(* --- the shared quiet tail --- *)
+
+(* A never-quiescent twin of [a]: same name and actions, but it never
+   lets the engine fast-forward, so every round of a run against it is
+   stepped and recorded one by one. *)
+let stepping (a : 'msg Adversary.t) =
+  { a with Adversary.passive = false; quiescent = (fun () -> false) }
+
+let last l = List.nth l (List.length l - 1)
+
+let check_same_trace what (want : Trace.snapshot) (got : Trace.snapshot) =
+  check Alcotest.string (what ^ ": csv") (Trace.to_csv want) (Trace.to_csv got);
+  check Alcotest.string (what ^ ": json")
+    (Vv_prelude.Json.to_string (Trace.to_json want))
+    (Vv_prelude.Json.to_string (Trace.to_json got));
+  check_bool (what ^ ": snapshots equal") true (want = got)
+
+(* A fast-forwarded stall records its quiet rounds as one shared tail;
+   it must equal the stepped run record for record, and a second run
+   must end in the very same records (the O(1) path was taken). *)
+let test_quiet_tail_mute () =
+  let module EM = Engine.Make (Mute) in
+  List.iter
+    (fun max_rounds ->
+      let what = Fmt.str "mute, max_rounds %d" max_rounds in
+      let cfg = Config.make ~n:3 ~t_max:0 ~max_rounds () in
+      let run adversary = EM.run_exn cfg ~inputs:(fun _ -> ()) ~adversary () in
+      let fast = run Adversary.passive in
+      let stepped = run (stepping Adversary.passive) in
+      check_same_trace what stepped.EM.trace fast.EM.trace;
+      check_int (what ^ ": rounds_used") max_rounds fast.EM.rounds_used;
+      check_int (what ^ ": stepped rounds_used") max_rounds
+        stepped.EM.rounds_used;
+      check_bool (what ^ ": stalled") true (fast.EM.stalled && stepped.EM.stalled);
+      let again = run Adversary.passive in
+      check_bool (what ^ ": tail shared") true
+        (last again.EM.trace.Trace.rounds == last fast.EM.trace.Trace.rounds);
+      check_bool (what ^ ": twin stepped") false
+        (last stepped.EM.trace.Trace.rounds == last fast.EM.trace.Trace.rounds))
+    [ 2; 7; 60; 200 ]
+
+(* Chatters for [k] rounds, then falls silent for good; node 0 decides at
+   once when asked to.  A burst of [k] rounds ends in a quiet tail from
+   round [k + 1] (round 1 when [k = 0]): the last broadcast is delivered a
+   round after it is sent. *)
+module Burst = struct
+  type input = int * bool  (* rounds of chatter, decides at once *)
+  type msg = int
+  type output = unit
+  type state = { left : int; decided : bool }
+
+  let name = "burst"
+  let equal_msg = Int.equal
+
+  let init _ (k, decided) ~outbox =
+    if k > 0 then Outbox.broadcast outbox k;
+    { left = max 0 (k - 1); decided }
+
+  let step _ st ~round:_ ~inbox:_ ~outbox =
+    if st.left = 0 then st
+    else begin
+      Outbox.broadcast outbox st.left;
+      { st with left = st.left - 1 }
+    end
+
+  let output st = if st.decided then Some () else None
+  let phase st = if st.left > 0 then "burst" else "quiet"
+  let inert st = st.left = 0
+end
+
+let tail_start k = if k = 0 then 1 else k + 1
+
+(* Runs that share a table key (budget, decided total) but start their
+   tails at different rounds: the table is first filled from the middle,
+   then further down, then read where it is already filled; a second key
+   differs only in the decided total.  Each run's tail is shared from its
+   own start on with every earlier run of its key, and the round before
+   it is the run's own. *)
+let test_quiet_tail_start_rounds () =
+  let module EB = Engine.Make (Burst) in
+  let max_rounds = 30 in
+  let cfg = Config.make ~n:3 ~t_max:0 ~max_rounds () in
+  let run ~k ~decides adversary =
+    EB.run_exn cfg ~inputs:(fun id -> (k, decides && id = 0)) ~adversary ()
+  in
+  let earlier = Hashtbl.create 4 in
+  List.iter
+    (fun (k, decides) ->
+      let what = Fmt.str "burst of %d, decides %b" k decides in
+      let fast = run ~k ~decides Adversary.passive in
+      let stepped = run ~k ~decides (stepping Adversary.passive) in
+      check_same_trace what stepped.EB.trace fast.EB.trace;
+      check_int (what ^ ": rounds_used") max_rounds fast.EB.rounds_used;
+      check_bool (what ^ ": stalled") true fast.EB.stalled;
+      let rounds = fast.EB.trace.Trace.rounds in
+      check_int (what ^ ": records") max_rounds (List.length rounds);
+      check_int (what ^ ": decided total") (if decides then 1 else 0)
+        (last rounds).Trace.decided_total;
+      let start = tail_start k in
+      let runs = Option.value ~default:[] (Hashtbl.find_opt earlier decides) in
+      List.iter
+        (fun (start', rounds') ->
+          let shared i = List.nth rounds i == List.nth rounds' i in
+          check_bool (what ^ ": tail shared") true (shared (max start start'));
+          check_bool (what ^ ": own round before the tail") false
+            (shared (start - 1)))
+        runs;
+      Hashtbl.replace earlier decides ((start, rounds) :: runs))
+    [ (3, false); (0, false); (1, false); (7, false); (3, true); (0, true) ]
+
+(* A checkpoint taken at any round before the fast-forward resumes to
+   the uninterrupted run, quiet tail included, and can be resumed again. *)
+let test_quiet_tail_resume () =
+  let module EB = Engine.Make (Burst) in
+  let cfg = Config.make ~n:3 ~t_max:0 ~max_rounds:40 () in
+  let inputs id = (4, id = 1) in
+  let whole = EB.run_exn cfg ~inputs () in
+  for p = 0 to tail_start 4 - 1 do
+    let what = Fmt.str "paused at round %d" p in
+    match
+      EB.run_prefix cfg ~inputs ~copy:Fun.id
+        ~pause:(fun view -> view.Adversary.round = p)
+        ()
+    with
+    | Error _ -> Alcotest.fail what
+    | Ok (EB.Finished _) -> Alcotest.failf "%s: finished before the pause" what
+    | Ok (EB.Paused cp) ->
+        List.iter
+          (fun attempt ->
+            match EB.resume cp () with
+            | Ok (EB.Finished res) ->
+                check_same_trace (what ^ attempt) whole.EB.trace res.EB.trace;
+                check_int (what ^ attempt ^ ": rounds_used")
+                  whole.EB.rounds_used res.EB.rounds_used
+            | Ok (EB.Paused _) | Error _ -> Alcotest.fail (what ^ attempt))
+          [ ", first resume"; ", second resume" ]
+  done
+
+(* The builder: a quiet tail equals one quiet record per round, in both
+   schemas, and ends the run. *)
+let test_quiet_tail_builder () =
+  List.iter
+    (fun chaos ->
+      let make () =
+        let b = Trace.builder ~chaos ~protocol:"p" ~adversary:"a" ~n:4 ~t:1 () in
+        Trace.record_decide b ~round:1 ~node:2;
+        Trace.record_round b ~round:0 ~honest_sent:12 ~byz_sent:3 ~dropped:1
+          ~duplicated:0 ~retransmitted:0 ~newly_decided:[];
+        Trace.record_round b ~round:1 ~honest_sent:4 ~byz_sent:0 ~dropped:0
+          ~duplicated:2 ~retransmitted:1 ~newly_decided:[ 2 ];
+        b
+      in
+      let stepped = make () and fast = make () in
+      for round = 2 to 8 do
+        Trace.record_round stepped ~round ~honest_sent:0 ~byz_sent:0 ~dropped:0
+          ~duplicated:0 ~retransmitted:0 ~newly_decided:[]
+      done;
+      Trace.record_quiet_tail fast ~from:2 ~rounds:9;
+      let what = Fmt.str "chaos %b" chaos in
+      let s = Trace.snapshot fast ~stalled:true in
+      check_same_trace what (Trace.snapshot stepped ~stalled:true) s;
+      check_int (what ^ ": total_rounds") 9 s.Trace.total_rounds;
+      Alcotest.check_raises (what ^ ": nothing after the tail")
+        (Invalid_argument "Trace.record_round: the run ended in a quiet tail")
+        (fun () ->
+          Trace.record_round fast ~round:9 ~honest_sent:0 ~byz_sent:0
+            ~dropped:0 ~duplicated:0 ~retransmitted:0 ~newly_decided:[]);
+      Alcotest.check_raises (what ^ ": no tail over recorded rounds")
+        (Invalid_argument "Trace.record_quiet_tail: round already recorded")
+        (fun () -> Trace.record_quiet_tail (make ()) ~from:1 ~rounds:9))
+    [ false; true ]
+
 let test_unicast_under_local_broadcast_rejected () =
   let module Uni = struct
     type input = unit
@@ -451,5 +623,16 @@ let () =
           Alcotest.test_case "topology local-broadcast neighbourhood" `Quick
             test_topology_local_broadcast_neighbourhood;
           Alcotest.test_case "delay validation" `Quick test_delay_validation;
+        ] );
+      ( "tail",
+        [
+          Alcotest.test_case "shared tail = stepped tail (mute)" `Quick
+            test_quiet_tail_mute;
+          Alcotest.test_case "one key, different start rounds" `Quick
+            test_quiet_tail_start_rounds;
+          Alcotest.test_case "checkpoint before the fast-forward" `Quick
+            test_quiet_tail_resume;
+          Alcotest.test_case "builder: tail = quiet records" `Quick
+            test_quiet_tail_builder;
         ] );
     ]
