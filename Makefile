@@ -77,7 +77,7 @@ vvbench-smoke: ## every benchmark workload for 2 s; fails unless its correctness
 	  esac; \
 	done
 
-cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreachable daemon; never an uncaught exception, no socket file left
+cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreachable daemon; printed protocol labels parse (exit 0); never an uncaught exception, no socket file left
 	dune build
 	@rm -f _build/cli-smoke.sock; status=0; \
 	for case in "124 serve --socket _build/cli-smoke.sock --batch 0" \
@@ -85,6 +85,13 @@ cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreacha
 	  "124 serve --socket _build/cli-smoke.sock -n 3 -t 5" \
 	  "124 ledger -n 0" "124 ledger -n 3 -t 5" \
 	  "124 chaos --trials=0" "124 gst --trials=0" "124 validity --trials=-3" \
+	  "124 run -t-1" "124 run -f-1" "124 radio -t-1" "124 radio -t 20" \
+	  "124 radio --topology=ring:0" "124 radio --topology=complete:0" \
+	  "124 radio --topology=grid:1:0" "124 radio --topology=geo:0:1" \
+	  "124 radio --topology=geo:5:0.01" "124 radio --topology=complete:1 -t 0" \
+	  "124 bounds -n 5 -t-1" "124 bounds -n-5 -t 1" \
+	  "124 bounds -n 5 -t 1 --bg=-1" "124 bounds -n 5 -t 1 --cg=-1" \
+	  "0 run -p algo2-sct" "0 run -p sct-incr" \
 	  "124 load --socket _build/cli-smoke-missing/x.sock --retry-for 0 --subjects=-1" \
 	  "1 load --socket _build/cli-smoke-missing/x.sock --retry-for 0"; do \
 	  want=$${case%% *}; args=$${case#* }; \

@@ -144,10 +144,11 @@ let all_cmd =
 
 let bounds_cmd =
   let doc = "Evaluate the paper's tolerance bounds at one parameter point." in
-  let n = C.Arg.(required & opt (some int) None & info [ "n" ] ~doc:"Total nodes N.") in
-  let t = C.Arg.(required & opt (some int) None & info [ "t" ] ~doc:"Tolerance t.") in
-  let bg = C.Arg.(value & opt int 0 & info [ "bg" ] ~doc:"Honest runner-up votes B_G.") in
-  let cg = C.Arg.(value & opt int 0 & info [ "cg" ] ~doc:"Honest other votes C_G.") in
+  let count flag = Cli.non_negative_int ~flag in
+  let n = C.Arg.(required & opt (some (count "-n")) None & info [ "n" ] ~doc:"Total nodes N.") in
+  let t = C.Arg.(required & opt (some (count "-t")) None & info [ "t" ] ~doc:"Tolerance t.") in
+  let bg = C.Arg.(value & opt (count "--bg") 0 & info [ "bg" ] ~doc:"Honest runner-up votes B_G.") in
+  let cg = C.Arg.(value & opt (count "--cg") 0 & info [ "cg" ] ~doc:"Honest other votes C_G.") in
   let run format n t bg cg =
     let tab =
       Table.create ~title:(Fmt.str "Bounds at N=%d t=%d B_G=%d C_G=%d" n t bg cg)
@@ -173,17 +174,19 @@ let bounds_cmd =
 
 (* --- run --- *)
 
+let protocol_labels =
+  String.concat "|" (List.map Runner.protocol_label Runner.protocols)
+
 let protocol_conv =
-  let parse = function
-    | "algo1" -> Ok Runner.Algo1
-    | "algo2" | "sct" -> Ok Runner.Algo2_sct
-    | "algo3" | "incremental" -> Ok Runner.Algo3_incremental
-    | "algo4" | "local" -> Ok Runner.Algo4_local
-    | "cft" -> Ok Runner.Cft
-    | "sct-incremental" -> Ok Runner.Sct_incremental
-    | s -> Error (`Msg (Fmt.str "unknown protocol %S" s))
+  let parse s =
+    match Runner.protocol_of_name s with
+    | Some p -> Ok p
+    | None ->
+        Error (`Msg (Fmt.str "unknown protocol %S (one of: %s)" s protocol_labels))
   in
   C.Arg.conv (parse, fun ppf p -> Fmt.string ppf (Runner.protocol_label p))
+
+let protocol_doc = "Protocol: " ^ protocol_labels ^ "."
 
 let strategy_conv =
   let parse s =
@@ -216,7 +219,7 @@ let run_cmd =
   let doc = "Execute one consensus instance and report every property." in
   let protocol =
     C.Arg.(value & opt protocol_conv Runner.Algo1
-           & info [ "protocol"; "p" ] ~doc:"Protocol: algo1|algo2|algo3|algo4|cft.")
+           & info [ "protocol"; "p" ] ~doc:protocol_doc)
   in
   let strategy =
     C.Arg.(value & opt strategy_conv Strategy.Collude_second
@@ -227,8 +230,14 @@ let run_cmd =
     C.Arg.(value & opt bb_conv Vv_bb.Bb.Dolev_strong
            & info [ "bb" ] ~doc:"Phase-1 substrate: dolev-strong|eig|phase-king.")
   in
-  let t = C.Arg.(value & opt int 1 & info [ "t" ] ~doc:"Declared tolerance t.") in
-  let f = C.Arg.(value & opt (some int) None & info [ "f" ] ~doc:"Actual Byzantine count (default t).") in
+  let t =
+    C.Arg.(value & opt (Cli.non_negative_int ~flag:"-t") 1
+           & info [ "t" ] ~doc:"Declared tolerance t.")
+  in
+  let f =
+    C.Arg.(value & opt (some (Cli.non_negative_int ~flag:"-f")) None
+           & info [ "f" ] ~doc:"Actual Byzantine count (default t).")
+  in
   let inputs =
     C.Arg.(value
            & opt inputs_conv
@@ -256,7 +265,9 @@ let run_cmd =
               ("t", Json.Int t);
               ("f", Json.Int f);
               ("seed", Json.Int seed);
-              ("honest_inputs", Json.List (List.map oid_json r.Runner.honest_inputs));
+              ( "honest_inputs",
+                Json.List
+                  (List.map oid_json r.Runner.honest.Vv_ballot.Validity.inputs) );
             ] );
         ( "outcome",
           Json.Obj
@@ -300,7 +311,7 @@ let run_cmd =
           (Json.to_string (run_json protocol strategy ~t ~f ~seed r))
     | Emit.Csv -> print_string (Vv_sim.Trace.to_csv r.Runner.trace)
     | Emit.Table ->
-        let honest = r.Runner.honest_inputs in
+        let honest = r.Runner.honest.Vv_ballot.Validity.inputs in
         Fmt.pr "protocol     : %s@." (Runner.protocol_label protocol);
         Fmt.pr "adversary    : %a  (f=%d, t=%d)@." Strategy.pp strategy f t;
         Fmt.pr "honest inputs: %a@." Fmt.(list ~sep:sp Oid.pp) honest;
@@ -429,24 +440,44 @@ let ledger_cmd =
 
 (* --- radio --- *)
 
+(* A radio vote needs a connected graph of at least two nodes (one hop),
+   so a size the constructors refuse, a single node, a disconnected graph
+   and a non-number are usage errors (exit 124), not exceptions raised
+   from inside the run. *)
 let topology_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ "complete"; n ] -> Ok (Vv_radio.Topology.complete (int_of_string n))
-    | [ "ring"; n ] -> Ok (Vv_radio.Topology.ring ~k:1 (int_of_string n))
-    | [ "ring2"; n ] -> Ok (Vv_radio.Topology.ring ~k:2 (int_of_string n))
-    | [ "grid"; w; h ] ->
-        Ok (Vv_radio.Topology.grid ~w:(int_of_string w) ~h:(int_of_string h))
-    | [ "geo"; n; r ] ->
-        Ok
-          (Vv_radio.Topology.random_geometric ~n:(int_of_string n)
-             ~radius:(float_of_string r) ~seed:7)
-    | _ ->
-        Error
-          (`Msg
-             "topology: complete:N | ring:N | ring2:N | grid:W:H | geo:N:R")
+  let module Topology = Vv_radio.Topology in
+  let ( let* ) = Result.bind in
+  let error fmt = Fmt.kstr (fun msg -> Error (`Msg msg)) fmt in
+  let size s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> error "topology: size %S must be a positive integer" s
   in
-  C.Arg.conv (parse, fun ppf t -> Fmt.pf ppf "<topology of %d>" (Vv_radio.Topology.size t))
+  let parse s =
+    let* topo =
+      match String.split_on_char ':' s with
+      | [ "complete"; n ] -> Result.map Topology.complete (size n)
+      | [ "ring"; n ] -> Result.map (Topology.ring ~k:1) (size n)
+      | [ "ring2"; n ] -> Result.map (Topology.ring ~k:2) (size n)
+      | [ "grid"; w; h ] ->
+          let* w = size w in
+          let* h = size h in
+          Ok (Topology.grid ~w ~h)
+      | [ "geo"; n; r ] -> (
+          let* n = size n in
+          match float_of_string_opt r with
+          | Some radius when radius > 0.0 ->
+              Ok (Topology.random_geometric ~n ~radius ~seed:7)
+          | Some _ | None -> error "topology: radius %S must be a positive number" r)
+      | _ -> error "topology: complete:N | ring:N | ring2:N | grid:W:H | geo:N:R"
+    in
+    if Topology.size topo < 2 then
+      error "topology %S has one node; a radio vote needs at least two" s
+    else if not (Topology.connected topo) then
+      error "topology %S is disconnected" s
+    else Ok topo
+  in
+  C.Arg.conv (parse, fun ppf t -> Fmt.pf ppf "<topology of %d>" (Topology.size t))
 
 let radio_cmd =
   let doc = "One multi-hop radio vote on a chosen topology." in
@@ -454,7 +485,10 @@ let radio_cmd =
     C.Arg.(value & opt topology_conv (Vv_radio.Topology.ring ~k:2 9)
            & info [ "topology" ] ~doc:"complete:N | ring:N | ring2:N | grid:W:H | geo:N:R.")
   in
-  let t = C.Arg.(value & opt int 1 & info [ "t" ] ~doc:"Tolerance; the last t nodes are Byzantine.") in
+  let t =
+    C.Arg.(value & opt (Cli.non_negative_int ~flag:"-t") 1
+           & info [ "t" ] ~doc:"Tolerance; the last t nodes are Byzantine.")
+  in
   let run format topo t =
     let n = Vv_radio.Topology.size topo in
     let byzantine = List.init t (fun i -> n - 1 - i) in
@@ -500,7 +534,14 @@ let radio_cmd =
           r.Vv_radio.Radio_runner.voting_validity r.Vv_radio.Radio_runner.rounds
           r.Vv_radio.Radio_runner.messages
   in
-  C.Cmd.v (C.Cmd.info "radio" ~doc) C.Term.(const run $ format_term $ topo $ t)
+  let checked format topo t =
+    let n = Vv_radio.Topology.size topo in
+    if t > n then
+      `Error (true, Fmt.str "-t must be at most the topology's %d nodes, not %d" n t)
+    else `Ok (run format topo t)
+  in
+  C.Cmd.v (C.Cmd.info "radio" ~doc)
+    C.Term.(ret (const checked $ format_term $ topo $ t))
 
 (* --- check --- *)
 
@@ -515,7 +556,7 @@ let validity_list_conv =
     let rec resolve acc = function
       | [] -> Ok (List.rev acc)
       | n :: rest -> (
-          match Property.of_name n with
+          match Property.find n with
           | Some p -> resolve (p :: acc) rest
           | None ->
               Error
@@ -654,7 +695,7 @@ let serve_cmd =
   in
   let protocol =
     C.Arg.(value & opt protocol_conv Runner.Algo2_sct
-           & info [ "protocol"; "p" ] ~doc:"Protocol: algo1|algo2|algo3|algo4|cft.")
+           & info [ "protocol"; "p" ] ~doc:protocol_doc)
   in
   let batch =
     C.Arg.(value & opt int 4

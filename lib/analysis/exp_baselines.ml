@@ -31,16 +31,14 @@ let new_rates trials = { exact = 0; agree = 0; term = 0; trials }
 let rate n r = float_of_int n /. float_of_int r.trials
 
 (* Judge a run through the shared predicates: [Validity] for liveness and
-   agreement, the first-class voting property for exactness (with
+   agreement, [Property.judge] under voting validity for exactness (with
    termination, a non-empty decided list all equal to the plurality is
    exactly the old first-decided-equals-target check). *)
 let record r ~honest ~outputs =
   let term = Validity.termination ~outputs in
   let agree = Validity.agreement ~outputs in
   let exact =
-    term && agree
-    && Property.admissible Property.voting ~tie:Vv_ballot.Tie_break.default
-         ~t_tol:0 ~honest_inputs:honest ~outputs
+    Property.judge Property.voting honest ~t_tol:0 ~outputs = Property.Exact
   in
   if term then r.term <- r.term + 1;
   if agree then r.agree <- r.agree + 1;
@@ -58,18 +56,19 @@ let e8_election ?(trials = 120) ?(ng = 10) ?(t = 2) ?(seed = 0xe8) () =
   and interval = new_rates trials in
   for _ = 1 to trials do
     let honest = Vv_dist.Montecarlo.sample_inputs dist rng in
+    let summary = Validity.summarize ~tie:Vv_ballot.Tie_break.default honest in
     let seed = Rng.bits rng in
     (* Voting-validity protocols. *)
     let r1 =
       Runner.simple ~protocol:Runner.Algo1 ~strategy:Strategy.Collude_second
         ~seed ~t ~f:t honest
     in
-    record algo1 ~honest ~outputs:r1.Runner.outputs;
+    record algo1 ~honest:summary ~outputs:r1.Runner.outputs;
     let r2 =
       Runner.simple ~protocol:Runner.Algo2_sct
         ~strategy:Strategy.Collude_second ~seed ~t ~f:t honest
     in
-    record sct ~honest ~outputs:r2.Runner.outputs;
+    record sct ~honest:summary ~outputs:r2.Runner.outputs;
     (* Baselines: same workload as raw integers. *)
     let cfg = Vv_sim.Config.with_byzantine ~seed ~n ~t_max:t byz () in
     let input_arr = Array.of_list honest in
@@ -80,16 +79,16 @@ let e8_election ?(trials = 120) ?(ng = 10) ?(t = 2) ?(seed = 0xe8) () =
         s.Baseline_runner.outputs
     in
     let s = Baseline_runner.run_strong cfg ~inputs:as_int ~collude:true in
-    record strong ~honest ~outputs:(to_opts s);
+    record strong ~honest:summary ~outputs:(to_opts s);
     let m = Baseline_runner.run_median cfg ~inputs:as_int ~collude:true in
-    record median ~honest ~outputs:(to_opts m);
+    record median ~honest:summary ~outputs:(to_opts m);
     let iv =
       Baseline_runner.run_interval cfg
         ~inputs:(fun id ->
           { Vv_baselines.Interval_validity.value = as_int id; k = (ng + 1) / 2 })
         ~collude:true
     in
-    record interval ~honest ~outputs:(to_opts iv)
+    record interval ~honest:summary ~outputs:(to_opts iv)
   done;
   let t_out =
     Table.create

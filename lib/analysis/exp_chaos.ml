@@ -9,7 +9,7 @@
    pattern vary per trial while the whole campaign replays bit-for-bit
    from the campaign seed.
 
-   Classification per run:
+   Each run is judged by Property.judge under voting validity:
      Violation  a decided value breaks safety-guaranteed admissibility
                 (Definition V.1) or agreement — never admissible for the
                 safety-guaranteed variant, whatever the network does;
@@ -27,20 +27,13 @@ module Campaign = Vv_exec.Campaign
 module Network = Vv_sim.Network
 module Retransmit = Vv_sim.Retransmit
 module Config = Vv_sim.Config
-module Adversary = Vv_sim.Adversary
 module Trace = Vv_sim.Trace
 module Na_voting = Vv_bb.Na_voting
+module Property = Vv_ballot.Property
 
 type profile = Campaign.profile = Smoke | Full
 
 let profile_label = Campaign.profile_label
-
-type cls = Exact | Stall | Violation
-
-let cls_label = function
-  | Exact -> "exact"
-  | Stall -> "stall"
-  | Violation -> "violation"
 
 type scenario = { width : int; heal : int }
 
@@ -66,9 +59,9 @@ type cell = {
 }
 
 let cell_class c =
-  if c.violations > 0 then Violation
-  else if c.stalls > 0 then Stall
-  else Exact
+  if c.violations > 0 then Property.Violation
+  else if c.stalls > 0 then Property.Stall
+  else Property.Exact
 
 type result = {
   profile : profile;
@@ -138,11 +131,6 @@ let network_of ~drop ~scenario ~seed =
     ~jitter:(if drop > 0.0 then 1 else 0)
     ~partitions ~seed ()
 
-let classify (o : Runner.outcome) =
-  if not (o.Runner.safety_admissible && o.Runner.agreement) then Violation
-  else if not o.Runner.termination then Stall
-  else Exact
-
 (* --- the network-agnostic variant ------------------------------------ *)
 
 (* Na_voting's timeout multiple; covers the Uniform {lo=1; hi=2} engine
@@ -154,44 +142,10 @@ let na_delta = 2
 let na_input id =
   if id < 9 then 0 else if id < 11 then 1 else if id < 12 then 2 else 0
 
-(* The E20 forger, rephased to this cell's delta: a time-based script
-   broadcasting forged quorum fragments for the runner-up at every phase
-   boundary.  Two Byzantine nodes cannot complete a (t_s + 1) = 3 Fin
-   quorum on their own, so any decision for option 1 needs honest help —
-   which the substrate can only withhold, never fabricate. *)
-let na_adversary =
-  let msgs_for round =
-    if round = 0 then
-      [ { Na_voting.kind = Inp; value = 1 }; { Na_voting.kind = Fin; value = 1 } ]
-    else if round = na_delta then [ { Na_voting.kind = Vote; value = 1 } ]
-    else if round = 2 * na_delta then [ { Na_voting.kind = Comm; value = 1 } ]
-    else if round = 3 * na_delta then [ { Na_voting.kind = FbVote; value = 1 } ]
-    else []
-  in
-  Adversary.named "chaos-forger" (fun view ->
-      List.concat_map
-        (fun src ->
-          List.concat_map
-            (fun msg ->
-              List.map
-                (fun dst -> { Adversary.src; dst; msg })
-                (view.Adversary.reach src))
-            (msgs_for view.Adversary.round))
-        view.Adversary.byzantine)
-
-(* Safety for the network-agnostic run: every decided honest value is
-   the true plurality (0) and all decided values agree; undecided honest
-   nodes are a stall, never a violation. *)
-let na_classify ~honest outputs =
-  let decided = List.filter_map (fun id -> outputs.(id)) honest in
-  let wrong = List.exists (fun v -> v <> 0) decided in
-  let disagree =
-    match decided with [] -> false | v :: rest -> List.exists (( <> ) v) rest
-  in
-  if wrong || disagree then Violation
-  else if List.length decided < List.length honest then Stall
-  else Exact
-
+(* One run under the E20 forger at this grid's delta.  Two Byzantine
+   nodes cannot complete a (t_s + 1) = 3 Fin quorum on their own, so any
+   decision for option 1 needs honest help — which the substrate can only
+   withhold, never fabricate. *)
 let na_trial ~retransmit ~network ~seed =
   let module P = Na_voting.Make (struct
     let t_s = t_tol
@@ -206,8 +160,11 @@ let na_trial ~retransmit ~network ~seed =
       ~delay:(Vv_sim.Delay.Uniform { lo = 1; hi = 2 })
       ~network ?retransmit ~max_rounds ~seed ~n ~t_max:t_tol byz ()
   in
-  let res = E.run_exn cfg ~inputs:na_input ~adversary:na_adversary () in
-  ( na_classify ~honest:(Config.honest_ids cfg) res.E.outputs,
+  let res =
+    E.run_exn cfg ~inputs:na_input
+      ~adversary:(Exp_gst.adversary ~delta:na_delta) ()
+  in
+  ( Exp_gst.judge_na cfg ~inputs:na_input ~t_tol res.E.outputs,
     res.E.rounds_used,
     res.E.trace.Trace.dropped_msgs,
     res.E.trace.Trace.retrans_msgs )
@@ -245,19 +202,20 @@ let cell_stats ~trials ~retransmit ~seed ~index (variant, drop, scenario) =
           in
           match Runner.run_checked spec with
           | Ok o ->
-              ( classify o,
+              ( Property.judge Property.voting o.Runner.honest ~t_tol
+                  ~outputs:o.Runner.outputs,
                 o.Runner.rounds,
                 o.Runner.trace.Vv_sim.Trace.dropped_msgs,
                 o.Runner.trace.Vv_sim.Trace.retrans_msgs )
           | Error (`Invalid_adversary _) ->
               (* An adversary invalidated by the fault plan is a harness
                  bug, not a protocol property — surface it loudly. *)
-              (Violation, 0, 0, 0))
+              (Property.Violation, 0, 0, 0))
     in
     (match cls with
-    | Exact -> incr exact
-    | Stall -> incr stalls
-    | Violation -> incr violations);
+    | Property.Exact -> incr exact
+    | Property.Stall -> incr stalls
+    | Property.Violation -> incr violations);
     rounds := !rounds + r;
     dropped := !dropped + d;
     retrans := !retrans + rt
@@ -333,7 +291,7 @@ let grid_table r =
           variant_label c.variant;
           Table.fcell ~decimals:2 c.drop;
           scenario_label c.scenario;
-          cls_label (cell_class c);
+          Property.verdict_label (cell_class c);
           Table.icell c.exact;
           Table.icell c.stalls;
           Table.icell c.violations;
@@ -373,7 +331,7 @@ let envelope_table r =
                 List.exists
                   (fun c ->
                     c.drop = d && c.scenario.width = 0
-                    && cell_class c = Exact)
+                    && cell_class c = Property.Exact)
                   cs
               in
               if ok then (true, Some d) else (false, best))
@@ -387,9 +345,9 @@ let envelope_table r =
         [
           variant_label variant;
           Table.icell (List.length cs);
-          Table.icell (count (fun c -> cell_class c = Exact));
-          Table.icell (count (fun c -> cell_class c = Stall));
-          Table.icell (count (fun c -> cell_class c = Violation));
+          Table.icell (count (fun c -> cell_class c = Property.Exact));
+          Table.icell (count (fun c -> cell_class c = Property.Stall));
+          Table.icell (count (fun c -> cell_class c = Property.Violation));
           (match clean_envelope with
           | Some d -> Table.fcell ~decimals:2 d
           | None -> "-");

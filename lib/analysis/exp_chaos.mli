@@ -3,13 +3,15 @@
     Sweeps fault intensity — per-link drop rate x transient-partition
     width x recovery lag — across every protocol variant (the
     synchronous pipeline plus the network-agnostic {!Vv_bb.Na_voting}
-    under the E20 forging adversary), classifying
-    each grid cell as Exact (all honest nodes decide the true plurality),
-    Stall (some honest node never decides) or Violation (a decided value
-    breaks safety-guaranteed admissibility, Definition V.1, or
-    agreement). The degradation envelope is the frontier of the Exact
-    region; the safety-guaranteed variant (Algorithm 2) must show zero
-    Violation cells anywhere on the grid — [ok] records exactly that.
+    under the E20 forging adversary). Each run is judged by
+    {!Vv_ballot.Property.judge} under voting validity — Exact (all
+    honest nodes decide the true plurality), Stall (some honest node
+    never decides) or Violation (a decided value breaks
+    safety-guaranteed admissibility, Definition V.1, or agreement) —
+    Na_voting runs under its own tie rule, ties to the smaller value.
+    The degradation envelope is the frontier of the Exact region; the
+    safety-guaranteed variant (Algorithm 2) must show zero Violation
+    cells anywhere on the grid — [ok] records exactly that.
 
     Deterministic at any [jobs]: runs fan out through
     {!Vv_exec.Executor.map} with per-index derived seeds and are
@@ -18,10 +20,6 @@
 type profile = Vv_exec.Campaign.profile = Smoke | Full
 (** Re-export of {!Vv_exec.Campaign.profile}. [Smoke] is the CI tier (3 drop rates x 3 partition scenarios x 6
     variants x 3 trials); [Full] widens every axis. *)
-
-type cls = Exact | Stall | Violation
-
-val cls_label : cls -> string
 
 type scenario = {
   width : int;  (** honest nodes isolated by the transient partition *)
@@ -50,7 +48,7 @@ type cell = {
   retrans_avg : float;  (** retransmission attempts fired *)
 }
 
-val cell_class : cell -> cls
+val cell_class : cell -> Vv_ballot.Property.verdict
 (** Worst classification over the cell's trials:
     Violation > Stall > Exact. *)
 

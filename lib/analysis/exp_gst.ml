@@ -28,13 +28,15 @@
    Byzantine count); beyond, the round-0 Fin forgery beats the honest
    paths to the decision.
 
-   Classification per run mirrors E17: Violation (an honest node decided
-   something other than the honest plurality, or honest nodes disagree),
-   Stall (some honest node never decides — admissible outside the
-   bound), Exact.  [ok] is the acceptance criterion: a predicted-
-   achievable cell must be Exact on every trial, and violations may only
-   appear outside the bound.  Byte-identical at every [--jobs] via
-   per-index derived seeds, like E16–E19. *)
+   Each run is judged by Property.judge under voting validity and
+   Na_voting's own tie rule (ties to the smaller value), as in E17:
+   Violation (an honest node decided something other than the honest
+   plurality, or honest nodes disagree), Stall (some honest node never
+   decides — admissible outside the bound), Exact.  [ok] is the
+   acceptance criterion: a predicted-achievable cell must be Exact on
+   every trial, and violations may only appear outside the bound.
+   Byte-identical at every [--jobs] via per-index derived seeds, like
+   E16–E19. *)
 
 module Table = Vv_prelude.Table
 module Executor = Vv_exec.Executor
@@ -43,17 +45,13 @@ module Delay = Vv_sim.Delay
 module Config = Vv_sim.Config
 module Adversary = Vv_sim.Adversary
 module Na_voting = Vv_bb.Na_voting
+module Oid = Vv_ballot.Option_id
+module Property = Vv_ballot.Property
+module Validity = Vv_ballot.Validity
 
 type profile = Campaign.profile = Smoke | Full
 
 let profile_label = Campaign.profile_label
-
-type cls = Exact | Stall | Violation
-
-let cls_label = function
-  | Exact -> "exact"
-  | Stall -> "stall"
-  | Violation -> "violation"
 
 type sched = Sync | Gst of int | Gst_adv of int | Async
 
@@ -167,19 +165,18 @@ type stats = {
 }
 
 let cell_class s =
-  if s.violations > 0 then Violation
-  else if s.stalls > 0 then Stall
-  else Exact
+  if s.violations > 0 then Property.Violation
+  else if s.stalls > 0 then Property.Stall
+  else Property.Exact
 
 (* A predicted-achievable cell must be Exact on every trial; outside the
    bound anything goes (violations are expected, stalls admissible). *)
-let stats_ok s = (not (predicted s.cell)) || cell_class s = Exact
+let stats_ok s = (not (predicted s.cell)) || cell_class s = Property.Exact
 
 type result = {
   profile : profile;
   trials : int;
   cells : stats list;
-  runs : int;
   ok : bool;
 }
 
@@ -237,15 +234,16 @@ let adversary ~delta =
             (msgs_for view.Adversary.round))
         view.Adversary.byzantine)
 
-let classify ~honest outputs =
-  let decided = List.filter_map (fun id -> outputs.(id)) honest in
-  let wrong = List.exists (fun v -> v <> 0) decided in
-  let disagree =
-    match decided with [] -> false | v :: rest -> List.exists (( <> ) v) rest
+(* Na_voting breaks plurality ties toward the smaller value, so its runs
+   are judged under that rule. *)
+let judge_na cfg ~inputs ~t_tol outputs =
+  let honest = Config.honest_ids cfg in
+  let summary =
+    Validity.summarize ~tie:Vv_ballot.Tie_break.Prefer_smaller
+      (List.map (fun id -> Oid.of_int (inputs id)) honest)
   in
-  if wrong || disagree then Violation
-  else if List.length decided < List.length honest then Stall
-  else Exact
+  Property.judge Property.voting summary ~t_tol
+    ~outputs:(List.map (fun id -> Option.map Oid.of_int outputs.(id)) honest)
 
 let run_trial c ~seed =
   let n = cell_n c in
@@ -264,7 +262,9 @@ let run_trial c ~seed =
   let res =
     E.run_exn cfg ~inputs:(input_of c) ~adversary:(adversary ~delta) ()
   in
-  (classify ~honest:(Config.honest_ids cfg) res.E.outputs, res.E.rounds_used)
+  ( judge_na cfg ~inputs:(input_of c)
+      ~t_tol:(t_mode ~t_s:c.t_s ~t_a:c.t_a c.sched) res.E.outputs,
+    res.E.rounds_used )
 
 (* One grid cell's statistics; every trial seed is a pure function of
    (campaign seed, cell index, trial index), so the campaign replays
@@ -276,9 +276,9 @@ let cell_stats ~trials ~seed ~index cell =
     let run_seed = Executor.derive_seed ~seed ((index * trials) + k) in
     let cls, r = run_trial cell ~seed:run_seed in
     (match cls with
-    | Exact -> incr exact
-    | Stall -> incr stalls
-    | Violation -> incr violations);
+    | Property.Exact -> incr exact
+    | Property.Stall -> incr stalls
+    | Property.Violation -> incr violations);
     rounds := !rounds + r
   done;
   {
@@ -287,26 +287,6 @@ let cell_stats ~trials ~seed ~index cell =
     stalls = !stalls;
     violations = !violations;
     rounds_avg = float_of_int !rounds /. float_of_int trials;
-  }
-
-let run ?jobs ?(seed = 0x657a11) ?trials profile =
-  let trials =
-    match trials with Some k -> k | None -> default_trials profile
-  in
-  if trials < 1 then invalid_arg "Exp_gst.run: trials must be >= 1";
-  let cells = Array.of_list (grid profile) in
-  let ncells = Array.length cells in
-  let stats =
-    Executor.map ?jobs ~chunk_size:1 ~count:ncells (fun i ->
-        cell_stats ~trials ~seed ~index:i cells.(i))
-    |> Array.to_list
-  in
-  {
-    profile;
-    trials;
-    cells = stats;
-    runs = ncells * trials;
-    ok = List.for_all stats_ok stats;
   }
 
 (* --- tables --- *)
@@ -345,7 +325,7 @@ let grid_table r =
           Table.icell (cell_n c);
           Table.icell (t_mode ~t_s:c.t_s ~t_a:c.t_a c.sched);
           (if predicted c then "achievable" else "outside");
-          cls_label (cell_class s);
+          Property.verdict_label (cell_class s);
           Table.icell s.exact;
           Table.icell s.stalls;
           Table.icell s.violations;
@@ -390,9 +370,9 @@ let region_table r =
               Table.icell t_a;
               sched_label sched;
               Table.icell (t_mode ~t_s ~t_a sched);
-              cls_label (cell_class w);
-              cls_label (cell_class o);
-              cls_label (cell_class m);
+              Property.verdict_label (cell_class w);
+              Property.verdict_label (cell_class o);
+              Property.verdict_label (cell_class m);
               (if matched then "yes" else "NO");
             ])
         (scheds r.profile))
@@ -428,7 +408,6 @@ let campaign ?trials () =
           profile;
           trials = trials_for profile;
           cells;
-          runs = List.length cells * trials_for profile;
           ok = List.for_all stats_ok cells;
         }
       in

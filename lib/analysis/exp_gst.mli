@@ -7,7 +7,9 @@
     {!Vv_bb.Na_voting} under a scripted forging adversary.  Per cell the
     governing tolerance is [t = t_s] on the synchronous network and
     [t = t_a] otherwise, and achievability is predicted by
-    [f <= t && N > max{3t, 2t + 2*B_G + C_G}]; [ok] demands that every
+    [f <= t && N > max{3t, 2t + 2*B_G + C_G}]. Each run is judged by
+    {!Vv_ballot.Property.judge} under voting validity and Na_voting's
+    own tie rule, ties to the smaller value; [ok] demands that every
     predicted-achievable cell is Exact on all trials — observed
     violations may only appear outside the bound.
 
@@ -15,10 +17,6 @@
     {!Vv_exec.Executor.map}, aggregated in index order. *)
 
 type profile = Vv_exec.Campaign.profile = Smoke | Full
-
-type cls = Exact | Stall | Violation
-
-val cls_label : cls -> string
 
 type sched =
   | Sync
@@ -64,7 +62,7 @@ type stats = {
   rounds_avg : float;
 }
 
-val cell_class : stats -> cls
+val cell_class : stats -> Vv_ballot.Property.verdict
 (** Worst classification over the cell's trials:
     Violation > Stall > Exact. *)
 
@@ -72,13 +70,23 @@ type result = {
   profile : profile;
   trials : int;
   cells : stats list;  (** grid order: (t_s, t_a), then network, then probe *)
-  runs : int;
   ok : bool;  (** every predicted-achievable cell Exact on all trials *)
 }
 
-val run : ?jobs:int -> ?seed:int -> ?trials:int -> profile -> result
-(** Execute the campaign; byte-identical output at every [jobs]. Raises
-    [Invalid_argument] when [trials < 1]. *)
+val adversary : delta:int -> Vv_bb.Na_voting.msg Vv_sim.Adversary.t
+(** The scripted forger every Byzantine node runs: Inp(1) and Fin(1) at
+    round 0, then Vote(1), Comm(1) and FbVote(1) at [delta], [2*delta]
+    and [3*delta]. Time-based, so it needs no view state; E17 runs it
+    too. *)
+
+val judge_na :
+  Vv_sim.Config.t -> inputs:(int -> int) -> t_tol:int -> int option array ->
+  Vv_ballot.Property.verdict
+(** [judge_na cfg ~inputs ~t_tol outputs] judges one {!Vv_bb.Na_voting}
+    run — [inputs] and [outputs] indexed by node id — with
+    {!Vv_ballot.Property.judge} under voting validity on [cfg]'s honest
+    nodes, under Na_voting's own tie rule (ties to the smaller value).
+    E17 judges its Na_voting runs through it too. *)
 
 val tables : result -> Vv_prelude.Table.t list
 (** The per-cell grid and the (t_s, t_a) region summary, for the shared

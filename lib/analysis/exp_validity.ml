@@ -120,7 +120,7 @@ let run_impl impl c ~seed =
         Runner.simple ~protocol:proto ~strategy ~seed ~max_rounds ~t:c.t
           ~f:c.f honest
       in
-      (honest, r.Runner.outputs)
+      r.Runner.outputs
   | Strong_ba | Median_ba | Interval_ba ->
       let n = cell_n c in
       let ng = n - c.f in
@@ -148,20 +148,7 @@ let run_impl impl c ~seed =
                 })
               ~collude:true
       in
-      (honest, to_opts s)
-
-type cls = Exact | Stall | Violation
-
-(* Safety (agreement + the property over decided outputs) is judged even
-   on partial runs; a safe non-terminating run is a stall. *)
-let classify_against property ~t_tol ~honest ~outputs =
-  let admissible =
-    Property.admissible property ~tie:Vv_ballot.Tie_break.default ~t_tol
-      ~honest_inputs:honest ~outputs
-  in
-  if (not (Validity.agreement ~outputs)) || not admissible then Violation
-  else if not (Validity.termination ~outputs) then Stall
-  else Exact
+      to_opts s
 
 (* --- per-cell statistics --------------------------------------------- *)
 
@@ -173,24 +160,27 @@ type stats = {
   per_property : (Property.t * counts) list;  (** [Property.all] order *)
 }
 
+(* Every trial of a cell has the same honest inputs, so they are
+   summarised once; each run is judged by [Property.judge]. *)
 let cell_stats ~trials ~seed ~index (impl, config) =
+  let honest =
+    Validity.summarize ~tie:Vv_ballot.Tie_break.default (honest_inputs config)
+  in
   let acc =
     Array.make (List.length Property.all)
       { exact = 0; stalls = 0; violations = 0 }
   in
   for k = 0 to trials - 1 do
     let run_seed = Executor.derive_seed ~seed ((index * trials) + k) in
-    let honest, outputs = run_impl impl config ~seed:run_seed in
+    let outputs = run_impl impl config ~seed:run_seed in
     List.iteri
       (fun pi property ->
         let c = acc.(pi) in
         acc.(pi) <-
-          (match
-             classify_against property ~t_tol:config.t ~honest ~outputs
-           with
-          | Exact -> { c with exact = c.exact + 1 }
-          | Stall -> { c with stalls = c.stalls + 1 }
-          | Violation -> { c with violations = c.violations + 1 }))
+          (match Property.judge property honest ~t_tol:config.t ~outputs with
+          | Property.Exact -> { c with exact = c.exact + 1 }
+          | Property.Stall -> { c with stalls = c.stalls + 1 }
+          | Property.Violation -> { c with violations = c.violations + 1 }))
       Property.all
   done;
   {

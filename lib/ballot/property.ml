@@ -1,16 +1,17 @@
 (* Validity as a first-class value (after Civit et al., "On the Validity
    of Consensus", arXiv 2301.04920): a property is data — an id, an
-   admissibility predicate over (honest inputs, outputs), an optional
-   mandated output, and the hierarchy edges to the properties it
-   entails — so the checker's oracle, the baselines and the campaigns
-   can all quantify over *which* validity they are asked about instead
-   of hard-coding the paper's voting validity.
+   admissibility predicate over (honest-input summary, outputs), and the
+   hierarchy edges to the properties it entails — so the checker's
+   oracle, the runners, the baselines and the campaigns can all
+   quantify over *which* validity they are asked about instead of
+   hard-coding the paper's voting validity.
 
-   The two voting instances delegate to {!Validity} verbatim, so they
-   are byte-equivalent to the legacy predicates (test_ballot pins this
-   with qcheck); the remaining instances are the baselines' guarantees
-   (strong/Neiger, weak unanimity, interval, t-trimmed median) stated
-   over the same (inputs, outputs) vocabulary.
+   Each instance is the only definition of its property: the two voting
+   instances are Definition III.3 (the tie-break-aware one is also
+   Definition V.1's safety-guaranteed admissibility), the others are the
+   baselines' guarantees (strong/Neiger, weak unanimity, interval,
+   t-trimmed median) stated over the same (summary, outputs)
+   vocabulary.
 
    Hierarchy edges, each a theorem over non-empty honest multisets:
 
@@ -34,26 +35,28 @@ type t = {
   id : string;
   description : string;
   admissible :
-    tie:Tie_break.t ->
-    t_tol:int ->
-    honest_inputs:Option_id.t list ->
-    outputs:Option_id.t option list ->
-    bool;
-  required_output :
-    (tie:Tie_break.t -> honest_inputs:Option_id.t list -> Option_id.t option)
-    option;
+    Validity.summary -> t_tol:int -> outputs:Option_id.t option list -> bool;
   stronger_than : string list;
 }
 
 let id p = p.id
 
-let admissible p = p.admissible
+(* Eta-expanded: as [let admissible p = p.admissible], every call through
+   it allocated 11 words. *)
+let admissible p s ~t_tol ~outputs = p.admissible s ~t_tol ~outputs
 
 let pp ppf p = Fmt.string ppf p.id
 
 let decided_all_satisfy pred outputs =
   List.for_all (function None -> true | Some v -> pred v) outputs
 
+let decided_all a outputs =
+  List.for_all (function None -> true | Some v -> Option_id.equal v a) outputs
+
+(* Definition III.3 under the established tie-break rule.  It is also
+   Definition V.1: a safety-guaranteed run is admissible when every
+   decided output is the honest plurality, and deciding nothing always
+   is. *)
 let voting =
   {
     id = "voting";
@@ -61,10 +64,10 @@ let voting =
       "tie-break-aware voting validity: every decided output is the \
        established-rule plurality of honest inputs (Definition III.3)";
     admissible =
-      (fun ~tie ~t_tol:_ ~honest_inputs ~outputs ->
-        Validity.voting_validity_tb ~tie ~honest_inputs ~outputs);
-    required_output =
-      Some (fun ~tie ~honest_inputs -> Validity.honest_plurality ~tie ~honest_inputs);
+      (fun s ~t_tol:_ ~outputs ->
+        match s.Validity.plurality with
+        | None -> true
+        | Some a -> decided_all a outputs);
     stronger_than = [ "voting-strict"; "strong" ];
   }
 
@@ -76,14 +79,10 @@ let voting_strict =
        other among honest inputs, every decided output is that option \
        (Definition III.3, no tie-break)";
     admissible =
-      (fun ~tie ~t_tol:_ ~honest_inputs ~outputs ->
-        Validity.voting_validity ~tie ~honest_inputs ~outputs);
-    required_output =
-      Some
-        (fun ~tie ~honest_inputs ->
-          if Validity.has_strict_plurality ~honest_inputs then
-            Validity.honest_plurality ~tie ~honest_inputs
-          else None);
+      (fun s ~t_tol:_ ~outputs ->
+        match s.Validity.plurality with
+        | Some a when s.Validity.strict -> decided_all a outputs
+        | Some _ | None -> true);
     stronger_than = [];
   }
 
@@ -93,9 +92,12 @@ let strong =
     description =
       "strong validity (Neiger): every decided output is some honest input";
     admissible =
-      (fun ~tie:_ ~t_tol:_ ~honest_inputs ~outputs ->
-        Validity.strong_validity ~honest_inputs ~outputs);
-    required_output = None;
+      (fun s ~t_tol:_ ~outputs ->
+        List.for_all
+          (function
+            | None -> true
+            | Some v -> List.exists (Option_id.equal v) s.Validity.inputs)
+          outputs);
     stronger_than = [ "weak"; "interval" ];
   }
 
@@ -110,12 +112,10 @@ let weak =
       "weak (unanimity) validity: if every honest input is the same value, \
        every decided output is that value";
     admissible =
-      (fun ~tie:_ ~t_tol:_ ~honest_inputs ~outputs ->
-        match unanimous_value honest_inputs with
+      (fun s ~t_tol:_ ~outputs ->
+        match unanimous_value s.Validity.inputs with
         | None -> true
-        | Some v -> decided_all_satisfy (Option_id.equal v) outputs);
-    required_output =
-      Some (fun ~tie:_ ~honest_inputs -> unanimous_value honest_inputs);
+        | Some v -> decided_all v outputs);
     stronger_than = [];
   }
 
@@ -134,8 +134,8 @@ let interval =
       "interval validity (Melnyk-Wattenhofer): every decided output lies \
        within [min, max] of the honest inputs, read as integers";
     admissible =
-      (fun ~tie:_ ~t_tol:_ ~honest_inputs ~outputs ->
-        match honest_range honest_inputs with
+      (fun s ~t_tol:_ ~outputs ->
+        match honest_range s.Validity.inputs with
         | None -> true
         | Some (lo, hi) ->
             decided_all_satisfy
@@ -143,7 +143,6 @@ let interval =
                 let v = Option_id.to_int v in
                 lo <= v && v <= hi)
               outputs);
-    required_output = None;
     stronger_than = [ "weak" ];
   }
 
@@ -170,8 +169,8 @@ let median =
        within t positions of the median of the sorted honest inputs, \
        read as integers";
     admissible =
-      (fun ~tie:_ ~t_tol ~honest_inputs ~outputs ->
-        match median_window ~t_tol honest_inputs with
+      (fun s ~t_tol ~outputs ->
+        match median_window ~t_tol s.Validity.inputs with
         | None -> true
         | Some (lo, hi) ->
             decided_all_satisfy
@@ -179,7 +178,6 @@ let median =
                 let v = Option_id.to_int v in
                 lo <= v && v <= hi)
               outputs);
-    required_output = None;
     stronger_than = [ "interval" ];
   }
 
@@ -188,8 +186,6 @@ let all = [ voting; voting_strict; strong; weak; interval; median ]
 let names = List.map id all
 
 let find id = List.find_opt (fun p -> String.equal p.id id) all
-
-let of_name = find
 
 let equal a b = String.equal a.id b.id
 
@@ -205,3 +201,18 @@ let implies p q =
        | Some p' -> List.exists (reaches (id :: seen)) p'.stronger_than
   in
   reaches [] p.id
+
+type verdict = Exact | Stall | Violation
+
+let verdict_label = function
+  | Exact -> "exact"
+  | Stall -> "stall"
+  | Violation -> "violation"
+
+(* Safety (agreement, and [p] over the decided outputs) is judged even on
+   a partial run; a safe run with an undecided honest node is a stall. *)
+let judge p s ~t_tol ~outputs =
+  if not (Validity.agreement ~outputs && p.admissible s ~t_tol ~outputs) then
+    Violation
+  else if Validity.termination ~outputs then Exact
+  else Stall

@@ -3,14 +3,16 @@
     Following Civit et al., "On the Validity of Consensus" (arXiv
     2301.04920), a validity property is the parameter that decides
     solvability — so it is data here, not code baked into the checker:
-    an id, an admissibility predicate over (honest inputs, outputs), an
-    optional mandated output, and the hierarchy edges to the properties
-    it entails. The oracle ({!Vv_check.Oracle}), the baselines and the
-    E21 campaign all quantify over values of this type.
+    an id, an admissibility predicate over (honest-input summary,
+    outputs), and the hierarchy edges to the properties it entails. Each
+    instance is the only definition of its property. The runners
+    ({!Vv_core.Runner}), the oracle ({!Vv_check.Oracle}), the baselines
+    and the campaigns all judge runs through values of this type.
 
-    Conventions match {!Validity}: [honest_inputs] lists non-faulty
-    preferences only; [outputs] lists, per honest node, its decision
-    ([None] = undecided, which never violates validity). [t_tol] is the
+    Conventions match {!Validity}: the summary is of the non-faulty
+    preferences only ({!Validity.summarize}, under the run's tie-break
+    rule); [outputs] lists, per honest node, its decision ([None] =
+    undecided, which never violates validity). [t_tol] is the
     fault-tolerance budget [t] of the configuration under test — only
     the median instance reads it. *)
 
@@ -18,17 +20,8 @@ type t = {
   id : string;  (** stable name, used in CLI flags and violation labels *)
   description : string;
   admissible :
-    tie:Tie_break.t ->
-    t_tol:int ->
-    honest_inputs:Option_id.t list ->
-    outputs:Option_id.t option list ->
-    bool;
+    Validity.summary -> t_tol:int -> outputs:Option_id.t option list -> bool;
       (** does this (inputs, outputs) pair satisfy the property? *)
-  required_output :
-    (tie:Tie_break.t -> honest_inputs:Option_id.t list -> Option_id.t option)
-    option;
-      (** when the property mandates a unique decision value, the value;
-          [None] inner result = no mandate for these inputs *)
   stronger_than : string list;
       (** ids of properties this one entails (direct edges; {!implies}
           takes the reflexive-transitive closure) *)
@@ -36,12 +29,7 @@ type t = {
 
 val id : t -> string
 val admissible :
-  t ->
-  tie:Tie_break.t ->
-  t_tol:int ->
-  honest_inputs:Option_id.t list ->
-  outputs:Option_id.t option list ->
-  bool
+  t -> Validity.summary -> t_tol:int -> outputs:Option_id.t option list -> bool
 
 val pp : t Fmt.t
 (** Prints the id. *)
@@ -50,12 +38,14 @@ val equal : t -> t -> bool
 (** Id equality. *)
 
 val voting : t
-(** Tie-break-aware voting validity — delegates to
-    {!Validity.voting_validity_tb} and is byte-equivalent to it. *)
+(** Tie-break-aware voting validity (Definition III.3): every decided
+    output is the honest plurality under the summary's tie-break rule.
+    It is also Definition V.1, safety-guaranteed admissibility. *)
 
 val voting_strict : t
-(** Strict voting validity (Definition III.3 without tie-break) —
-    delegates to {!Validity.voting_validity}. *)
+(** Strict voting validity (Definition III.3 without tie-break): when a
+    strict honest plurality exists, every decided output is it; vacuous
+    otherwise. *)
 
 val strong : t
 (** Neiger's strong validity: every decided output is an honest input. *)
@@ -82,9 +72,24 @@ val names : string list
 val find : string -> t option
 (** Look up a built-in instance by id. *)
 
-val of_name : string -> t option
-(** Alias of {!find}. *)
-
 val implies : t -> t -> bool
 (** [implies p q]: does [p] entail [q] in the validity hierarchy?
     Reflexive-transitive closure of [stronger_than]. *)
+
+(** {1 Judging a run} *)
+
+type verdict =
+  | Exact  (** agreed, admissible, and every honest node decided *)
+  | Stall  (** agreed and admissible, but some honest node undecided *)
+  | Violation  (** decided outputs disagree or are inadmissible *)
+
+val verdict_label : verdict -> string
+(** ["exact"], ["stall"] or ["violation"]. *)
+
+val judge :
+  t -> Validity.summary -> t_tol:int -> outputs:Option_id.t option list ->
+  verdict
+(** [judge p summary ~t_tol ~outputs]: {!Violation} if the decided
+    outputs disagree or are not [p]-admissible (safety is judged even on
+    a partial run), otherwise {!Stall} if some honest node is undecided,
+    otherwise {!Exact}. *)

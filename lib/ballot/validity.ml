@@ -1,6 +1,7 @@
-(* The paper's correctness properties (Section III-C) as executable
-   predicates over honest inputs, local views and protocol outputs.  The
-   experiment harness and tests use these to classify every run. *)
+(* The paper's correctness properties (Section III-C) over honest inputs,
+   local views and protocol outputs, other than its validity properties:
+   those (Definitions III.3 and V.1 among them) are {!Property} instances
+   over the honest-input summary below. *)
 
 let honest_tally inputs = Tally.of_list inputs
 
@@ -9,9 +10,9 @@ let voting_preference ~honest_inputs a b =
   let t = honest_tally honest_inputs in
   Tally.count t a > Tally.count t b
 
-(* Everything the plurality-based predicates read from the honest
-   inputs, from one tally and one ranking.  Strictness compares the two
-   highest counts, which every tie-break rule ranks alike. *)
+(* Everything the plurality-based properties read from the honest inputs,
+   from one tally and one ranking.  Strictness compares the two highest
+   counts, which every tie-break rule ranks alike. *)
 type summary = {
   inputs : Option_id.t list;
   plurality : Option_id.t option;
@@ -28,56 +29,10 @@ let summarize ~tie inputs =
 let honest_plurality ~tie ~honest_inputs =
   (summarize ~tie honest_inputs).plurality
 
-(* A_G - B_G: the gap between the two most supported honest options. *)
-let honest_gap ~tie ~honest_inputs =
-  Tally.gap ~tie (honest_tally honest_inputs)
-
 (* True when one option strictly beats every other honest option, i.e. the
    premise of Definition III.3 holds without needing the tie-break rule. *)
 let has_strict_plurality ~honest_inputs =
   (summarize ~tie:Tie_break.default honest_inputs).strict
-
-let decided_all a outputs =
-  List.for_all (function None -> true | Some v -> Option_id.equal v a) outputs
-
-(* Definition III.3 (strict form): whenever a strict plurality A exists,
-   every produced output must be A.  Outputs are [None] for nodes that have
-   not decided; non-termination does not violate validity (that distinction
-   is what safety-guaranteed protocols exploit, Definition V.1). *)
-let voting_validity_of s ~outputs =
-  match s.plurality with
-  | Some a when s.strict -> decided_all a outputs
-  | Some _ | None -> true
-
-(* Tie-break-aware form: the required output is the tie-break winner even
-   when honest counts tie.  Used when all nodes share the established rule. *)
-let voting_validity_tb_of s ~outputs =
-  match s.plurality with None -> true | Some a -> decided_all a outputs
-
-(* Strong validity (Neiger): every decided output is some honest input. *)
-let decided_among inputs outputs =
-  List.for_all
-    (function
-      | None -> true | Some v -> List.exists (Option_id.equal v) inputs)
-    outputs
-
-let strong_validity_of s ~outputs = decided_among s.inputs outputs
-
-(* Definition V.1: a run of a safety-guaranteed protocol is admissible when
-   every decided output equals the honest plurality — deciding nothing is
-   always admissible. *)
-let safety_guaranteed_admissible_of = voting_validity_tb_of
-
-let voting_validity ~tie ~honest_inputs ~outputs =
-  voting_validity_of (summarize ~tie honest_inputs) ~outputs
-
-let voting_validity_tb ~tie ~honest_inputs ~outputs =
-  voting_validity_tb_of (summarize ~tie honest_inputs) ~outputs
-
-let strong_validity ~honest_inputs ~outputs = decided_among honest_inputs outputs
-
-let safety_guaranteed_admissible ~tie ~honest_inputs ~outputs =
-  safety_guaranteed_admissible_of (summarize ~tie honest_inputs) ~outputs
 
 (* Agreement: all decided outputs are identical. *)
 let agreement ~outputs =

@@ -240,21 +240,3 @@ let run ?jobs ?max_shrink_trials ?max_reported profile =
         Oracle.classify_run execs.(i))
   in
   aggregate ?max_shrink_trials ?max_reported profile ~execs ~classes
-
-(* Multi-validity sweep: one engine run per execution, classified against
-   every property; then one sequential aggregation per property.  The
-   fan-out stays index-addressed, so output is byte-identical at every
-   [?jobs] just like [run]. *)
-let run_sweep ?jobs ?max_shrink_trials ?max_reported ~properties profile =
-  let execs = Space.executions (dims_of profile) in
-  let sweep =
-    Executor.map ?jobs ~count:(Array.length execs) (fun i ->
-        Oracle.classify_run_sweep ~properties execs.(i))
-  in
-  List.mapi
-    (fun pi property ->
-      let classes = Array.map (fun cs -> List.nth cs pi) sweep in
-      ( property,
-        aggregate ?max_shrink_trials ?max_reported ~property profile ~execs
-          ~classes ))
-    properties

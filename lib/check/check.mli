@@ -77,16 +77,3 @@ val run :
     cores but one); [max_reported] (default 10) caps how many violations
     are shrunk and carried in the result — [violations_total] still
     counts all. *)
-
-val run_sweep :
-  ?jobs:int ->
-  ?max_shrink_trials:int ->
-  ?max_reported:int ->
-  properties:Vv_ballot.Property.t list ->
-  profile ->
-  (Vv_ballot.Property.t * result) list
-(** Sweep several validity properties in one pass: each execution's
-    engine run happens once and is classified against every property
-    ({!Oracle.classify_run_sweep}), then one {!aggregate} per property.
-    Results are in [properties] order; byte-identical at every [?jobs].
-    [run_sweep ~properties:[Property.voting]] agrees with {!run}. *)

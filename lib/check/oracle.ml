@@ -107,8 +107,7 @@ let classify ?(property = Property.voting) (exec : Space.execution) outcome =
           detail = "invalid-adversary: " ^ reason }
   | Ok (o : Runner.outcome) ->
       let admissible =
-        property.Property.admissible ~tie:Vv_ballot.Tie_break.default
-          ~t_tol:cell.Space.t ~honest_inputs:o.Runner.honest_inputs
+        Property.admissible property o.Runner.honest ~t_tol:cell.Space.t
           ~outputs:o.Runner.outputs
       in
       let exact = o.Runner.termination && o.Runner.agreement && admissible in

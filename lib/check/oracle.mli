@@ -55,10 +55,12 @@ val classify :
   (Vv_core.Runner.outcome, [ `Invalid_adversary of string ]) result ->
   class_
 (** Classify one outcome against [property] (default
-    {!Vv_ballot.Property.voting}). An [`Invalid_adversary] rejection is
-    always a violation: the checker only enumerates scripts legal under
-    the cell's communication model, so a rejection is a checker or
-    interpreter bug and must not silently shrink the universe. *)
+    {!Vv_ballot.Property.voting}), judged on the outcome's honest-input
+    summary and so under the run's tie rule. An [`Invalid_adversary]
+    rejection is always a violation: the checker only enumerates scripts
+    legal under the cell's communication model, so a rejection is a
+    checker or interpreter bug and must not silently shrink the
+    universe. *)
 
 val classify_run : ?property:Vv_ballot.Property.t -> Space.execution -> class_
 (** Run the engine on [Space.spec_of] and classify — the checker's unit

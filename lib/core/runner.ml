@@ -5,6 +5,7 @@
 open Vv_sim
 module Oid = Vv_ballot.Option_id
 module Validity = Vv_ballot.Validity
+module Property = Vv_ballot.Property
 
 module V_ds = Voting.Make (Vv_bb.Dolev_strong)
 module V_eig = Voting.Make (Vv_bb.Eig)
@@ -26,6 +27,21 @@ let protocol_label = function
   | Algo4_local -> "algo4-local"
   | Cft -> "cft"
   | Sct_incremental -> "sct-incr"
+
+let protocols =
+  [ Algo1; Algo2_sct; Algo3_incremental; Algo4_local; Cft; Sct_incremental ]
+
+(* A label, or one of the shorter names the CLI has always accepted. *)
+let protocol_of_name s =
+  match List.find_opt (fun p -> String.equal (protocol_label p) s) protocols with
+  | Some p -> Some p
+  | None -> (
+      match s with
+      | "algo2" | "sct" -> Some Algo2_sct
+      | "algo3" | "incremental" -> Some Algo3_incremental
+      | "algo4" | "local" -> Some Algo4_local
+      | "sct-incremental" -> Some Sct_incremental
+      | _ -> None)
 
 let variant_of = function
   | Algo1 -> Variant.algo1
@@ -89,7 +105,7 @@ let with_seed seed (s : spec) = { s with seed }
 
 type outcome = {
   outputs : Oid.t option list;  (** honest nodes, node-id order *)
-  honest_inputs : Oid.t list;
+  honest : Validity.summary;  (** under the spec's tie rule *)
   termination : bool;
   agreement : bool;
   voting_validity : bool;  (** strict form, Definition III.3 *)
@@ -133,17 +149,21 @@ let honest_of (s : spec) cfg =
   Validity.summarize ~tie:s.tie
     (List.map (fun id -> List.nth s.inputs id) (Config.honest_ids cfg))
 
-let outcome_of (honest : Validity.summary) (exec : Voting.exec) =
+let outcome_of (s : spec) honest (exec : Voting.exec) =
   let outputs = exec.Voting.outputs in
+  let t_tol = s.t in
+  (* Definition V.1 is tie-break-aware voting validity. *)
+  let voting_tb = Property.admissible Property.voting honest ~t_tol ~outputs in
   {
     outputs;
-    honest_inputs = honest.Validity.inputs;
+    honest;
     termination = Validity.termination ~outputs;
     agreement = Validity.agreement ~outputs;
-    voting_validity = Validity.voting_validity_of honest ~outputs;
-    voting_validity_tb = Validity.voting_validity_tb_of honest ~outputs;
-    strong_validity = Validity.strong_validity_of honest ~outputs;
-    safety_admissible = Validity.safety_guaranteed_admissible_of honest ~outputs;
+    voting_validity =
+      Property.admissible Property.voting_strict honest ~t_tol ~outputs;
+    voting_validity_tb = voting_tb;
+    strong_validity = Property.admissible Property.strong honest ~t_tol ~outputs;
+    safety_admissible = voting_tb;
     stalled = exec.Voting.stalled;
     rounds = exec.Voting.rounds;
     honest_msgs = exec.Voting.honest_msgs;
@@ -172,7 +192,7 @@ let spec_variant (s : spec) =
 let run_checked_unshared (s : spec) =
   let cfg = config_of s in
   let execute_checked, _ = instance s in
-  Result.map (outcome_of (honest_of s cfg))
+  Result.map (outcome_of s (honest_of s cfg))
     (execute_checked cfg ~variant:(spec_variant s) ~speaker:s.speaker
        ~subject:s.subject
        ~preferences:(fun id -> List.nth s.inputs id)
@@ -228,7 +248,7 @@ let run_checked (s : spec) =
   match s.strategy with
   | Strategy.Scripted actions ->
       let honest, finish = shared_prefix s in
-      Result.map (outcome_of honest) (finish actions)
+      Result.map (outcome_of s honest) (finish actions)
   | Strategy.Passive | Strategy.Collude_second | Strategy.Collude_fixed _
   | Strategy.Split_top2 | Strategy.Propose_second | Strategy.Random_votes _
   | Strategy.Late_collude _ ->

@@ -13,6 +13,15 @@ type protocol =
   | Sct_incremental  (** Algorithm 2 with the Algorithm 3 trigger *)
 
 val protocol_label : protocol -> string
+
+val protocols : protocol list
+(** Every protocol, in declaration order. *)
+
+val protocol_of_name : string -> protocol option
+(** The inverse of {!protocol_label}; also accepts the aliases [algo2]
+    and [sct], [algo3] and [incremental], [algo4] and [local], and
+    [sct-incremental]. *)
+
 val variant_of : protocol -> Variant.t
 
 type spec = private {
@@ -64,7 +73,9 @@ val with_seed : int -> spec -> spec
 
 type outcome = {
   outputs : Oid.t option list;  (** honest nodes, node-id order *)
-  honest_inputs : Oid.t list;
+  honest : Vv_ballot.Validity.summary;
+      (** the honest inputs under the spec's tie rule; [.inputs] lists
+          them in node-id order *)
   termination : bool;
   agreement : bool;
   voting_validity : bool;  (** strict form, Definition III.3 *)

@@ -7,7 +7,7 @@ module E = Engine.Make (Radio_voting)
 
 type outcome = {
   outputs : Oid.t option list;  (* honest, node-id order *)
-  honest_inputs : Oid.t list;
+  honest : Vv_ballot.Validity.summary;  (* under the run's tie rule *)
   termination : bool;
   agreement : bool;
   voting_validity : bool;
@@ -161,16 +161,19 @@ let run ?(strategy = Originate_second) ?(tie = Vv_ballot.Tie_break.default)
     | Error (`Invalid_adversary reason) ->
         raise (Engine.Invalid_adversary reason)
   in
-  let honest = Config.honest_ids cfg in
-  let outputs = List.map (fun id -> res.E.outputs.(id)) honest in
-  let honest_inputs = List.map (fun id -> List.nth inputs id) honest in
+  let honest_ids = Config.honest_ids cfg in
+  let outputs = List.map (fun id -> res.E.outputs.(id)) honest_ids in
+  let honest =
+    Vv_ballot.Validity.summarize ~tie
+      (List.map (fun id -> List.nth inputs id) honest_ids)
+  in
   {
     outputs;
-    honest_inputs;
+    honest;
     termination = Vv_ballot.Validity.termination ~outputs;
     agreement = Vv_ballot.Validity.agreement ~outputs;
     voting_validity =
-      Vv_ballot.Validity.voting_validity ~tie ~honest_inputs ~outputs;
+      Vv_ballot.Property.(admissible voting_strict) honest ~t_tol:t ~outputs;
     stalled = res.E.stalled;
     rounds = res.E.rounds_used;
     messages = Trace.messages_total res.E.trace;

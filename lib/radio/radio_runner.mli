@@ -6,10 +6,10 @@ module E : module type of Vv_sim.Engine.Make (Radio_voting)
 
 type outcome = {
   outputs : Oid.t option list;  (** honest nodes, node-id order *)
-  honest_inputs : Oid.t list;
+  honest : Vv_ballot.Validity.summary;  (** under the run's tie rule *)
   termination : bool;
   agreement : bool;
-  voting_validity : bool;
+  voting_validity : bool;  (** strict form, Definition III.3 *)
   stalled : bool;
   rounds : int;
   messages : int;

@@ -89,39 +89,37 @@ let test_integrity () =
   check_bool "tie forbids both'" false
     (Validity.integrity_allows ~view:tie_view ~output:(o 1))
 
+(* [p]-admissibility of [outputs] for honest inputs [honest] under the
+   default tie rule. *)
+let admissible p honest outputs =
+  Property.admissible p
+    (Validity.summarize ~tie:Tie_break.default honest)
+    ~t_tol:0 ~outputs
+
 let test_voting_validity () =
   let honest = [ o 0; o 0; o 0; o 1; o 1; o 2; o 3 ] in
+  let strict = admissible Property.voting_strict in
   (* Output 0 everywhere: valid. *)
-  check_bool "valid" true
-    (Validity.voting_validity ~tie:Tie_break.default ~honest_inputs:honest
-       ~outputs:[ Some (o 0); Some (o 0) ]);
+  check_bool "valid" true (strict honest [ Some (o 0); Some (o 0) ]);
   (* Output 1: violates. *)
-  check_bool "invalid" false
-    (Validity.voting_validity ~tie:Tie_break.default ~honest_inputs:honest
-       ~outputs:[ Some (o 1) ]);
+  check_bool "invalid" false (strict honest [ Some (o 1) ]);
   (* Undecided nodes never violate. *)
-  check_bool "stall ok" true
-    (Validity.voting_validity ~tie:Tie_break.default ~honest_inputs:honest
-       ~outputs:[ None; None ]);
+  check_bool "stall ok" true (strict honest [ None; None ]);
   (* Tie without strict plurality: strict checker is vacuous, tb checker
      pins the tie-break winner. *)
   let tied = [ o 0; o 0; o 1; o 1 ] in
-  check_bool "tie vacuous" true
-    (Validity.voting_validity ~tie:Tie_break.default ~honest_inputs:tied
-       ~outputs:[ Some (o 0) ]);
+  check_bool "tie vacuous" true (strict tied [ Some (o 0) ]);
   check_bool "tie tb pinned" false
-    (Validity.voting_validity_tb ~tie:Tie_break.default ~honest_inputs:tied
-       ~outputs:[ Some (o 0) ]);
+    (admissible Property.voting tied [ Some (o 0) ]);
   check_bool "tie tb winner" true
-    (Validity.voting_validity_tb ~tie:Tie_break.default ~honest_inputs:tied
-       ~outputs:[ Some (o 1) ])
+    (admissible Property.voting tied [ Some (o 1) ])
 
 let test_strong_validity_and_agreement () =
   let honest = [ o 0; o 1 ] in
   check_bool "strong ok" true
-    (Validity.strong_validity ~honest_inputs:honest ~outputs:[ Some (o 1) ]);
+    (admissible Property.strong honest [ Some (o 1) ]);
   check_bool "strong bad" false
-    (Validity.strong_validity ~honest_inputs:honest ~outputs:[ Some (o 5) ]);
+    (admissible Property.strong honest [ Some (o 5) ]);
   check_bool "agreement ok" true
     (Validity.agreement ~outputs:[ Some (o 1); None; Some (o 1) ]);
   check_bool "agreement bad" false
@@ -241,8 +239,7 @@ let prop_voting_implies_strong =
       let inputs = List.map o l in
       match Validity.honest_plurality ~tie:Tie_break.default ~honest_inputs:inputs with
       | None -> true
-      | Some w ->
-          Validity.strong_validity ~honest_inputs:inputs ~outputs:[ Some w ])
+      | Some w -> admissible Property.strong inputs [ Some w ])
 
 let prop_tie_breaks_agree_on_strict =
   QCheck.Test.make ~name:"tie-break irrelevant under strict plurality"
@@ -396,18 +393,6 @@ let gen_property_case =
 let scene_of (tie, t_tol, honest, outs) =
   (tie, t_tol, List.map o honest, List.map (Option.map o) outs)
 
-(* The byte-equivalence contract of the refactor: the two voting
-   instances are the legacy predicates, on every input. *)
-let prop_property_voting_matches_legacy =
-  QCheck.Test.make ~name:"Property voting instances = legacy Validity"
-    gen_property_case (fun case ->
-      let tie, t_tol, honest_inputs, outputs = scene_of case in
-      Property.admissible Property.voting ~tie ~t_tol ~honest_inputs ~outputs
-      = Validity.voting_validity_tb ~tie ~honest_inputs ~outputs
-      && Property.admissible Property.voting_strict ~tie ~t_tol ~honest_inputs
-           ~outputs
-         = Validity.voting_validity ~tie ~honest_inputs ~outputs)
-
 (* Every declared hierarchy edge is a theorem: admissibility under the
    stronger property forces admissibility under everything it implies,
    on arbitrary output vectors. *)
@@ -415,45 +400,65 @@ let prop_hierarchy_sound =
   QCheck.Test.make ~name:"admissibility respects the hierarchy edges"
     gen_property_case (fun case ->
       let tie, t_tol, honest_inputs, outputs = scene_of case in
+      let s = Validity.summarize ~tie honest_inputs in
       List.for_all
         (fun p ->
-          (not (Property.admissible p ~tie ~t_tol ~honest_inputs ~outputs))
+          (not (Property.admissible p s ~t_tol ~outputs))
           || List.for_all
                (fun q ->
                  (not (Property.implies p q))
-                 || Property.admissible q ~tie ~t_tol ~honest_inputs ~outputs)
+                 || Property.admissible q s ~t_tol ~outputs)
                Property.all)
         Property.all)
 
-(* Non-vacuous soundness: deciding a property's mandated output is
-   admissible for the property itself and all the way down its cone. *)
+(* Whether one option strictly beats every other, from the ranking. *)
+let direct_strict inputs =
+  match Tally.ranked ~tie:Tie_break.default (Tally.of_list inputs) with
+  | [] -> false
+  | [ _ ] -> true
+  | (_, ca) :: (_, cb) :: _ -> ca > cb
+
+(* Non-vacuous soundness: deciding the output a property mandates is
+   admissible for the property itself and all the way down its cone.
+   Voting mandates the tie-break plurality, strict voting the plurality
+   when it is strict, and weak validity the value of a unanimous
+   electorate; each is worked out here from the tally, not from the
+   summary under test. *)
 let prop_required_output_admissible =
   QCheck.Test.make ~name:"required_output admissible down the cone"
     gen_property_case (fun case ->
       let tie, t_tol, honest_inputs, _ = scene_of case in
+      let s = Validity.summarize ~tie honest_inputs in
+      let plurality = Tally.plurality ~tie (Tally.of_list honest_inputs) in
+      let unanimous =
+        match honest_inputs with
+        | v :: rest when List.for_all (Option_id.equal v) rest -> Some v
+        | _ -> None
+      in
       List.for_all
-        (fun p ->
-          match p.Property.required_output with
+        (fun (p, mandated) ->
+          match mandated with
           | None -> true
-          | Some f -> (
-              match f ~tie ~honest_inputs with
-              | None -> true
-              | Some v ->
-                  let outputs = [ Some v; None; Some v ] in
-                  List.for_all
-                    (fun q ->
-                      (not (Property.implies p q))
-                      || Property.admissible q ~tie ~t_tol ~honest_inputs
-                           ~outputs)
-                    Property.all))
-        Property.all)
+          | Some v ->
+              let outputs = [ Some v; None; Some v ] in
+              List.for_all
+                (fun q ->
+                  (not (Property.implies p q))
+                  || Property.admissible q s ~t_tol ~outputs)
+                Property.all)
+        [
+          (Property.voting, plurality);
+          ( Property.voting_strict,
+            if direct_strict honest_inputs then plurality else None );
+          (Property.weak, unanimous);
+        ])
 
 (* The honest-input summary against the tally-based definitions it
    replaced: one tally and one ranking must give every plurality-based
    verdict the direct forms give, under every tie-break rule, including
    empty multisets, undecided outputs and outputs no honest node holds.
-   The legacy wrappers and the Property instances go through the summary
-   too, so they are held to the same reference. *)
+   The Property instances read the summary, so they are held to the same
+   reference. *)
 let ties =
   [
     Tie_break.Prefer_larger;
@@ -476,12 +481,6 @@ let gen_summary_case =
       triple (int_range 0 3)
         (list_size (int_range 0 7) (int_range 0 3))
         (list_size (int_range 0 5) (opt (int_range 0 4))))
-
-let direct_strict inputs =
-  match Tally.ranked ~tie:Tie_break.default (Tally.of_list inputs) with
-  | [] -> false
-  | [ _ ] -> true
-  | (_, ca) :: (_, cb) :: _ -> ca > cb
 
 let direct_decided_all a outputs =
   List.for_all (function None -> true | Some v -> Option_id.equal v a) outputs
@@ -507,19 +506,10 @@ let prop_summary_matches_direct =
           outputs
       in
       let s = Validity.summarize ~tie honest_inputs in
-      let adm p = Property.admissible p ~tie ~t_tol:1 ~honest_inputs ~outputs in
+      let adm p = Property.admissible p s ~t_tol:1 ~outputs in
       s.Validity.inputs = honest_inputs
       && s.Validity.plurality = plurality
       && s.Validity.strict = direct_strict honest_inputs
-      && Validity.voting_validity_of s ~outputs = voting
-      && Validity.voting_validity_tb_of s ~outputs = voting_tb
-      && Validity.strong_validity_of s ~outputs = strong
-      && Validity.safety_guaranteed_admissible_of s ~outputs = voting_tb
-      && Validity.voting_validity ~tie ~honest_inputs ~outputs = voting
-      && Validity.voting_validity_tb ~tie ~honest_inputs ~outputs = voting_tb
-      && Validity.strong_validity ~honest_inputs ~outputs = strong
-      && Validity.safety_guaranteed_admissible ~tie ~honest_inputs ~outputs
-         = voting_tb
       && Validity.honest_plurality ~tie ~honest_inputs = plurality
       && Validity.has_strict_plurality ~honest_inputs
          = direct_strict honest_inputs
@@ -551,14 +541,42 @@ let test_property_hierarchy () =
      honest inputs {0,0,3,4,5} have plurality 0, yet at t = 0 the median
      window of the sorted multiset is [3, 3]. *)
   let honest_inputs = List.map o [ 0; 0; 3; 4; 5 ] in
-  let outputs = [ Some (o 0) ] in
-  let adm p =
-    Property.admissible p ~tie:Tie_break.default ~t_tol:0 ~honest_inputs
-      ~outputs
-  in
+  let adm p = admissible p honest_inputs [ Some (o 0) ] in
   check_bool "plurality decision is voting-admissible" true
     (adm Property.voting);
   check_bool "but not median-admissible" false (adm Property.median)
+
+(* [Property.judge]: safety on the decided outputs (agreement and
+   admissibility under the summary's tie rule), then liveness. *)
+let test_property_judge () =
+  let verdict =
+    Alcotest.testable (Fmt.of_to_string Property.verdict_label) ( = )
+  in
+  let tied = [ o 0; o 0; o 1; o 1 ] in
+  let judge p ~tie honest outputs =
+    Property.judge p (Validity.summarize ~tie honest) ~t_tol:1 ~outputs
+  in
+  let ones = [ Some (o 1); Some (o 1); Some (o 1); Some (o 1) ] in
+  check verdict "tie decided 1, ties to smaller" Property.Violation
+    (judge Property.voting ~tie:Tie_break.Prefer_smaller tied ones);
+  check verdict "tie decided 1, ties to larger" Property.Exact
+    (judge Property.voting ~tie:Tie_break.Prefer_larger tied ones);
+  check verdict "one honest node undecided" Property.Stall
+    (judge Property.voting ~tie:Tie_break.Prefer_larger tied
+       [ Some (o 1); None; Some (o 1); Some (o 1) ]);
+  (* Each output alone is strong-admissible and exact; together they
+     disagree. *)
+  let spread = [ o 0; o 1; o 2 ] in
+  let strong = judge Property.strong ~tie:Tie_break.default spread in
+  check verdict "output 0 alone" Property.Exact (strong [ Some (o 0) ]);
+  check verdict "output 2 alone" Property.Exact (strong [ Some (o 2) ]);
+  check verdict "admissible outputs that differ" Property.Violation
+    (strong [ Some (o 0); Some (o 2) ]);
+  check
+    Alcotest.(list string)
+    "labels" [ "exact"; "stall"; "violation" ]
+    (List.map Property.verdict_label
+       [ Property.Exact; Property.Stall; Property.Violation ])
 
 let test_property_registry () =
   check_int "six properties" 6 (List.length Property.all);
@@ -569,12 +587,12 @@ let test_property_registry () =
     Property.names;
   List.iter
     (fun p ->
-      match Property.of_name (Property.id p) with
+      match Property.find (Property.id p) with
       | Some q ->
           check_bool (Property.id p ^ " round-trips") true (Property.equal p q)
-      | None -> Alcotest.failf "of_name %s returned None" (Property.id p))
+      | None -> Alcotest.failf "find %s returned None" (Property.id p))
     Property.all;
-  check_bool "unknown name" true (Property.of_name "nope" = None)
+  check_bool "unknown name" true (Property.find "nope" = None)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -591,7 +609,6 @@ let qcheck_cases =
       prop_compare_ranked_antisym;
       prop_compare_ranked_transitive;
       prop_compare_ranked_consistent_with_wins;
-      prop_property_voting_matches_legacy;
       prop_hierarchy_sound;
       prop_required_output_admissible;
       prop_summary_matches_direct;
@@ -636,6 +653,7 @@ let () =
           Alcotest.test_case "hierarchy shape" `Quick test_property_hierarchy;
           Alcotest.test_case "registry round-trip" `Quick
             test_property_registry;
+          Alcotest.test_case "judge" `Quick test_property_judge;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -326,27 +326,26 @@ let test_tie_break_parameter_end_to_end () =
   | [] -> Alcotest.fail "no decision under prefer-larger"
 
 (* The outcome's verdicts come from one honest-input summary per run
-   (per cell on the scripted path); each must equal the direct predicate
-   over the outcome's own inputs and outputs under the spec's tie rule,
-   on tied and untied electorates, through the unscripted and the
-   scripted (memoised) paths. *)
+   (per cell on the scripted path); the summary must equal a fresh one of
+   the spec's honest inputs under the spec's tie rule, and each verdict
+   the Property instance's over it, on tied and untied electorates,
+   through the unscripted and the scripted (memoised) paths. *)
 let test_outcome_verdicts () =
   let module Validity = Vv_ballot.Validity in
-  let check_outcome what (s : Runner.spec) (r : Runner.outcome) =
-    let tie = s.Runner.tie
-    and honest_inputs = r.Runner.honest_inputs
+  let module Property = Vv_ballot.Property in
+  let check_outcome what (s : Runner.spec) honest_inputs (r : Runner.outcome) =
+    let honest = Validity.summarize ~tie:s.Runner.tie honest_inputs
     and outputs = r.Runner.outputs in
+    let admissible p =
+      Property.admissible p honest ~t_tol:s.Runner.t ~outputs
+    in
     let verdict name want got = check_bool (what ^ ": " ^ name) want got in
-    verdict "voting" (Validity.voting_validity ~tie ~honest_inputs ~outputs)
+    verdict "summary" true (r.Runner.honest = honest);
+    verdict "voting" (admissible Property.voting_strict)
       r.Runner.voting_validity;
-    verdict "voting-tb"
-      (Validity.voting_validity_tb ~tie ~honest_inputs ~outputs)
-      r.Runner.voting_validity_tb;
-    verdict "strong" (Validity.strong_validity ~honest_inputs ~outputs)
-      r.Runner.strong_validity;
-    verdict "safety"
-      (Validity.safety_guaranteed_admissible ~tie ~honest_inputs ~outputs)
-      r.Runner.safety_admissible;
+    verdict "voting-tb" (admissible Property.voting) r.Runner.voting_validity_tb;
+    verdict "strong" (admissible Property.strong) r.Runner.strong_validity;
+    verdict "safety" (admissible Property.voting) r.Runner.safety_admissible;
     verdict "termination" (Validity.termination ~outputs) r.Runner.termination;
     verdict "agreement" (Validity.agreement ~outputs) r.Runner.agreement
   in
@@ -365,7 +364,7 @@ let test_outcome_verdicts () =
                   Fmt.(Dump.list int) honest Strategy.pp strategy
               in
               let r = Runner.run s in
-              check_outcome what s r;
+              check_outcome what s (List.map o honest) r;
               if not r.Runner.voting_validity_tb then incr decided_against)
             Strategy.
               [
@@ -381,6 +380,26 @@ let test_outcome_verdicts () =
      rule, so the verdicts are not vacuously true *)
   check_bool "some run decides against the plurality" true
     (!decided_against > 0)
+
+(* The CLI parses protocol names through [Runner.protocol_of_name]: each
+   label [vvc] prints must parse back to its protocol, the older aliases
+   must keep working, and anything else is refused. *)
+let test_protocol_names () =
+  let name = Alcotest.testable Fmt.string String.equal in
+  let parsed s = Option.map Runner.protocol_label (Runner.protocol_of_name s) in
+  List.iter
+    (fun p ->
+      let label = Runner.protocol_label p in
+      check (Alcotest.option name) label (Some label) (parsed label))
+    Runner.protocols;
+  check_int "six protocols" 6 (List.length Runner.protocols);
+  List.iter
+    (fun (alias, label) ->
+      check (Alcotest.option name) alias (Some label) (parsed alias))
+    [ ("algo2", "algo2-sct"); ("sct", "algo2-sct"); ("algo3", "algo3-incr");
+      ("incremental", "algo3-incr"); ("algo4", "algo4-local");
+      ("local", "algo4-local"); ("sct-incremental", "sct-incr") ];
+  check (Alcotest.option name) "unknown" None (parsed "algo5")
 
 let test_scale_n40 () =
   (* A full Algorithm 1 instance at N = 40, t = f = 8 with a decisive
@@ -1012,6 +1031,8 @@ let () =
             test_tie_break_parameter_end_to_end;
           Alcotest.test_case "outcome verdicts = Validity predicates" `Quick
             test_outcome_verdicts;
+          Alcotest.test_case "protocol labels parse back" `Quick
+            test_protocol_names;
           Alcotest.test_case "scale: N=40, t=8" `Quick test_scale_n40;
           Alcotest.test_case "tie stalls without faults" `Quick
             test_tie_stalls_without_faults;

@@ -367,6 +367,39 @@ let test_stalled_run_allocation () =
     true
     (long <= short + 64)
 
+(* --- judging through Property --- *)
+
+(* Runner and the oracle judge every run through [Property.admissible],
+   so a call through it must allocate what a call of the instance's own
+   closure allocates.  Written as [let admissible p = p.admissible], it
+   allocated 11 words more per call, and each checker run makes four
+   such calls. *)
+let test_property_call_allocation () =
+  let module Property = Vv_ballot.Property in
+  let o = Vv_ballot.Option_id.of_int in
+  let s =
+    Vv_ballot.Validity.summarize ~tie:Vv_ballot.Tie_break.default
+      [ o 0; o 0; o 1 ]
+  in
+  let outputs = [ Some (o 0); Some (o 0); None ] in
+  let words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  List.iter
+    (fun p ->
+      let direct = words (fun () -> p.Property.admissible s ~t_tol:1 ~outputs)
+      and through =
+        words (fun () -> Property.admissible p s ~t_tol:1 ~outputs)
+      in
+      Alcotest.(check int) (Property.id p ^ ": words per 100 calls") direct
+        through)
+    Property.all
+
 let () =
   Alcotest.run "perf"
     [
@@ -388,5 +421,7 @@ let () =
             test_path_sharing_allocation;
           Alcotest.test_case "stalled run words vs round budget" `Quick
             test_stalled_run_allocation;
+          Alcotest.test_case "property call words" `Quick
+            test_property_call_allocation;
         ] );
     ]
