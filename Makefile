@@ -84,8 +84,10 @@ cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreacha
 	  "124 serve --socket _build/cli-smoke.sock -n 0" \
 	  "124 serve --socket _build/cli-smoke.sock -n 3 -t 5" \
 	  "124 ledger -n 0" "124 ledger -n 3 -t 5" \
+	  "124 ledger --slots=0" "124 ledger --slots=-1" \
 	  "124 chaos --trials=0" "124 gst --trials=0" "124 validity --trials=-3" \
 	  "124 run -t-1" "124 run -f-1" "124 radio -t-1" "124 radio -t 20" \
+	  "124 radio -t 9" \
 	  "124 radio --topology=ring:0" "124 radio --topology=complete:0" \
 	  "124 radio --topology=grid:1:0" "124 radio --topology=geo:0:1" \
 	  "124 radio --topology=geo:5:0.01" "124 radio --topology=complete:1 -t 0" \

@@ -80,9 +80,9 @@ let memo_timing ?(ng = 28) ?(t_max = 4) ?(reps = 5) () =
     (if after > 0.0 then before /. after else Float.infinity)
 
 (* Single-domain vs multi-domain wall-clock for the executor's domain
-   pool: the Figure 1(b) empirical sweep (protocol runs through
-   run_generator) and a large single-spec Monte-Carlo batch through
-   run_trials.  Summaries are byte-identical at every jobs value (asserted
+   pool: the Figure 1(b) empirical sweep and a large single-spec
+   Monte-Carlo batch under derived seeds, both fanned out through
+   Executor.map.  Results are identical at every jobs value (asserted
    here, pinned properly in test_exec.ml); only the wall-clock should
    move.  On a single-core host the pool degrades to roughly the
    sequential time plus spawn overhead. *)
@@ -97,8 +97,9 @@ let par_timing ?(jobs = 4) ?(trials = 10_000) () =
       ~strategy:Strategy.Collude_second ~t:2 ~f:2 winning
   in
   let batch jobs () =
-    Vv_exec.Summary.to_json
-      (Vv_exec.Executor.run_trials ~jobs ~trials ~seed:0xbead spec)
+    Vv_exec.Executor.map ~jobs ~count:trials (fun i ->
+        Runner.run_checked
+          (Runner.with_seed (Vv_exec.Executor.derive_seed ~seed:0xbead i) spec))
   in
   let sweep jobs () =
     Vv_prelude.Table.to_csv
@@ -112,7 +113,7 @@ let par_timing ?(jobs = 4) ?(trials = 10_000) () =
   in
   Fmt.pr "@.== Domain pool wall-clock (available cores: %d) ==@."
     (Domain.recommended_domain_count ());
-  report (Fmt.str "run_trials %d x algo1-n14" trials) (wall (batch 1))
+  report (Fmt.str "map %d x algo1-n14" trials) (wall (batch 1))
     (wall (batch jobs));
   report "fig1b empirical sweep (600 trials/cell)" (wall (sweep 1))
     (wall (sweep jobs))
@@ -128,11 +129,14 @@ let chaos_timing ?(trials = 6) () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let module Chaos = Vv_analysis.Exp_chaos in
+  let module Campaign = Vv_exec.Campaign in
   let campaign jobs () =
-    let r = Chaos.run ~jobs ~trials Chaos.Smoke in
-    ( String.concat "\n" (List.map Vv_prelude.Table.to_csv (Chaos.tables r)),
-      r.Chaos.runs )
+    let o =
+      Campaign.run ~profile:Campaign.Smoke ~jobs
+        (Vv_analysis.Exp_chaos.campaign ~trials ())
+    in
+    ( Vv_exec.Emit.tables_string Vv_exec.Emit.Csv o.Campaign.emitted.tables,
+      o.Campaign.cells_run * trials )
   in
   let (r1, n1), t1 = wall (campaign 1) in
   let (r0, n0), t0 = wall (campaign 0) in

@@ -364,7 +364,10 @@ let ledger_cmd =
   let doc = "Run a multi-shot voting ledger over random slot electorates." in
   let n = C.Arg.(value & opt int 9 & info [ "n" ] ~doc:"Total nodes.") in
   let t = C.Arg.(value & opt int 2 & info [ "t" ] ~doc:"Tolerance (the last t nodes are Byzantine).") in
-  let slots = C.Arg.(value & opt int 6 & info [ "slots" ] ~doc:"Number of subjects to decide.") in
+  let slots =
+    C.Arg.(value & opt (Cli.positive_int ~flag:"--slots") 6
+           & info [ "slots" ] ~doc:"Number of subjects to decide (at least 1).")
+  in
   let seed = C.Arg.(value & opt int 0x1ed9 & info [ "seed" ] ~doc:"PRNG seed.") in
   let run format n t slots seed =
     let byzantine = List.init t (fun i -> n - 1 - i) in
@@ -536,8 +539,13 @@ let radio_cmd =
   in
   let checked format topo t =
     let n = Vv_radio.Topology.size topo in
-    if t > n then
-      `Error (true, Fmt.str "-t must be at most the topology's %d nodes, not %d" n t)
+    if t >= n then
+      `Error
+        ( true,
+          Fmt.str
+            "-t must be below the topology's %d nodes, not %d: a vote needs \
+             at least one honest node"
+            n t )
     else `Ok (run format topo t)
   in
   C.Cmd.v (C.Cmd.info "radio" ~doc)

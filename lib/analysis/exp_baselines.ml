@@ -224,7 +224,6 @@ let e8_campaign =
   Campaign.v ~id:"e8"
     ~what:"Baselines: exactness on elections; median/approx on sensors"
     ~seed:0xe8
-    ~axes:[ ("workload", [ "election"; "sensor" ]) ]
     ~cells:(fun _ -> ([ `Election; `Sensor ] : e8_cell list))
     ~run_cell:(fun ctx cell ->
       let smoke = ctx.Campaign.profile = Campaign.Smoke in
@@ -292,9 +291,6 @@ let e9 ?(t = 1) () =
 let e9_campaign =
   Campaign.v ~id:"e9"
     ~what:"Protocol cost: rounds and messages per protocol/substrate"
-    ~axes:
-      [ ("N_G", [ "6"; "9"; "12" ]);
-        ("substrate", [ "dolev-strong"; "eig"; "phase-king"; "plain" ]) ]
     ~cells:(fun _ -> e9_cells)
     ~run_cell:(fun _ c -> e9_row ~t:1 c)
     ~collect:(fun _ pairs ->

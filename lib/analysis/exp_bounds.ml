@@ -66,7 +66,6 @@ let e6 () =
 let e6_campaign =
   Campaign.v ~id:"e6"
     ~what:"Algorithm 4 under local broadcast: the 3t term disappears"
-    ~axes:[ ("(N,t)", List.map (fun (n, t) -> Fmt.str "%d,%d" n t) e6_cells) ]
     ~cells:(fun _ -> e6_cells)
     ~run_cell:(fun _ c -> e6_row c)
     ~collect:(fun _ pairs ->
@@ -151,9 +150,6 @@ type e7_cell = E7_lemma2 of (int * int * int * int) | E7_theorem10 of int
 let e7_campaign =
   Campaign.v ~id:"e7"
     ~what:"Impossibility thresholds: Lemma 2 flip and Theorem 10"
-    ~axes:
-      [ ("t", [ "1"; "2"; "3" ]); ("B_G", [ "1"; "2" ]);
-        ("C_G", [ "0"; "1"; "2" ]); ("gap", [ "t-1"; "t"; "t+1"; "t+2" ]) ]
     ~cells:(fun _ ->
       List.map (fun c -> E7_lemma2 c) e7a_cells
       @ List.map (fun t -> E7_theorem10 t) [ 1; 2; 3 ])
@@ -276,9 +272,6 @@ let e11_campaign =
   let t = 2 in
   Campaign.v ~id:"e11"
     ~what:"Ablation: local judgment condition delta_P (liveness vs safety)"
-    ~axes:
-      [ ("delta_P", List.init ((2 * t) + 2) string_of_int);
-        ("quorum", [ "N-t"; "t+1" ]) ]
     ~cells:(fun _ -> e11_cells ~t)
     ~run_cell:(fun _ c -> e11_row ~t c)
     ~collect:(fun _ pairs ->
@@ -349,8 +342,6 @@ type e10_cell =
 let e10_campaign =
   Campaign.v ~id:"e10"
     ~what:"Theorem 12: dispersion-tolerance frontier and third-option trick"
-    ~axes:
-      [ ("B_G", [ "0"; "1"; "2"; "3" ]); ("C_G", [ "0"; "1"; "2"; "3"; "4" ]) ]
     ~cells:(fun _ ->
       List.map (fun c -> E10_frontier c) e10a_cells
       @ List.map (fun c -> E10_third c) e10b_cells)

@@ -68,7 +68,6 @@ type result = {
   retransmit : bool;
   trials : int;
   cells : cell list;
-  runs : int;
   ok : bool;
 }
 
@@ -245,27 +244,6 @@ let result_ok cells =
       | Std _ -> true)
     cells
 
-let run ?jobs ?(retransmit = false) ?(seed = 0xc4a05) ?trials profile =
-  let trials =
-    match trials with Some k -> k | None -> default_trials profile
-  in
-  if trials < 1 then invalid_arg "Exp_chaos.run: trials must be >= 1";
-  let specs = Array.of_list (grid profile) in
-  let ncells = Array.length specs in
-  let cells =
-    Executor.map ?jobs ~chunk_size:1 ~count:ncells (fun i ->
-        cell_stats ~trials ~retransmit ~seed ~index:i specs.(i))
-    |> Array.to_list
-  in
-  {
-    profile;
-    retransmit;
-    trials;
-    cells;
-    runs = ncells * trials;
-    ok = result_ok cells;
-  }
-
 (* --- tables --- *)
 
 let grid_table r =
@@ -365,10 +343,6 @@ let campaign ?(retransmit = false) ?trials () =
   Campaign.v ~id:"chaos"
     ~what:"Chaos resilience: degradation grid under lossy/partitioned links"
     ~seed:0xc4a05
-    ~axes:
-      [ ("protocol", List.map variant_label variants);
-        ("drop", List.map (Fmt.str "%.2f") (drops Full));
-        ("partition", List.map scenario_label (scenarios Full)) ]
     ~cells:grid
     ~run_cell:(fun ctx cell ->
       let trials = trials_for ctx.Campaign.profile in
@@ -383,7 +357,6 @@ let campaign ?(retransmit = false) ?trials () =
           retransmit;
           trials = trials_for profile;
           cells;
-          runs = List.length cells * trials_for profile;
           ok = result_ok cells;
         }
       in

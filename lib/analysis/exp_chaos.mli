@@ -13,8 +13,8 @@
     safety-guaranteed variant (Algorithm 2) must show zero Violation
     cells anywhere on the grid — [ok] records exactly that.
 
-    Deterministic at any [jobs]: runs fan out through
-    {!Vv_exec.Executor.map} with per-index derived seeds and are
+    Deterministic at any [jobs]: cells fan out through
+    {!Vv_exec.Campaign.run} with per-index derived seeds and are
     aggregated sequentially in index order. *)
 
 type profile = Vv_exec.Campaign.profile = Smoke | Full
@@ -57,27 +57,21 @@ type result = {
   retransmit : bool;
   trials : int;
   cells : cell list;  (** grid order: variant, then drop, then scenario *)
-  runs : int;  (** total protocol executions *)
   ok : bool;
       (** the safety-guaranteed variant (Algo2_sct) and the
           network-agnostic variant ([Na]) had zero Violation trials on
           the whole grid *)
 }
 
-val run :
-  ?jobs:int -> ?retransmit:bool -> ?seed:int -> ?trials:int -> profile ->
-  result
-(** Execute the campaign. [retransmit] (default [false]) enables
-    {!Vv_sim.Retransmit.default} for every run; [trials] overrides the
-    profile's per-cell trial count. Byte-identical output at every
-    [jobs]. Raises [Invalid_argument] when [trials < 1]. *)
-
 val tables : result -> Vv_prelude.Table.t list
 (** The per-cell degradation grid and the per-protocol envelope summary,
     for the shared {!Vv_exec.Emit} path. *)
 
 val campaign : ?retransmit:bool -> ?trials:int -> unit -> Vv_exec.Campaign.t
-(** The same grid as {!run}, packaged as a campaign: one cell per grid
-    point, per-trial seeds reconstructed from the flat (cell, trial)
-    index, [ok] wired to the emitted value so the CLI can exit non-zero
-    on a safety violation. *)
+(** The campaign: one cell per grid point, per-trial seeds derived from
+    the flat (cell, trial) index, [ok] wired to the emitted value so the
+    CLI can exit non-zero on a safety violation. [retransmit] (default
+    [false]) enables {!Vv_sim.Retransmit.default} for every run;
+    [trials] overrides the profile's per-cell trial count. Byte-identical
+    output at every [jobs]. Running it raises [Invalid_argument] when
+    [trials < 1]. *)

@@ -74,8 +74,6 @@ let e4 () =
 let e4_campaign =
   Campaign.v ~id:"e4"
     ~what:"Section I/IV worked example: Algorithm 1 fooled, SCT safe"
-    ~axes:[ ("protocol", [ "algo1"; "algo2-sct" ]);
-            ("electorate", [ "section1"; "decisive" ]) ]
     ~cells:(fun _ -> e4_cells)
     ~run_cell:(fun _ c -> e4_row c)
     ~collect:(fun _ pairs ->
@@ -237,9 +235,6 @@ type e5_cell =
 let e5_campaign =
   Campaign.v ~id:"e5"
     ~what:"Section VII-A incremental threshold: firing point + delay sweep"
-    ~axes:
-      [ ("table", [ "firing"; "delay-sweep"; "adversarial" ]);
-        ("delta", List.map string_of_int e5b_deltas) ]
     ~cells:(fun _ ->
       List.map (fun dp -> E5_firing dp) [ 0; 1 ]
       @ List.map (fun hi -> E5_sweep hi) e5b_deltas

@@ -175,7 +175,6 @@ type e14_cell =
 let e14_campaign =
   Campaign.v ~id:"e14"
     ~what:"Extensions: weighted stakes, approval voting, multi-dimensional"
-    ~axes:[ ("extension", [ "weighted"; "approval"; "multidim" ]) ]
     ~cells:(fun _ ->
       List.map (fun c -> E14_weighted c) e14a_cells
       @ List.map (fun c -> E14_approval c) e14b_cells

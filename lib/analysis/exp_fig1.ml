@@ -15,9 +15,8 @@ module Profiles = Vv_dist.Profiles
 module Cache = Vv_dist.Cache
 module Mc = Vv_dist.Montecarlo
 module Rng = Vv_prelude.Rng
+module Runner = Vv_core.Runner
 module Campaign = Vv_exec.Campaign
-
-let profile_names = List.map (fun (p : Profiles.t) -> p.Profiles.name) Profiles.all
 
 let fig1a_table () =
   Table.create ~title:"Figure 1(a): preference profiles and entropy"
@@ -43,7 +42,6 @@ let fig1a ?(ng = Profiles.default_ng) () =
 let fig1a_campaign =
   Campaign.v ~id:"fig1a"
     ~what:"Figure 1(a): preference profiles D1-D4 and initial entropy"
-    ~axes:[ ("profile", profile_names) ]
     ~cells:(fun _ -> Profiles.all)
     ~run_cell:(fun _ pr -> fig1a_row ~ng:Profiles.default_ng pr)
     ~collect:(fun _ pairs ->
@@ -53,20 +51,27 @@ let fig1a_campaign =
     ()
 
 (* One empirical success estimate: sample honest inputs from the profile,
-   run Algorithm 1 with f = t colluders on the runner-up, and read the
-   success rate (terminated with the exact honest plurality) off the batch
-   summary.  The generator is invoked in index order on the calling domain
-   at every [jobs] value, so drawing from the shared rng inside it is
-   reproducible even when the runs themselves fan out across domains. *)
+   run Algorithm 1 with f = t colluders on the runner-up, and count the
+   runs that terminated with the exact honest plurality.  Every spec is
+   drawn from the shared rng first, in index order on the calling domain,
+   so the draws are the same at every [jobs] value; only the runs fan out.
+   A run whose adversary the engine rejects counts as a failure. *)
 let empirical_success ?jobs ~trials ~t ~rng dist =
-  let summary =
-    Vv_exec.Executor.run_generator ?jobs ~count:trials (fun _ ->
+  let specs =
+    Array.init trials (fun _ ->
         let honest = Mc.sample_inputs dist rng in
-        Vv_core.Runner.simple_spec ~protocol:Vv_core.Runner.Algo1
+        Runner.simple_spec ~protocol:Runner.Algo1
           ~strategy:Vv_core.Strategy.Collude_second ~t ~f:t
           ~seed:(Rng.bits rng) honest)
   in
-  Vv_exec.Summary.success_rate summary
+  let wins =
+    Vv_exec.Executor.map ?jobs ~count:trials (fun i ->
+        match Runner.run_checked specs.(i) with
+        | Ok o when o.Runner.termination && o.Runner.voting_validity_tb -> 1
+        | Ok _ | Error (`Invalid_adversary _) -> 0)
+  in
+  if trials = 0 then 0.0
+  else float_of_int (Array.fold_left ( + ) 0 wins) /. float_of_int trials
 
 let fig1b ?jobs ?(ng = Profiles.default_ng) ?(t_max = 4) ?(mc_samples = 20_000)
     ?(trials = 150) ?(seed = 0xf1b) () =
@@ -108,13 +113,12 @@ let fig1b ?jobs ?(ng = Profiles.default_ng) ?(t_max = 4) ?(mc_samples = 20_000)
 (* The whole fig1b table draws Monte-Carlo samples and protocol inputs
    from one rng shared across every profile and tolerance, so the
    campaign is a single cell: the grid cannot fan out without changing
-   the stream, but the cell threads [ctx.jobs] into the inner
-   [run_generator] sweep, which is jobs-invariant by construction. *)
+   the stream, but the cell threads [ctx.jobs] into the inner protocol-run
+   fan-out, which is jobs-invariant because the specs are drawn first. *)
 let fig1b_campaign =
   Campaign.v ~id:"fig1b"
     ~what:"Figure 1(b): Pr(A_G - B_G > t) exact / Monte-Carlo / protocol runs"
     ~seed:0xf1b
-    ~axes:[ ("profile", profile_names); ("t", [ "0"; "1"; "2"; "3"; "4" ]) ]
     ~cells:(fun _ -> [ () ])
     ~run_cell:(fun ctx () ->
       match ctx.Campaign.profile with
@@ -149,7 +153,6 @@ let fig1c ?(ng = Profiles.default_ng) ?(f_max = 4) () =
 let fig1c_campaign =
   Campaign.v ~id:"fig1c"
     ~what:"Figure 1(c): system entropy H_s vs actual faults"
-    ~axes:[ ("profile", profile_names); ("f", [ "0"; "1"; "2"; "3"; "4" ]) ]
     ~cells:(fun _ -> Profiles.all)
     ~run_cell:(fun _ pr -> fig1c_row ~ng:Profiles.default_ng ~f_max:4 pr)
     ~collect:(fun _ pairs ->

@@ -390,11 +390,6 @@ let campaign ?trials () =
       "Network-agnostic validity: (t_s, t_a) region across sync / GST / \
        async schedulers"
     ~seed:0x657a11
-    ~axes:
-      [ ("(t_s,t_a)",
-         List.map (fun (s, a) -> Fmt.str "(%d,%d)" s a) (pairs Full));
-        ("network", List.map sched_label (scheds Full));
-        ("probe", List.map probe_label probes) ]
     ~cells:grid
     ~run_cell:(fun ctx cell ->
       let trials = trials_for ctx.Campaign.profile in

@@ -120,10 +120,6 @@ let e13_campaign =
   let t = 3 and m = 4 in
   Campaign.v ~id:"e13"
     ~what:"Probability companions: SCT's price; Neiger's N > mt, empirically"
-    ~axes:
-      [ ("profile", List.map (fun (p : Profiles.t) -> p.Profiles.name)
-           Profiles.all);
-        ("N", List.map string_of_int (e13b_points ~t ~m)) ]
     ~cells:(fun _ ->
       List.map (fun pr -> Price pr) Profiles.all
       @ List.map (fun n -> Neiger n) (e13b_points ~t ~m))

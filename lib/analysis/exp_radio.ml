@@ -114,9 +114,6 @@ type e12_cell =
 let e12_campaign =
   Campaign.v ~id:"e12"
     ~what:"Extension: multi-hop radio voting across topologies + [36] limit"
-    ~axes:
-      [ ("topology", List.map fst topologies);
-        ("attack", [ "collude"; "poison" ]) ]
     ~cells:(fun _ ->
       List.map (fun c -> E12_topo c) e12a_cells
       @ List.map (fun c -> E12_poison c) e12b_cells)

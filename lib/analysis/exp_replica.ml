@@ -268,5 +268,4 @@ let e19_campaign =
       "follower replication: catchup resync, primary crash-recovery, and \
        racy-load subject-set equivalence"
     ~seed:0xe19
-    ~axes:[ ("batch", [ "4"; "8" ]); ("racy", [ "false"; "true" ]) ]
     ~cells ~run_cell ~collect ()

@@ -164,6 +164,4 @@ let e18_campaign =
       "serve daemon under load: JSON-RPC throughput, pipelining, and \
        socket-vs-local equivalence"
     ~seed:0xe18
-    ~axes:
-      [ ("batch", [ "1"; "4"; "8" ]); ("clients", [ "1"; "4"; "8" ]) ]
     ~cells ~run_cell ~collect ()

@@ -71,10 +71,6 @@ let e15_campaign =
     ~what:
       "Section V-B revote sessions: convergence per profile and policy"
     ~seed:0xe15
-    ~axes:
-      [ ("profile",
-         List.map (fun (p : Profiles.t) -> p.Profiles.name) Profiles.all);
-        ("policy", [ "abandon-third"; "bandwagon" ]) ]
     ~cells:(fun _ -> [ () ])
     ~run_cell:(fun ctx () ->
       let trials =

@@ -321,10 +321,6 @@ let campaign ?trials () =
       "Validity hierarchy: every implementation x fault-config judged \
        against every first-class property (arXiv 2301.04920)"
     ~seed:0xe21
-    ~axes:
-      [ ("impl", List.map impl_label impls);
-        ("config", List.map (fun c -> c.label) configs);
-        ("validity", Property.names) ]
     ~cells:grid
     ~run_cell:(fun ctx cell ->
       let trials = trials_for ctx.Campaign.profile in

@@ -1,27 +1,24 @@
-(* Orchestration: enumerate the space, fan the engine runs out over the
-   domain pool, classify, collect violations and tightness witnesses, and
-   shrink what gets reported.
+(* The checker's sequential tail: fold the index-addressed classes of an
+   enumerated sweep into per-group counts, violations and tightness
+   witnesses, and shrink what gets reported.  The sweep itself fans out
+   through [Campaign.run] (see {!Report.campaign}).
 
    Determinism contract: the execution array's order is fixed by the
-   enumeration (Space/Script), [Executor.map] returns an index-addressed
-   array that is identical at every [--jobs], and everything after the
-   parallel fan-out — aggregation, witness selection (first index wins),
-   shrinking (greedy over a deterministic move list against a
-   deterministic engine) — is sequential.  The checker's output is
-   therefore byte-identical at any parallelism, which the test suite and
-   CI pin. *)
+   enumeration (Space/Script), the classes arrive index-addressed at
+   every [--jobs], and everything here — aggregation, witness selection
+   (first index wins), shrinking (greedy over a deterministic move list
+   against a deterministic engine) — is sequential.  The checker's output
+   is therefore byte-identical at any parallelism, which the test suite
+   and CI pin. *)
 
 module Runner = Vv_core.Runner
 module Bounds = Vv_core.Bounds
-module Executor = Vv_exec.Executor
 
 type profile = Vv_exec.Campaign.profile = Smoke | Full
 
 let dims_of = function Smoke -> Space.smoke | Full -> Space.full
 
 let profile_label = Vv_exec.Campaign.profile_label
-
-let profile_of_name = Vv_exec.Campaign.profile_of_string
 
 type counterexample = {
   original : Space.execution;
@@ -74,9 +71,8 @@ let counterexample_of ?max_trials ?property exec class_ =
 let kinds = [ Bounds.Bft; Bounds.Cft; Bounds.Sct ]
 
 (* The sequential tail of a check run: everything after the parallel
-   classification fan-out.  Exposed so the campaign wrapper in {!Report}
-   can fan the classification out through [Campaign.run] and still share
-   this aggregation verbatim. *)
+   classification fan-out, which the campaign wrapper in {!Report} runs
+   through [Campaign.run]. *)
 let aggregate ?max_shrink_trials ?(max_reported = 10)
     ?(property = Vv_ballot.Property.voting) profile ~execs ~classes =
   let dims = dims_of profile in
@@ -232,11 +228,3 @@ let aggregate ?max_shrink_trials ?(max_reported = 10)
     tightness;
     ok;
   }
-
-let run ?jobs ?max_shrink_trials ?max_reported profile =
-  let execs = Space.executions (dims_of profile) in
-  let classes =
-    Executor.map ?jobs ~count:(Array.length execs) (fun i ->
-        Oracle.classify_run execs.(i))
-  in
-  aggregate ?max_shrink_trials ?max_reported profile ~execs ~classes

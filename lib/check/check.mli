@@ -1,10 +1,11 @@
-(** The exhaustive small-model checker's entry point.
+(** The exhaustive small-model checker's aggregation.
 
-    Enumerates the profile's state space, fans the engine runs out over
-    the {!Vv_exec.Executor} domain pool, classifies every execution
-    against {!Oracle}, and shrinks what gets reported. Output is
-    byte-identical at every [?jobs] value: the fan-out is index-addressed
-    and everything after it is sequential. *)
+    {!Report.campaign} enumerates the profile's state space, fans the
+    engine runs out through {!Vv_exec.Campaign.run} and classifies every
+    execution against {!Oracle}; {!aggregate} folds the classes into a
+    result and shrinks what gets reported. Output is byte-identical at
+    every [jobs] value: the fan-out is index-addressed and everything
+    after it is sequential. *)
 
 type profile = Vv_exec.Campaign.profile = Smoke | Full
 (** Re-export of {!Vv_exec.Campaign.profile}, so the checker shares the
@@ -12,7 +13,6 @@ type profile = Vv_exec.Campaign.profile = Smoke | Full
 
 val dims_of : profile -> Space.dims
 val profile_label : profile -> string
-val profile_of_name : string -> profile option
 
 type counterexample = {
   original : Space.execution;
@@ -69,11 +69,5 @@ val aggregate :
     the classes were computed against; shrinking re-classifies under it,
     and for non-voting properties [ok] demands only freedom from
     violations (tightness is a statement about the voting bounds).
-    Shared by {!run} and the campaign wrapper in {!Report}. *)
-
-val run :
-  ?jobs:int -> ?max_shrink_trials:int -> ?max_reported:int -> profile -> result
-(** [jobs] follows {!Vv_exec.Executor} semantics (default [1]; [0] = all
-    cores but one); [max_reported] (default 10) caps how many violations
-    are shrunk and carried in the result — [violations_total] still
-    counts all. *)
+    [max_reported] (default 10) caps how many violations are shrunk and
+    carried in the result — [violations_total] still counts all. *)

@@ -11,7 +11,6 @@
 module Table = Vv_prelude.Table
 module Runner = Vv_core.Runner
 module Bounds = Vv_core.Bounds
-module Emit = Vv_exec.Emit
 
 let summary_table ?validity (r : Check.result) =
   let t =
@@ -167,17 +166,11 @@ let sweep_verdict_line (p, (r : Check.result)) =
   in
   Fmt.str "validity=%s %s" p.Property.id base
 
-let print fmt r =
-  Emit.tables fmt (tables r);
-  match fmt with
-  | Emit.Json -> ()
-  | Emit.Table | Emit.Csv -> print_endline (verdict_line r)
-
 (* One cell per enumerated execution; classification fans out (a single
    engine run per execution classified against every swept property),
    the aggregation + shrinking tail runs in [collect].  The verdict line
-   rides along in [emitted] so the shared CLI emitter prints it exactly
-   where [print] used to.  With the default single-voting sweep the
+   rides along in [emitted] so the shared CLI emitter prints it after the
+   tables in non-JSON formats.  With the default single-voting sweep the
    rendered output is byte-identical to the historical fixed-validity
    checker. *)
 let campaign ?max_shrink_trials ?max_reported
@@ -188,10 +181,6 @@ let campaign ?max_shrink_trials ?max_reported
     ~what:
       "Exhaustive small-model check: classify every execution, shrink \
        violations, witness tightness"
-    ~axes:
-      [ ("protocol", [ "algo1"; "algo2-sct"; "cft" ]);
-        ("dimension", [ "electorate"; "adversary"; "substrate"; "delay" ]);
-        ("validity", List.map Property.id properties) ]
     ~cells:(fun profile ->
       Array.to_list (Space.executions (Check.dims_of profile)))
     ~run_cell:(fun _ exec -> Oracle.classify_run_sweep ~properties exec)

@@ -16,8 +16,6 @@ val property_tables :
 val sweep_verdict_line : Vv_ballot.Property.t * Check.result -> string
 (** ["validity=<id> OK/FAIL ..."]. *)
 
-val print : Vv_exec.Emit.format -> Check.result -> unit
-
 val campaign :
   ?max_shrink_trials:int ->
   ?max_reported:int ->

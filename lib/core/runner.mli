@@ -68,8 +68,8 @@ val spec :
 (** Raises [Invalid_argument] when [inputs] does not have length [n]. *)
 
 val with_seed : int -> spec -> spec
-(** Same specification with a different PRNG seed — how the batch executor
-    derives per-instance seeds deterministically. *)
+(** Same specification with a different PRNG seed — how a batch gives each
+    instance its own derived seed deterministically. *)
 
 type outcome = {
   outputs : Oid.t option list;  (** honest nodes, node-id order *)
@@ -126,7 +126,7 @@ val simple_spec :
   Oid.t list ->
   spec
 (** The specification {!simple} runs, without running it — feed these to
-    the batch executor. *)
+    {!run_checked}, e.g. across a batch. *)
 
 val simple :
   ?protocol:protocol ->

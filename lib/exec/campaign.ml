@@ -1,20 +1,20 @@
 (* Declarative experiment campaigns.
 
    A campaign is a first-class description of one experiment: an id, a
-   one-line [what], named grid [axes], a profile-indexed cell list, a
-   per-cell kernel, and a collector that turns the (cell, row) pairs back
-   into tables.  [run] compiles that description onto [Executor.map] with
-   chunk size 1 — each cell is the unit of parallel work and of progress
-   reporting — so every campaign inherits the executor's jobs-invariance:
-   rows are index-addressed, cell seeds depend only on (base seed, cell
-   index), and [collect] always sees the pairs in cell-list order, no
-   matter how many domains ran them.
+   one-line [what], a profile-indexed cell list, a per-cell kernel, and a
+   collector that turns the (cell, row) pairs back into tables.  [run]
+   compiles that description onto [Executor.map] with chunk size 1 — each
+   cell is the unit of parallel work and of progress reporting — so every
+   campaign inherits the executor's jobs-invariance: rows are
+   index-addressed, cell seeds depend only on (base seed, cell index), and
+   [collect] always sees the pairs in cell-list order, no matter how many
+   domains ran them.
 
    Campaigns whose legacy implementation drew from one rng shared across
-   the whole table (fig1b, e8, e15) are modelled as single-cell campaigns:
-   the one cell threads [ctx.jobs] down to the inner [run_generator],
-   which is itself jobs-invariant because generators drain on the calling
-   domain.  Everything else gets genuine per-cell fan-out. *)
+   the whole table (fig1b, e8, e15) are modelled as single-cell campaigns;
+   fig1b's cell threads [ctx.jobs] down to an inner [Executor.map] over
+   runs drawn beforehand on the calling domain, so it stays
+   jobs-invariant.  Everything else gets genuine per-cell fan-out. *)
 
 module Table = Vv_prelude.Table
 
@@ -22,11 +22,6 @@ type profile = Smoke | Full
 
 let all_profiles = [ Smoke; Full ]
 let profile_label = function Smoke -> "smoke" | Full -> "full"
-
-let profile_of_string = function
-  | "smoke" -> Some Smoke
-  | "full" -> Some Full
-  | _ -> None
 
 type ctx = {
   profile : profile;
@@ -43,7 +38,6 @@ let tables tbls = { tables = tbls; ok = true; verdict = None }
 type ('cell, 'row) def = {
   id : string;
   what : string;
-  axes : (string * string list) list;
   default_seed : int;
   cells : profile -> 'cell list;
   run_cell : ctx -> 'cell -> 'row;
@@ -52,12 +46,11 @@ type ('cell, 'row) def = {
 
 type t = Def : ('cell, 'row) def -> t
 
-let v ~id ~what ?(axes = []) ?(seed = 0) ~cells ~run_cell ~collect () =
-  Def { id; what; axes; default_seed = seed; cells; run_cell; collect }
+let v ~id ~what ?(seed = 0) ~cells ~run_cell ~collect () =
+  Def { id; what; default_seed = seed; cells; run_cell; collect }
 
 let id (Def d) = d.id
 let what (Def d) = d.what
-let axes (Def d) = d.axes
 let default_seed (Def d) = d.default_seed
 
 type outcome = {

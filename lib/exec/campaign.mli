@@ -1,13 +1,13 @@
 (** Declarative experiment campaigns compiled onto {!Executor.map}.
 
     A campaign is a first-class value describing one experiment: an id, a
-    one-line [what], named grid axes, a profile-indexed cell list, a
-    per-cell kernel, and a collector folding the (cell, row) pairs back
-    into tables. Running one inherits the executor's determinism
-    contract: cells are index-addressed, each cell's derived seed depends
-    only on (base seed, cell index), and the collector sees pairs in
-    cell-list order at every [jobs] value — so a campaign's emitted
-    tables are byte-identical whether it ran on one domain or many. *)
+    one-line [what], a profile-indexed cell list, a per-cell kernel, and a
+    collector folding the (cell, row) pairs back into tables. Running one
+    inherits the executor's determinism contract: cells are
+    index-addressed, each cell's derived seed depends only on (base seed,
+    cell index), and the collector sees pairs in cell-list order at every
+    [jobs] value — so a campaign's emitted tables are byte-identical
+    whether it ran on one domain or many. *)
 
 type profile = Smoke | Full
 (** The two tiers every campaign supports: [Smoke] is the CI-sized grid,
@@ -15,7 +15,6 @@ type profile = Smoke | Full
 
 val all_profiles : profile list
 val profile_label : profile -> string
-val profile_of_string : string -> profile option
 
 type ctx = {
   profile : profile;  (** the tier this run was invoked at *)
@@ -48,7 +47,6 @@ type t
 val v :
   id:string ->
   what:string ->
-  ?axes:(string * string list) list ->
   ?seed:int ->
   cells:(profile -> 'cell list) ->
   run_cell:(ctx -> 'cell -> 'row) ->
@@ -56,14 +54,12 @@ val v :
   unit ->
   t
 (** [v ~id ~what ~cells ~run_cell ~collect ()] declares a campaign.
-    [axes] names the grid dimensions for documentation and listings; it
-    is descriptive, not load-bearing. [seed] (default [0]) is the base
-    seed used when the caller passes none — ported experiments keep
-    their legacy hard-coded seed here so default outputs are unchanged. *)
+    [seed] (default [0]) is the base seed used when the caller passes
+    none — ported experiments keep their legacy hard-coded seed here so
+    default outputs are unchanged. *)
 
 val id : t -> string
 val what : t -> string
-val axes : t -> (string * string list) list
 val default_seed : t -> int
 
 type outcome = {

@@ -17,10 +17,8 @@ let of_string = function
   | "json" -> Some Json
   | _ -> None
 
-let pp_format ppf f = Format.pp_print_string ppf (to_string f)
-
 (* The [*_string] renderers are the source of truth; the printing entry
-   points below emit exactly those bytes, so writing a rendering to a
+   point below emits exactly those bytes, so writing a rendering to a
    file (vvc --out) is byte-identical to printing it. Table.pp uses no
    break hints, so rendering through a string formatter cannot reflow. *)
 
@@ -38,9 +36,3 @@ let tables_string fmt tbls =
       Json.to_string (Json.List (List.map Table.to_json tbls)) ^ "\n"
 
 let table fmt tbl = print_string (table_string fmt tbl)
-let tables fmt tbls = print_string (tables_string fmt tbls)
-
-let json fmt ~fallback value =
-  match fmt with
-  | Json -> print_endline (Json.to_string value)
-  | Table | Csv -> fallback ()

@@ -8,7 +8,6 @@ type format = Table | Csv | Json
 val all : format list
 val to_string : format -> string
 val of_string : string -> format option
-val pp_format : Format.formatter -> format -> unit
 
 val table_string : format -> Vv_prelude.Table.t -> string
 (** Render one table in the chosen format (JSON on one line, trailing
@@ -16,15 +15,7 @@ val table_string : format -> Vv_prelude.Table.t -> string
 
 val tables_string : format -> Vv_prelude.Table.t list -> string
 (** Render several; under [Json] they form one top-level array — one
-    top-level JSON value, not a stream. {!tables} prints exactly these
-    bytes, so a rendering written to a file matches stdout. *)
+    top-level JSON value, not a stream. *)
 
 val table : format -> Vv_prelude.Table.t -> unit
 (** Print one table in the chosen format (JSON on one line). *)
-
-val tables : format -> Vv_prelude.Table.t list -> unit
-(** Print several; under [Json] they form one top-level array. *)
-
-val json : format -> fallback:(unit -> unit) -> Vv_prelude.Json.t -> unit
-(** Emit [value] under [Json]; otherwise run [fallback] (used where the
-    human-facing rendering is richer than a table). *)

@@ -1,30 +1,20 @@
-(* Chunked batch executor with an optional domain pool.
+(* Deterministic fan-out with an optional domain pool.
 
-   Work arrives as a list of specs or as a generator over [0, count);
-   instances execute in chunks, each chunk folding into its own Summary
-   which is then merged into the total in chunk-index order.  Chunking
-   exists for progress reporting, bounded liveness on long sweeps, and as
-   the unit of work claimed by worker domains — it must never change
-   results, which holds because
+   [map ~count f] evaluates [f 0 .. f (count-1)] into an index-addressed
+   array.  Result slots are disjoint, so the claiming order of chunks
+   cannot affect the output — the array is identical at every [jobs] and
+   [chunk_size] by construction.  Chunking exists for progress reporting
+   and as the unit of work claimed by worker domains.
 
-   - per-instance seeds depend only on (base seed, index), never on the
-     chunk layout or the claiming domain,
-   - [Summary.merge] is associative with [Summary.empty] as unit, and
-   - chunk summaries are merged in ascending chunk index, the same order
-     the sequential path produces them.
-
-   Parallel execution ([jobs > 1]) is a hand-rolled pool: the generator is
-   first drained on the calling domain in index order (so generators that
-   carry state — e.g. drawing honest inputs from one shared rng — behave
-   identically at every [jobs]), then worker domains claim chunk indices
-   from an atomic counter, run their instances, and park the chunk summary
-   in a per-chunk slot; the final fold over slots is index-ordered.  The
-   shared state the workers can reach (Vv_dist's enumeration cache and
-   log-factorial table) is domain-safe as of this layer's parallelisation
-   — see Vv_dist.Cache and Multinomial.warm_log_factorial. *)
+   Parallel execution ([jobs > 1]) is a hand-rolled pool: worker domains
+   claim chunk indices from an atomic counter and write their results
+   into the chunk's own slots.  Callers that draw from shared state (one
+   rng across a table) do so before the fan-out, on the calling domain;
+   the shared state a run can reach (Vv_dist's enumeration cache and
+   log-factorial table) is domain-safe — see Vv_dist.Cache and
+   Multinomial.warm_log_factorial. *)
 
 module Rng = Vv_prelude.Rng
-module Runner = Vv_core.Runner
 
 let default_chunk_size = 64
 
@@ -40,100 +30,6 @@ let resolve_jobs jobs =
 
 type progress = { done_ : int; total : int }
 
-let reseed ~seed i spec =
-  match seed with
-  | None -> spec
-  | Some seed -> Runner.with_seed (derive_seed ~seed i) spec
-
-let run_one_domain ~chunk_size ~seed ?on_progress ~count gen =
-  let total = ref Summary.empty in
-  let i = ref 0 in
-  while !i < count do
-    let stop = min count (!i + chunk_size) in
-    let chunk = ref Summary.empty in
-    while !i < stop do
-      let spec = reseed ~seed !i (gen !i) in
-      chunk := Summary.observe !chunk (Runner.run_checked spec);
-      incr i
-    done;
-    total := Summary.merge !total !chunk;
-    match on_progress with
-    | Some f -> f { done_ = !i; total = count }
-    | None -> ()
-  done;
-  !total
-
-let run_domain_pool ~jobs ~chunk_size ~seed ?on_progress ~count gen =
-  (* Drain the generator on this domain, in index order. *)
-  let specs =
-    let rec build i acc =
-      if i = count then Array.of_list (List.rev acc)
-      else build (i + 1) (reseed ~seed i (gen i) :: acc)
-    in
-    build 0 []
-  in
-  let chunks = (count + chunk_size - 1) / chunk_size in
-  let results = Array.make chunks Summary.empty in
-  let next_chunk = Atomic.make 0 in
-  let completed = Atomic.make 0 in
-  let progress_lock = Mutex.create () in
-  let report lo hi =
-    match on_progress with
-    | None -> ()
-    | Some f ->
-        ignore (Atomic.fetch_and_add completed (hi - lo));
-        (* Serialise callbacks; reading [completed] inside the lock keeps
-           the reported counts non-decreasing across calls. *)
-        Mutex.protect progress_lock (fun () ->
-            f { done_ = Atomic.get completed; total = count })
-  in
-  let worker () =
-    let rec loop () =
-      let c = Atomic.fetch_and_add next_chunk 1 in
-      if c < chunks then begin
-        let lo = c * chunk_size and hi = min count ((c + 1) * chunk_size) in
-        let s = ref Summary.empty in
-        for i = lo to hi - 1 do
-          s := Summary.observe !s (Runner.run_checked specs.(i))
-        done;
-        results.(c) <- !s;
-        report lo hi;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let helpers = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join helpers;
-  Array.fold_left Summary.merge Summary.empty results
-
-let run ?(chunk_size = default_chunk_size) ?jobs ?seed ?on_progress ~count gen =
-  if chunk_size <= 0 then invalid_arg "Executor: chunk_size must be positive";
-  if count < 0 then invalid_arg "Executor: negative count";
-  let jobs = resolve_jobs (Option.value jobs ~default:1) in
-  if jobs = 1 || count <= chunk_size then
-    run_one_domain ~chunk_size ~seed ?on_progress ~count gen
-  else run_domain_pool ~jobs ~chunk_size ~seed ?on_progress ~count gen
-
-let run_generator ?chunk_size ?jobs ?seed ?on_progress ~count gen =
-  run ?chunk_size ?jobs ?seed ?on_progress ~count gen
-
-let run_specs ?chunk_size ?jobs ?seed ?on_progress specs =
-  let arr = Array.of_list specs in
-  run ?chunk_size ?jobs ?seed ?on_progress ~count:(Array.length arr) (fun i ->
-      arr.(i))
-
-let run_trials ?chunk_size ?jobs ~trials ~seed spec =
-  run ?chunk_size ?jobs ~seed ~count:trials (fun _ -> spec)
-
-(* Generic deterministic fan-out: evaluate [f 0 .. f (count-1)] into an
-   index-addressed array.  Result slots are disjoint, so the claiming
-   order of chunks cannot affect the output — the array is identical at
-   every [jobs] by construction.  [f] must be domain-safe (it runs on
-   worker domains when [jobs > 1]) and must not rely on evaluation
-   order.  [on_progress] fires after every completed chunk with
-   non-decreasing [done_] counts, exactly as in [run_generator]. *)
 let map ?(chunk_size = default_chunk_size) ?jobs ?on_progress ~count f =
   if chunk_size <= 0 then invalid_arg "Executor.map: chunk_size must be positive";
   if count < 0 then invalid_arg "Executor.map: negative count";
@@ -142,19 +38,13 @@ let map ?(chunk_size = default_chunk_size) ?jobs ?on_progress ~count f =
     match on_progress with
     | None -> Array.init count f
     | Some report ->
-        let results = Array.make count None in
-        let i = ref 0 in
-        while !i < count do
-          let stop = min count (!i + chunk_size) in
-          while !i < stop do
-            results.(!i) <- Some (f !i);
-            incr i
-          done;
-          report { done_ = !i; total = count }
-        done;
-        Array.map
-          (function Some v -> v | None -> assert false)
-          results
+        (* [Array.init] applies [f] in index order. *)
+        Array.init count (fun i ->
+            let v = f i in
+            let done_ = i + 1 in
+            if done_ mod chunk_size = 0 || done_ = count then
+              report { done_; total = count };
+            v)
   end
   else begin
     let results = Array.make count None in
@@ -167,6 +57,8 @@ let map ?(chunk_size = default_chunk_size) ?jobs ?on_progress ~count f =
       | None -> ()
       | Some f ->
           ignore (Atomic.fetch_and_add completed (hi - lo));
+          (* Serialise callbacks; reading [completed] inside the lock keeps
+             the reported counts non-decreasing across calls. *)
           Mutex.protect progress_lock (fun () ->
               f { done_ = Atomic.get completed; total = count })
     in

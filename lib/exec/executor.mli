@@ -1,25 +1,15 @@
-(** Chunked batch executor over {!Vv_core.Runner} specifications, with an
-    optional domain pool.
+(** Deterministic fan-out over an optional domain pool: the one path every
+    campaign, the checker and the multishot engine run through.
 
-    Instances run in chunks; each chunk folds into a {!Summary.t} merged
-    into the running total in chunk-index order. Chunking is an
-    implementation knob (progress reporting, the unit of work a worker
-    domain claims), never a semantic one: with the same [seed], any
-    [chunk_size] and any [jobs] produce a byte-identical summary, because
-    per-instance seeds depend only on [(seed, index)], {!Summary.merge} is
-    associative, and chunk summaries merge in ascending index order on
-    every path.
-
-    With [jobs > 1] the generator is drained on the calling domain first,
-    still in index order — generators that carry state (e.g. sampling
-    honest inputs from one shared rng) therefore see exactly the calls of
-    the sequential path — and only {!Vv_core.Runner.run_checked} runs on
-    the workers. The shared state reachable from a run ({!Vv_dist.Cache},
-    the log-factorial table) is domain-safe.
-
-    An adversary that violates its fault plan surfaces as the summary's
-    [invalid_adversary] count rather than an exception, so one bad
-    configuration cannot kill a sweep. *)
+    [map] fills an index-addressed array, one slot per index, so its
+    result is identical at every [jobs] and [chunk_size] by construction.
+    Chunking is an implementation knob (progress reporting, the unit of
+    work a worker domain claims), never a semantic one. Callers that
+    share state across indices — e.g. drawing inputs from one rng — draw
+    on the calling domain, in index order, before the fan-out; [f] itself
+    must be domain-safe and independent of evaluation order. The shared
+    state reachable from a protocol run ({!Vv_dist.Cache}, the
+    log-factorial table) is domain-safe. *)
 
 type progress = { done_ : int; total : int }
 
@@ -30,42 +20,6 @@ val derive_seed : seed:int -> int -> int
     algebra. Exposed so tests and experiment code can reproduce a single
     instance of a batch in isolation. *)
 
-val run_generator :
-  ?chunk_size:int ->
-  ?jobs:int ->
-  ?seed:int ->
-  ?on_progress:(progress -> unit) ->
-  count:int ->
-  (int -> Vv_core.Runner.spec) ->
-  Summary.t
-(** [run_generator ~count gen] executes [gen 0 .. gen (count-1)]; [gen] is
-    always invoked in index order on the calling domain. With [?seed],
-    each instance's spec is reseeded with [derive_seed ~seed i]; without
-    it, each spec's own seed is used. [?jobs] (default [1]) sets the
-    number of worker domains; [0] means all available cores but one; the
-    summary is byte-identical for every value. [on_progress] fires after
-    every chunk with non-decreasing [done_] counts (exactly [chunk_size]
-    apart only when [jobs = 1]). Raises [Invalid_argument] when
-    [chunk_size <= 0], [jobs < 0] or [count < 0]. *)
-
-val run_specs :
-  ?chunk_size:int ->
-  ?jobs:int ->
-  ?seed:int ->
-  ?on_progress:(progress -> unit) ->
-  Vv_core.Runner.spec list ->
-  Summary.t
-
-val run_trials :
-  ?chunk_size:int ->
-  ?jobs:int ->
-  trials:int ->
-  seed:int ->
-  Vv_core.Runner.spec ->
-  Summary.t
-(** The common Monte-Carlo shape: the same specification [trials] times
-    under derived seeds. *)
-
 val map :
   ?chunk_size:int ->
   ?jobs:int ->
@@ -74,10 +28,11 @@ val map :
   (int -> 'a) ->
   'a array
 (** [map ~count f] evaluates [f 0 .. f (count - 1)] into an
-    index-addressed array, fanning chunks out over the domain pool when
-    [jobs <> 1] (same [jobs] semantics as {!run_generator}). Result slots
-    are disjoint, so the output is identical at every [jobs] and
-    [chunk_size] by construction. [f] must be domain-safe and independent
-    of evaluation order. [on_progress] fires after every completed chunk
-    with non-decreasing [done_] counts. Raises [Invalid_argument] when
-    [chunk_size <= 0], [jobs < 0] or [count < 0]. *)
+    index-addressed array. [?jobs] (default [1]) sets the number of
+    worker domains; [0] means all available cores but one; the array is
+    identical at every value. With one domain, [f] is applied in index
+    order. Chunks of [chunk_size] (default 64) indices are the unit a
+    worker claims; [on_progress] fires after every completed chunk with
+    non-decreasing [done_] counts (exactly [chunk_size] apart only on one
+    domain). Raises [Invalid_argument] when [chunk_size <= 0],
+    [jobs < 0] or [count < 0]. *)

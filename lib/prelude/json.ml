@@ -77,8 +77,6 @@ let pp ppf t = Fmt.string ppf (to_string t)
 
 let of_int_option = function None -> Null | Some i -> Int i
 
-let of_histogram h = List (List.map (fun (v, c) -> List [ Int v; Int c ]) h)
-
 (* Recursive-descent parser for standard JSON.  [\uXXXX] escapes decode
    to UTF-8, including surrogate pairs for non-BMP code points; lone
    surrogates are an error rather than mangled output.  Numbers parse as

@@ -20,9 +20,6 @@ val pp : Format.formatter -> t -> unit
 val of_int_option : int option -> t
 (** [None] is [Null]. *)
 
-val of_histogram : (int * int) list -> t
-(** A [(value, count)] histogram as a list of two-element arrays. *)
-
 val of_string : string -> (t, string) result
 (** Parse one JSON document. [\uXXXX] escapes decode to UTF-8 — surrogate
     pairs combine into one non-BMP code point, lone surrogates are an

@@ -530,18 +530,21 @@ let test_network_ids_validated () =
 (* --- the E17 campaign --- *)
 
 let test_campaign_jobs_invariant () =
-  let a = Chaos.run ~jobs:1 ~trials:1 Chaos.Smoke in
-  let b = Chaos.run ~jobs:2 ~trials:1 Chaos.Smoke in
-  check_bool "identical cells at any jobs" true
-    (a.Chaos.cells = b.Chaos.cells);
-  check_int "grid fully classified" 54 (List.length a.Chaos.cells);
-  check_bool "safety-guaranteed variant clean" true a.Chaos.ok;
-  (* Tables render without raising and agree across jobs. *)
-  let render r =
-    String.concat "\n"
-      (List.map Vv_prelude.Table.to_csv (Chaos.tables r))
+  let module Campaign = Vv_exec.Campaign in
+  let run jobs =
+    Campaign.run ~profile:Campaign.Smoke ~jobs (Chaos.campaign ~trials:1 ())
   in
-  check Alcotest.string "rendered grids" (render a) (render b)
+  let a = run 1 and b = run 2 in
+  List.iter
+    (fun (o : Campaign.outcome) ->
+      check_int "grid fully classified" 54 o.Campaign.cells_run;
+      check_bool "safety-guaranteed variant clean" true
+        o.Campaign.emitted.Campaign.ok)
+    [ a; b ];
+  let csv (o : Campaign.outcome) =
+    Vv_exec.Emit.(tables_string Csv o.Campaign.emitted.Campaign.tables)
+  in
+  check Alcotest.string "identical grids at any jobs" (csv a) (csv b)
 
 let () =
   Alcotest.run "chaos"

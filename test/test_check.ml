@@ -214,7 +214,18 @@ let test_shrink_moves_shrink () =
 
 (* --- whole-checker runs ------------------------------------------------ *)
 
-let smoke_result = lazy (Check.run ~jobs:1 Check.Smoke)
+(* A checker result built the way [Report.campaign] builds it: classify
+   every enumerated execution (fanned out over [jobs] domains), then fold
+   the classes with [Check.aggregate]. *)
+let check_result ~jobs profile =
+  let execs = Space.executions (Check.dims_of profile) in
+  let classes =
+    Vv_exec.Executor.map ~jobs ~count:(Array.length execs) (fun i ->
+        Oracle.classify_run execs.(i))
+  in
+  Check.aggregate profile ~execs ~classes
+
+let smoke_result = lazy (check_result ~jobs:1 Check.Smoke)
 
 let test_smoke_certifies () =
   let r = Lazy.force smoke_result in
@@ -250,7 +261,7 @@ let test_jobs_invariance () =
   (* The CLI-level guarantee is byte-identical output at any --jobs; at
      the library level compare everything the report renders. *)
   let r1 = Lazy.force smoke_result in
-  let r0 = Check.run ~jobs:0 Check.Smoke in
+  let r0 = check_result ~jobs:0 Check.Smoke in
   check_bool "groups identical" true (r1.Check.groups = r0.Check.groups);
   check_int "violations identical" r1.Check.violations_total
     r0.Check.violations_total;

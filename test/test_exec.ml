@@ -1,7 +1,7 @@
 (* Tests of the batch execution layer: the enumeration cache against the
-   uncached oracle, chunk-size-independent determinism of batch summaries,
-   the structured trace against the outcome it summarises, and
-   invalid-adversary accounting. *)
+   uncached oracle, [Executor.map]'s determinism at every chunk size and
+   jobs value, the structured trace against the outcome it summarises, and
+   rejected adversaries surfacing as [Error] values. *)
 
 module Exact = Vv_dist.Exact
 module Cache = Vv_dist.Cache
@@ -9,7 +9,6 @@ module Multinomial = Vv_dist.Multinomial
 module Runner = Vv_core.Runner
 module Strategy = Vv_core.Strategy
 module Executor = Vv_exec.Executor
-module Summary = Vv_exec.Summary
 module Emit = Vv_exec.Emit
 module Json = Vv_prelude.Json
 module Oid = Vv_ballot.Option_id
@@ -101,39 +100,64 @@ let batch_spec =
     ~t:1 ~f:1
     (List.map Oid.of_int [ 0; 0; 0; 1; 2 ])
 
+(* [count] runs of [spec] under derived seeds, fanned out by [map]. *)
+let batch ?jobs ?chunk_size ?on_progress ~count ~seed spec =
+  Executor.map ?jobs ?chunk_size ?on_progress ~count (fun i ->
+      Runner.run_checked (Runner.with_seed (Executor.derive_seed ~seed i) spec))
+
+(* One line per run: the honest outputs and the whole trace as JSON, or
+   the rejection. *)
+let render runs =
+  String.concat "\n"
+    (Array.to_list
+       (Array.map
+          (function
+            | Ok o ->
+                Fmt.str "%a %s"
+                  Fmt.(list ~sep:comma (option ~none:(any "-") Oid.pp))
+                  o.Runner.outputs
+                  (Json.to_string (Trace.to_json o.Runner.trace))
+            | Error (`Invalid_adversary msg) -> "invalid: " ^ msg)
+          runs))
+
 let test_chunk_size_invariance () =
-  let summary chunk_size =
-    Executor.run_trials ~chunk_size ~trials:40 ~seed:0xbadc batch_spec
-  in
-  let reference = Json.to_string (Summary.to_json (summary 1)) in
+  let runs chunk_size = batch ~chunk_size ~count:40 ~seed:0xbadc batch_spec in
+  let reference = render (runs 1) in
   List.iter
     (fun chunk_size ->
       check Alcotest.string
         (Fmt.str "chunk_size=%d byte-identical" chunk_size)
         reference
-        (Json.to_string (Summary.to_json (summary chunk_size))))
+        (render (runs chunk_size)))
     [ 3; 7; 40; 1000 ];
   (* And the runs actually did something. *)
-  let s = summary 7 in
-  check_int "all trials ran" 40 s.Summary.total;
-  check_bool "some successes" true (s.Summary.successes > 0)
+  let r = runs 7 in
+  check_int "all trials ran" 40 (Array.length r);
+  check_bool "some successes" true
+    (Array.exists
+       (function
+         | Ok o -> o.Runner.termination && o.Runner.voting_validity_tb
+         | Error _ -> false)
+       r)
 
 let test_generator_order_and_progress () =
   let seen = ref [] in
   let ticks = ref [] in
-  let s =
-    Executor.run_generator ~chunk_size:4 ~seed:7
+  let squares =
+    Executor.map ~chunk_size:4
       ~on_progress:(fun p -> ticks := p.Executor.done_ :: !ticks)
       ~count:10
       (fun i ->
         seen := i :: !seen;
-        batch_spec)
+        i * i)
   in
-  check (Alcotest.list Alcotest.int) "generator called in index order"
+  check (Alcotest.list Alcotest.int) "f applied in index order"
     (List.init 10 Fun.id) (List.rev !seen);
   check (Alcotest.list Alcotest.int) "progress after each chunk" [ 4; 8; 10 ]
     (List.rev !ticks);
-  check_int "total" 10 s.Summary.total
+  check (Alcotest.array Alcotest.int) "slot i holds f i"
+    (Array.init 10 (fun i -> i * i))
+    squares
 
 let test_derive_seed_depends_only_on_index () =
   List.iter
@@ -180,93 +204,56 @@ let test_derive_seed_golden () =
       (0, 0, 2080277311359033222);
     ]
 
-let test_summary_merge_unit_and_commutative () =
-  let s =
-    Executor.run_trials ~chunk_size:5 ~trials:12 ~seed:9 batch_spec
-  in
-  let js x = Json.to_string (Summary.to_json x) in
-  check Alcotest.string "empty is left unit" (js s)
-    (js (Summary.merge Summary.empty s));
-  check Alcotest.string "empty is right unit" (js s)
-    (js (Summary.merge s Summary.empty));
-  let a =
-    Executor.run_trials ~chunk_size:5 ~trials:5 ~seed:11 batch_spec
-  in
-  check Alcotest.string "merge commutes" (js (Summary.merge a s))
-    (js (Summary.merge s a))
-
 (* --- domain-pool execution --- *)
 
-let summary_bytes s = Json.to_string (Summary.to_json s)
-
-(* Byte-identical summaries at every (jobs, chunk_size): the executor's
-   central determinism promise, and the suite `make check-parallel` runs. *)
+(* Byte-identical runs at every (jobs, chunk_size): the executor's central
+   determinism promise, and the suite `make check-parallel` runs. *)
 let test_jobs_invariance () =
-  let reference =
-    summary_bytes (Executor.run_trials ~jobs:1 ~trials:60 ~seed:0x90b5 batch_spec)
-  in
+  let reference = render (batch ~jobs:1 ~count:60 ~seed:0x90b5 batch_spec) in
   List.iter
     (fun (jobs, chunk_size) ->
       check Alcotest.string
         (Fmt.str "jobs=%d chunk_size=%d byte-identical" jobs chunk_size)
         reference
-        (summary_bytes
-           (Executor.run_trials ~jobs ~chunk_size ~trials:60 ~seed:0x90b5
-              batch_spec)))
-    [ (1, 5); (2, 64); (2, 7); (4, 64); (4, 1); (4, 13) ]
+        (render (batch ~jobs ~chunk_size ~count:60 ~seed:0x90b5 batch_spec)))
+    [ (1, 5); (2, 64); (2, 7); (4, 64); (4, 1); (4, 13) ];
+  (* Figure 1(b)'s protocol-run column draws every spec from one shared
+     rng before the fan-out, so its rate is the same at every jobs. *)
+  let rate jobs =
+    Vv_analysis.Exp_fig1.empirical_success ~jobs ~trials:40 ~t:1
+      ~rng:(Vv_prelude.Rng.create 0xf1b2)
+      Vv_dist.Profiles.(distribution d2)
+  in
+  List.iter
+    (fun jobs ->
+      check (Alcotest.float 0.0)
+        (Fmt.str "fig1b success rate, jobs=%d" jobs)
+        (rate 1) (rate jobs))
+    [ 2; 4 ]
 
 let prop_jobs_and_chunks_invariant =
   QCheck.Test.make ~count:12
-    ~name:"run_trials byte-identical across jobs and chunk_size"
+    ~name:"map byte-identical across jobs and chunk_size"
     QCheck.(
       make
         ~print:(fun (j, c, n) -> Fmt.str "jobs=%d chunk=%d trials=%d" j c n)
         Gen.(
           triple (int_range 1 4) (int_range 1 40) (int_range 5 30)))
-    (fun (jobs, chunk_size, trials) ->
-      let seq =
-        summary_bytes (Executor.run_trials ~jobs:1 ~trials ~seed:0xfeed batch_spec)
-      in
+    (fun (jobs, chunk_size, count) ->
+      let seq = render (batch ~jobs:1 ~count ~seed:0xfeed batch_spec) in
       let par =
-        summary_bytes
-          (Executor.run_trials ~jobs ~chunk_size ~trials ~seed:0xfeed batch_spec)
+        render (batch ~jobs ~chunk_size ~count ~seed:0xfeed batch_spec)
       in
       String.equal seq par)
 
-(* With a stateful generator (shared rng drawn inside gen), results must
-   still match, because the generator is drained in index order on the
-   calling domain before workers start. *)
-let test_jobs_invariance_stateful_generator () =
-  let summary jobs =
-    let rng = Vv_prelude.Rng.create 0xf1b2 in
-    Executor.run_generator ~jobs ~chunk_size:8 ~count:40 (fun _ ->
-        let honest =
-          Vv_dist.Montecarlo.sample_inputs
-            Vv_dist.Profiles.(distribution d2)
-            rng
-        in
-        Runner.simple_spec ~protocol:Runner.Algo1
-          ~strategy:Strategy.Collude_second ~t:1 ~f:1
-          ~seed:(Vv_prelude.Rng.bits rng) honest)
-  in
-  let reference = summary_bytes (summary 1) in
-  List.iter
-    (fun jobs ->
-      check Alcotest.string
-        (Fmt.str "stateful generator, jobs=%d" jobs)
-        reference
-        (summary_bytes (summary jobs)))
-    [ 2; 4 ]
-
 let test_parallel_progress_monotone () =
   let ticks = ref [] in
-  let s =
-    Executor.run_generator ~jobs:4 ~chunk_size:5 ~seed:5
+  let runs =
+    batch ~jobs:4 ~chunk_size:5
       ~on_progress:(fun p -> ticks := p.Executor.done_ :: !ticks)
-      ~count:37
-      (fun _ -> batch_spec)
+      ~count:37 ~seed:5 batch_spec
   in
-  check_int "all instances ran" 37 s.Summary.total;
+  check_int "all instances ran" 37 (Array.length runs);
   let ticks = List.rev !ticks in
   check_bool "at least one tick" true (ticks <> []);
   check_int "last tick reports completion" 37 (List.nth ticks (List.length ticks - 1));
@@ -279,10 +266,16 @@ let test_parallel_progress_monotone () =
 let test_jobs_validation () =
   Alcotest.check_raises "negative jobs"
     (Invalid_argument "Executor: negative jobs") (fun () ->
-      ignore (Executor.run_trials ~jobs:(-1) ~trials:3 ~seed:1 batch_spec));
+      ignore (Executor.map ~jobs:(-1) ~count:3 Fun.id));
+  Alcotest.check_raises "chunk_size 0"
+    (Invalid_argument "Executor.map: chunk_size must be positive") (fun () ->
+      ignore (Executor.map ~chunk_size:0 ~count:3 Fun.id));
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Executor.map: negative count") (fun () ->
+      ignore (Executor.map ~count:(-1) Fun.id));
   (* jobs=0 resolves to "cores - 1" and must still run. *)
-  let s = Executor.run_trials ~jobs:0 ~trials:5 ~seed:1 batch_spec in
-  check_int "jobs=0 runs everything" 5 s.Summary.total
+  let runs = batch ~jobs:0 ~count:5 ~seed:1 batch_spec in
+  check_int "jobs=0 runs everything" 5 (Array.length runs)
 
 (* Concurrent cache queries from several domains agree with the uncached
    oracle, and racing first queries never duplicate entries. *)
@@ -385,14 +378,17 @@ let equivocation_spec =
     ~t:1 ~f:1
     (List.map Oid.of_int [ 0; 0; 0; 1; 2 ])
 
+(* A batch of rejected adversaries never raises: each run is an [Error]. *)
 let test_invalid_adversary_counted () =
   (match Runner.run_checked equivocation_spec with
   | Error (`Invalid_adversary _) -> ()
   | Ok _ -> Alcotest.fail "expected Invalid_adversary from run_checked");
-  let s = Executor.run_trials ~chunk_size:2 ~trials:5 ~seed:3 equivocation_spec in
-  check_int "all runs counted" 5 s.Summary.total;
-  check_int "all flagged invalid" 5 s.Summary.invalid_adversary;
-  check_int "none terminated" 0 s.Summary.terminated
+  let runs = batch ~chunk_size:2 ~count:5 ~seed:3 equivocation_spec in
+  check_int "all runs counted" 5 (Array.length runs);
+  check_bool "all flagged invalid" true
+    (Array.for_all
+       (function Error (`Invalid_adversary _) -> true | Ok _ -> false)
+       runs)
 
 (* --- emit formats --- *)
 
@@ -486,8 +482,6 @@ let () =
             `Quick test_derive_seed_no_xor_collisions;
           Alcotest.test_case "derived seeds: golden values" `Quick
             test_derive_seed_golden;
-          Alcotest.test_case "summary merge laws" `Quick
-            test_summary_merge_unit_and_commutative;
           Alcotest.test_case "invalid adversary counted" `Quick
             test_invalid_adversary_counted;
         ] );
@@ -496,8 +490,6 @@ let () =
           Alcotest.test_case "jobs invariance (byte-identical)" `Quick
             test_jobs_invariance;
           QCheck_alcotest.to_alcotest prop_jobs_and_chunks_invariant;
-          Alcotest.test_case "stateful generator across jobs" `Quick
-            test_jobs_invariance_stateful_generator;
           Alcotest.test_case "progress monotone under domains" `Quick
             test_parallel_progress_monotone;
           Alcotest.test_case "jobs validation and jobs=0" `Quick
