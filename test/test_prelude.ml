@@ -276,6 +276,145 @@ let test_json_roundtrip () =
       Alcotest.(check bool) "print/parse fixpoint" true (v = v'))
     samples
 
+(* Exact printer bytes: ints, floats (NaN and infinities print null),
+   every escaped byte class, raw DEL and raw UTF-8, empty containers. *)
+let test_json_print_table () =
+  List.iter
+    (fun (v, bytes) -> check_string bytes bytes (Json.to_string v))
+    Json.
+      [
+        (Int 0, "0");
+        (Int (-1), "-1");
+        (Int max_int, "4611686018427387903");
+        (Int min_int, "-4611686018427387904");
+        (Float 1.0, "1.0");
+        (Float 0.1, "0.1");
+        (Float 1e300, "1e+300");
+        (Float (-0.0), "-0.0");
+        (Float 1e14, "100000000000000.0");
+        (Float 1e15, "1e+15");
+        (Float nan, "null");
+        (Float infinity, "null");
+        (String "\"", {|"\""|});
+        (String "\\", {|"\\"|});
+        (String "\n", {|"\n"|});
+        (String "\r", {|"\r"|});
+        (String "\t", {|"\t"|});
+        (String "\x01", {|"\u0001"|});
+        (String "\x1f", {|"\u001f"|});
+        (String "\b\012/", {|"\u0008\u000c/"|});
+        (String "\x7f", "\"\x7f\"");
+        (String "\xc3\xa9\xe2\x98\x83", "\"\xc3\xa9\xe2\x98\x83\"");
+        (String "a\"b\\c\nd", {|"a\"b\\c\nd"|});
+        (List [], "[]");
+        (Obj [], "{}");
+        ( Obj [ ("k\"", Null); ("a", List [ Int 1; Null; Bool true; Bool false ]) ],
+          {|{"k\"":null,"a":[1,null,true,false]}|} );
+      ]
+
+(* Exact parse results and error messages, offsets included: the number
+   forms the parser accepts or rejects, and malformed documents. *)
+let test_json_parse_table () =
+  let show = function
+    | Ok v ->
+        let kind =
+          match v with Json.Int _ -> "Int" | Json.Float _ -> "Float" | _ -> ""
+        in
+        Fmt.str "Ok %s %s" kind (Json.to_string v)
+    | Error msg -> "Error " ^ msg
+  in
+  List.iter
+    (fun (input, expected) ->
+      check_string (Fmt.str "%S" input) expected (show (Json.of_string input)))
+    [
+      ("01", "Ok Int 1");
+      ("00", "Ok Int 0");
+      ("-0", "Ok Int 0");
+      ("-01", "Ok Int -1");
+      ("+1", "Ok Int 1");
+      ("1.", "Ok Float 1.0");
+      (".5", "Ok Float 0.5");
+      ("1e2", "Ok Float 100.0");
+      ("2e-1", "Ok Float 0.2");
+      ("1E400", "Ok Float null");
+      ("4611686018427387903", "Ok Int 4611686018427387903");
+      ("4611686018427387904", "Ok Float 4.61168601843e+18");
+      ("-4611686018427387904", "Ok Int -4611686018427387904");
+      ("1234567890123456789", "Ok Int 1234567890123456789");
+      ("99999999999999999999", "Ok Float 1e+20");
+      (" 7 ", "Ok Int 7");
+      ("-", "Error invalid number at offset 1");
+      ("+", "Error invalid number at offset 1");
+      ("1-2", "Error invalid number at offset 3");
+      ("--1", "Error invalid number at offset 3");
+      ("1e", "Error invalid number at offset 2");
+      ("-inf", "Error invalid number at offset 1");
+      ("x", "Error invalid number at offset 0");
+      ("0x10", "Error trailing garbage at offset 1");
+      ("1_000", "Error trailing garbage at offset 1");
+      ("", "Error unexpected end of input at offset 0");
+      ("tru", "Error expected true at offset 0");
+      ("nan", "Error expected null at offset 0");
+      ("[1,fals]", "Error expected false at offset 3");
+      ("truex", "Error trailing garbage at offset 4");
+      ({|{"a" 1}|}, "Error expected ':' at offset 5");
+      ({|{"a":1,}|}, {|Error expected '"' at offset 7|});
+      ({|{"a":1 "b":2}|}, "Error expected '}' at offset 7");
+      ("[1,2", "Error expected ']' at offset 4");
+      ("[1 2]", "Error expected ']' at offset 3");
+      ("[1] x", "Error trailing garbage at offset 4");
+      ({|"abc|}, "Error unterminated string at offset 4");
+      ({|"ab\|}, "Error unterminated escape at offset 4");
+      ({|"\q"|}, "Error invalid escape at offset 3");
+      ({|"\u12"|}, "Error truncated \\u escape at offset 3");
+      ({|"\u12g4"|}, "Error invalid \\u escape at offset 3");
+      ({|"\udd1e"|}, "Error lone low surrogate at offset 7");
+      ( {|"\ud834x"|},
+        "Error high surrogate without a following \\u escape at offset 7" );
+      ( {|"\ud834\u0041"|},
+        "Error high surrogate not followed by a low surrogate at offset 13" );
+      ("\"a\x01b\"", {|Ok  "a\u0001b"|});
+      ({|{"a":[1,{"b":null}],"c":"x\ny"}|}, {|Ok  {"a":[1,{"b":null}],"c":"x\ny"}|});
+      ("[ ]", "Ok  []");
+      ("{ }", "Ok  {}");
+    ]
+
+(* Float-free trees over arbitrary byte strings print and parse back to
+   themselves. *)
+let json_tree_gen =
+  let open QCheck.Gen in
+  let bytes n = string_size ~gen:char (int_bound n) in
+  sized
+  @@ fix (fun self size ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun i -> Json.Int i) (oneofl [ 0; -1; max_int; min_int ]);
+               map (fun s -> Json.String s) (bytes 12);
+             ]
+         in
+         if size <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Json.List l)
+                   (list_size (int_bound 4) (self (size / 4))) );
+               ( 1,
+                 map (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair (bytes 8) (self (size / 4))))
+               );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"of_string inverts to_string"
+    (QCheck.make ~print:Json.to_string json_tree_gen)
+    (fun v -> Json.of_string (Json.to_string v) = Ok v)
+
 (* --- io --- *)
 
 module Io = Vv_prelude.Io
@@ -352,6 +491,10 @@ let () =
           Alcotest.test_case "lone surrogates and bad hex rejected" `Quick
             test_json_lone_surrogates;
           Alcotest.test_case "print/parse round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "to_string bytes" `Quick test_json_print_table;
+          Alcotest.test_case "of_string results and errors" `Quick
+            test_json_parse_table;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );
       ( "io",
         [
