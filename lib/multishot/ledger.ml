@@ -197,32 +197,40 @@ let slot_to_json s =
       ("rounds_total", Json.Int s.rounds_total);
     ]
 
-let slot_of_json j =
-  let ( let* ) = Result.bind in
-  match j with
-  | Json.Obj fields ->
-      let int key =
-        match List.assoc_opt key fields with
-        | Some (Json.Int i) -> Ok i
-        | _ -> Error (Printf.sprintf "slot: missing int field %S" key)
-      in
-      let* index = int "index" in
-      let* subject = int "subject" in
-      let* decision =
-        match List.assoc_opt "decision" fields with
-        | Some Json.Null -> Ok None
-        | Some (Json.Int i) when i >= 0 -> Ok (Some (Oid.of_int i))
-        | _ -> Error "slot: decision must be a non-negative int or null"
-      in
-      let* speaker = int "speaker" in
-      let* attempts = int "attempts" in
-      let* valid =
-        match List.assoc_opt "valid" fields with
-        | Some (Json.Bool b) -> Ok b
-        | _ -> Error "slot: missing bool field \"valid\""
-      in
-      let* rounds_total = int "rounds_total" in
-      Ok { index; subject; decision; speaker; attempts; valid; rounds_total }
+exception Bad_slot of string
+
+let int_field fields key =
+  match Json.member key fields with
+  | Some (Json.Int i) -> i
+  | _ -> raise_notrace (Bad_slot (Printf.sprintf "slot: missing int field %S" key))
+
+(* Fields are read in record order, so the first bad one names the
+   error. *)
+let slot_of_json = function
+  | Json.Obj fields -> (
+      match
+        let index = int_field fields "index" in
+        let subject = int_field fields "subject" in
+        let decision =
+          match Json.member "decision" fields with
+          | Some Json.Null -> None
+          | Some (Json.Int i) when i >= 0 -> Some (Oid.of_int i)
+          | _ ->
+              raise_notrace
+                (Bad_slot "slot: decision must be a non-negative int or null")
+        in
+        let speaker = int_field fields "speaker" in
+        let attempts = int_field fields "attempts" in
+        let valid =
+          match Json.member "valid" fields with
+          | Some (Json.Bool b) -> b
+          | _ -> raise_notrace (Bad_slot "slot: missing bool field \"valid\"")
+        in
+        let rounds_total = int_field fields "rounds_total" in
+        { index; subject; decision; speaker; attempts; valid; rounds_total }
+      with
+      | s -> Ok s
+      | exception Bad_slot msg -> Error msg)
   | _ -> Error "slot: expected an object"
 
 let pp_slot ppf s =

@@ -1,6 +1,8 @@
 (** Minimal JSON tree, printer and parser for the machine-readable
-    emitters (run traces, batch summaries, tables) and the tools that read
-    them back (the bench regression gate). *)
+    emitters (run traces, batch summaries, tables), the serve daemon's
+    wire lines and decision log, and the tools that read them back (the
+    bench regression gate). Printing allocates the returned string and
+    nothing else; parsing allocates the tree, copying each string once. *)
 
 type t =
   | Null
@@ -10,6 +12,10 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+
+val member : string -> (string * t) list -> t option
+(** [member key fields] is the value of the first field named [key], as
+    [List.assoc_opt] gives it, with keys compared by [String.equal]. *)
 
 val to_string : t -> string
 (** Compact (single-line) JSON. [Float] values with no JSON representation

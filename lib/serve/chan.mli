@@ -1,8 +1,9 @@
 (** Non-blocking line channel shared by {!Server} and {!Replica}: buffered
-    line reads plus a bounded outbound queue flushed on writability, so a
-    slow or dead peer can never block the daemon's select loop. Every
-    syscall retries [EINTR]; EOF and connection errors mark the channel
-    dead instead of raising. *)
+    line reads plus an outbound buffer that the owning loop flushes with
+    one [write] per pass and on writability, so a slow or dead peer can
+    never block the daemon's select loop. Every syscall retries [EINTR];
+    EOF and connection errors mark the channel dead instead of
+    raising. *)
 
 type t
 
@@ -19,24 +20,27 @@ val close : t -> unit
 (** Mark dead and close the fd (close errors ignored). *)
 
 val unsent : t -> int
-(** Outbound bytes still queued. *)
+(** Outbound bytes not yet written: what the owning loop's slow-consumer
+    policy bounds. *)
 
 val want_write : t -> bool
 (** The loop should select this fd for writability. *)
 
-val enqueue : t -> max_outq:int -> string -> [ `Ok | `Overflow ]
-(** Queue one line (newline appended) and opportunistically flush.
-    [`Overflow] — and a dead channel — once the unsent queue exceeds
-    [max_outq] bytes: the slow-consumer disconnect signal. No-op [`Ok] on
-    an already-dead channel. *)
+val enqueue : t -> string -> unit
+(** Append one line and its newline to the unsent bytes. No syscall:
+    {!flush_write} sends them. No-op on a dead channel. *)
 
 val flush_write : t -> unit
-(** Push queued bytes until the kernel pushes back ([EAGAIN]) or the
-    queue empties. Call when select reports the fd writable. *)
+(** Hand every unsent byte to one [write] (OCaml's [Unix] copies at most
+    64 KiB a call; the rest waits for the next call). Call once per loop
+    pass and when select reports the fd writable. A drained buffer that
+    grew returns to its initial 4 KiB. *)
 
 val read_lines : t -> string list
-(** Drain readable bytes and return the complete lines, buffering any
-    partial trailing line. [[]] when nothing is available — check
+(** Read the available bytes and return the complete lines, buffering
+    any partial trailing line. Reads into a 4 KiB buffer, again while a
+    read fills it, at most 16 times: a short request costs one read, a
+    backlog up to 64 KiB a call. [[]] when nothing is available — check
     {!alive} afterwards to distinguish quiet from EOF/error. A partial
     line longer than 1 MiB marks the channel dead: no request or
     decision line comes near it. Linear in the bytes read. *)

@@ -214,28 +214,32 @@ type sink = {
 
 let fresh_sink () = { seen = Hashtbl.create 256; errs = [] }
 
-let absorb sink line =
-  match Rpc.decision_of_line line with
-  | Some s ->
-      if not (Hashtbl.mem sink.seen s.Ledger.index) then
-        Hashtbl.replace sink.seen s.Ledger.index s;
-      true
-  | None -> false
+(* Parse a received line once: a decision notification goes to the sink;
+   any other line that parses is returned for the caller to read. *)
+let receive sink line =
+  match Json.of_string line with
+  | Error _ -> None
+  | Ok j -> (
+      match Rpc.decision_of_json j with
+      | Some s ->
+          if not (Hashtbl.mem sink.seen s.Ledger.index) then
+            Hashtbl.replace sink.seen s.Ledger.index s;
+          None
+      | None -> Some j)
+
+let error_message e =
+  match Json.member "message" e with
+  | Some (Json.String m) -> m
+  | _ -> "unspecified server error"
 
 (* Interpret a response object: error payloads are recorded in the sink
    and collapse to [Ok Null], results pass through. *)
 let interpret sink fields =
-  match List.assoc_opt "error" fields with
+  match Json.member "error" fields with
   | Some (Json.Obj e) ->
-      let msg =
-        match List.assoc_opt "message" e with
-        | Some (Json.String m) -> m
-        | _ -> "unspecified server error"
-      in
-      sink.errs <- msg :: sink.errs;
+      sink.errs <- error_message e :: sink.errs;
       Ok Json.Null
-  | _ ->
-      Ok (Option.value ~default:Json.Null (List.assoc_opt "result" fields))
+  | _ -> Ok (Option.value ~default:Json.Null (Json.member "result" fields))
 
 (* Read lines off [conn] (feeding decisions to the sink) until the
    response echoing [id] appears; well-formed responses carrying a
@@ -253,19 +257,16 @@ let wait_response_sink ?timeout sink conn ~id =
       let rec loop () =
         match recv_line ?timeout conn with
         | None -> Error "connection closed or timed out awaiting response"
-        | Some line ->
-            if absorb sink line then loop ()
-            else (
-              match Json.of_string line with
-              | Ok (Json.Obj fields) -> (
-                  match List.assoc_opt "id" fields with
-                  | Some rid when rid = id -> interpret sink fields
-                  | Some rid ->
-                      Hashtbl.replace conn.stash (Json.to_string rid)
-                        (Json.Obj fields);
-                      loop ()
-                  | None -> loop ())
-              | _ -> loop ())
+        | Some line -> (
+            match receive sink line with
+            | Some (Json.Obj fields as response) -> (
+                match Json.member "id" fields with
+                | Some rid when rid = id -> interpret sink fields
+                | Some rid ->
+                    Hashtbl.replace conn.stash (Json.to_string rid) response;
+                    loop ()
+                | None -> loop ())
+            | _ -> loop ())
       in
       loop ()
 
@@ -313,7 +314,7 @@ let catchup ?timeout ?(from = 0) conn =
   with
   | Error _ as e -> e
   | Ok (Json.Obj fields) -> (
-      match List.assoc_opt "replaying" fields with
+      match Json.member "replaying" fields with
       | Some (Json.Int count) ->
           let rec take acc k =
             if k = 0 then Ok (List.rev acc)
@@ -356,7 +357,7 @@ let finish ~timeout ~shutdown ~target sink first =
             (Printf.sprintf "drain: stream ended at %d of %d decisions"
                (Hashtbl.length sink.seen) target)
       | Some line ->
-          ignore (absorb sink line);
+          ignore (receive sink line);
           drain ()
   in
   let* () = drain () in
@@ -448,24 +449,19 @@ let run_load_racy ?(timeout = 30.) ?(shutdown = false) ~conns subjects =
       let answered = Hashtbl.create 256 in  (* submit id -> accepted? *)
       let started = Unix.gettimeofday () in
       let process line =
-        if not (absorb sink line) then
-          match Json.of_string line with
-          | Ok (Json.Obj fields) -> (
-              match List.assoc_opt "id" fields with
-              | Some (Json.Int i) -> (
-                  match List.assoc_opt "error" fields with
-                  | Some (Json.Obj e) ->
-                      let msg =
-                        match List.assoc_opt "message" e with
-                        | Some (Json.String m) -> m
-                        | _ -> "unspecified server error"
-                      in
-                      sink.errs <-
-                        (Printf.sprintf "submit %d: %s" i msg) :: sink.errs;
-                      Hashtbl.replace answered i false
-                  | _ -> Hashtbl.replace answered i true)
-              | _ -> ())
-          | _ -> ()
+        match receive sink line with
+        | Some (Json.Obj fields) -> (
+            match Json.member "id" fields with
+            | Some (Json.Int i) -> (
+                match Json.member "error" fields with
+                | Some (Json.Obj e) ->
+                    sink.errs <-
+                      Printf.sprintf "submit %d: %s" i (error_message e)
+                      :: sink.errs;
+                    Hashtbl.replace answered i false
+                | _ -> Hashtbl.replace answered i true)
+            | _ -> ())
+        | _ -> ()
       in
       let rec sweep () =
         match Unix.select fds [] [] 0. with

@@ -75,7 +75,7 @@ let run ?batch ?jobs ?snapshot ?(max_outq = Server.default_max_outq)
           let ch = Chan.of_fd fd in
           incr catchups;
           let from = Engine.height engine in
-          ignore (Chan.enqueue ch ~max_outq (catchup_request ~from));
+          Chan.enqueue ch (catchup_request ~from);
           upstream := Some ch;
           Log.info (fun m ->
               m "connected to primary, catching up from %d" from)

@@ -34,17 +34,15 @@ let parse line =
   match Json.of_string line with
   | Error msg -> Error ("request is not valid JSON: " ^ msg)
   | Ok (Json.Obj fields) -> (
-      let id = Option.value ~default:Json.Null (List.assoc_opt "id" fields) in
+      let id = Option.value ~default:Json.Null (Json.member "id" fields) in
       let params =
-        match List.assoc_opt "params" fields with
+        match Json.member "params" fields with
         | Some (Json.Obj p) -> p
         | _ -> []
       in
-      match List.assoc_opt "method" fields with
+      match Json.member "method" fields with
       | Some (Json.String "submit") -> (
-          match
-            (List.assoc_opt "subject" params, List.assoc_opt "inputs" params)
-          with
+          match (Json.member "subject" params, Json.member "inputs" params) with
           | Some (Json.Int subject), Some (Json.List items) ->
               let rec ints acc = function
                 | [] -> Ok (List.rev acc)
@@ -61,7 +59,7 @@ let parse line =
       | Some (Json.String "flush") -> Ok (Flush { id })
       | Some (Json.String "status") -> Ok (Status { id })
       | Some (Json.String "catchup") -> (
-          match List.assoc_opt "from" params with
+          match Json.member "from" params with
           | Some (Json.Int from) -> Ok (Catchup { id; from })
           | None -> Ok (Catchup { id; from = 0 })
           | Some _ -> Error "catchup: from must be an integer")
@@ -107,20 +105,20 @@ let decision ~batch (s : Ledger.slot) =
               :: fields) );
        ])
 
-(* Reconstruct the slot record from a streamed decision line; [None] for
-   any other (valid or invalid) line. *)
-let decision_of_line line =
-  match Json.of_string line with
-  | Ok (Json.Obj fields) -> (
-      match
-        (List.assoc_opt "method" fields, List.assoc_opt "params" fields)
-      with
-      | Some (Json.String "decision"), Some params -> (
-          match Ledger.slot_of_json params with
-          | Ok s -> Some s
-          | Error _ -> None)
+(* Reconstruct the slot record from a parsed decision notification;
+   [None] for any other value. *)
+let decision_of_json = function
+  | Json.Obj fields -> (
+      match (Json.member "method" fields, Json.member "params" fields) with
+      | Some (Json.String "decision"), Some params ->
+          Result.to_option (Ledger.slot_of_json params)
       | _ -> None)
   | _ -> None
+
+let decision_of_line line =
+  match Json.of_string line with
+  | Ok j -> decision_of_json j
+  | Error _ -> None
 
 let status_json ?(extra = []) engine =
   let st = Engine.stats engine in

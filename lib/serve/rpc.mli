@@ -29,6 +29,10 @@ val decision_of_line : string -> Vv_multishot.Ledger.slot option
 (** Reconstruct the slot record from a streamed decision line; [None]
     for any other line. *)
 
+val decision_of_json : Json.t -> Vv_multishot.Ledger.slot option
+(** {!decision_of_line} on a line already parsed, for a reader that also
+    handles the lines that are not decisions. *)
+
 val status_json :
   ?extra:(string * Json.t) list -> Vv_multishot.Engine.t -> Json.t
 (** The status result payload; [extra] fields (a daemon's role, follower

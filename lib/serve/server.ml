@@ -14,12 +14,15 @@
    restarted consumer or a {!Replica} follower resynchronises);
    [shutdown] snapshots and stops the loop.
 
-   Write path: every connection is a {!Chan} — a non-blocking fd with a
-   bounded outbound queue flushed when select reports writability — so a
+   Write path: every connection is a {!Chan} — a non-blocking fd whose
+   responses and decisions are appended to its unsent bytes without a
+   syscall.  At the end of each pass of the select loop every connection
+   with unsent bytes gets one write for all of them (and a connection
+   select reports writable is flushed at the pass's start), so a
    stalled consumer can never block decision broadcast to anyone else.
-   A client whose unsent queue passes [max_outq] bytes is disconnected
-   (the slow-consumer policy, counted in the outcome); it can reconnect
-   and [catchup] from wherever it left off.
+   A client whose unsent bytes still pass [max_outq] after that write is
+   disconnected (the slow-consumer policy, counted in the outcome); it
+   can reconnect and [catchup] from wherever it left off.
 
    Durability: with [?snapshot] the committed log lives in an
    append-only decision log — a header line, then one record per slot.
@@ -140,21 +143,26 @@ let crc32 s len =
   done;
   !c lxor 0xFFFFFFFF
 
-let record_line s =
+let add_record buf s =
   let body = Json.to_string (Ledger.slot_to_json s) in
   let len = String.length body - 1 in
-  Printf.sprintf "%s,\"crc\":%d}\n" (String.sub body 0 len) (crc32 body len)
+  Buffer.add_substring buf body 0 len;
+  Buffer.add_string buf ",\"crc\":";
+  Buffer.add_string buf (string_of_int (crc32 body len));
+  Buffer.add_string buf "}\n"
 
 (* The [crc] field is the record's last, so it follows the last comma. *)
 let slot_of_record line =
-  let ( let* ) = Result.bind in
-  let* j = Json.of_string line in
-  let* s = Ledger.slot_of_json j in
-  match (j, String.rindex_opt line ',') with
-  | Json.Obj fields, Some len
-    when List.assoc_opt "crc" fields = Some (Json.Int (crc32 line len)) ->
-      Ok s
-  | _ -> Error "checksum mismatch"
+  match Json.of_string line with
+  | Error msg -> Error msg
+  | Ok j -> (
+      match (Ledger.slot_of_json j, j, String.rindex_opt line ',') with
+      | (Error _ as e), _, _ -> e
+      | Ok s, Json.Obj fields, Some len -> (
+          match Json.member "crc" fields with
+          | Some (Json.Int crc) when crc = crc32 line len -> Ok s
+          | _ -> Error "checksum mismatch")
+      | Ok _, _, _ -> Error "checksum mismatch")
 
 (* The batch size a header line records, once it matches [cfg] (and
    [?batch], when given). *)
@@ -163,7 +171,7 @@ let header_batch ?batch cfg line =
   match Json.of_string line with
   | Ok (Json.Obj fields) ->
       let int key =
-        match List.assoc_opt key fields with
+        match Json.member key fields with
         | Some (Json.Int i) -> Ok i
         | _ -> Error (Printf.sprintf "header: missing int field %S" key)
       in
@@ -254,7 +262,7 @@ let append_log engine path =
             let fresh = Engine.decisions_from engine height in
             if fresh <> [] then begin
               let buf = Buffer.create (160 * List.length fresh) in
-              List.iter (fun s -> Buffer.add_string buf (record_line s)) fresh;
+              List.iter (add_record buf) fresh;
               ignore (Unix.lseek fd valid Unix.SEEK_SET);
               try
                 ignore
@@ -269,9 +277,7 @@ let append_log engine path =
 let render_log engine =
   let buf = Buffer.create (4096 + (160 * Engine.height engine)) in
   Buffer.add_string buf (header_line engine);
-  List.iter
-    (fun s -> Buffer.add_string buf (record_line s))
-    (Engine.decisions engine);
+  List.iter (add_record buf) (Engine.decisions engine);
   Buffer.contents buf
 
 let write_log engine = function
@@ -410,14 +416,20 @@ let run_loop ?batch ?jobs ?snapshot ~max_outq ?sndbuf ~listen cfg make_role =
      within half the budget, so a reading client never overflows on its
      own catchup. *)
   let window = max_outq / 2 in
-  let send ch line =
-    match Chan.enqueue ch ~max_outq line with
-    | `Ok -> ()
-    | `Overflow ->
+  let send = Chan.enqueue in
+  (* The pass's one write; a client whose unsent bytes still exceed the
+     budget after it is a slow consumer. *)
+  let flush c =
+    if Chan.want_write c.chan then begin
+      Chan.flush_write c.chan;
+      if Chan.unsent c.chan > max_outq then begin
+        Chan.kill c.chan;
         incr slow;
         Log.warn (fun m ->
             m "disconnecting slow consumer (%d unsent bytes > %d budget)"
-              (Chan.unsent ch) max_outq)
+              (Chan.unsent c.chan) max_outq)
+      end
+    end
   in
   let broadcast line =
     Hashtbl.iter
@@ -555,9 +567,14 @@ let run_loop ?batch ?jobs ?snapshot ~max_outq ?sndbuf ~listen cfg make_role =
               | Some c -> handle_lines c (Chan.read_lines c.chan)
               | None -> ())
           readable;
-        (* Commit what the pass decided, drop dead clients, then refill
-           every open replay. *)
+        (* Commit what the pass decided and refill every open replay;
+           then one write per connection, and dead clients are dropped. *)
         commit (role.step ());
+        Hashtbl.iter (fun _ c -> refill c) clients;
+        Option.iter
+          (fun ch -> if Chan.want_write ch then Chan.flush_write ch)
+          !upstream;
+        Hashtbl.iter (fun _ c -> flush c) clients;
         let dead =
           Hashtbl.fold
             (fun fd c acc -> if Chan.alive c.chan then acc else (fd, c) :: acc)
@@ -567,8 +584,7 @@ let run_loop ?batch ?jobs ?snapshot ~max_outq ?sndbuf ~listen cfg make_role =
           (fun (fd, c) ->
             Chan.close c.chan;
             Hashtbl.remove clients fd)
-          dead;
-        Hashtbl.iter (fun _ c -> refill c) clients
+          dead
   done;
   write_snapshot engine snapshot;
   close_all ();
