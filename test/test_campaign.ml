@@ -25,7 +25,9 @@ let golden name = read_file (Filename.concat "golden" name)
 (* --- registry goldens --- *)
 
 (* Every registry campaign at the Full tier, rendered table-by-table as
-   CSV, must equal the pinned files — at jobs=1 and jobs=0 alike. *)
+   CSV, must equal the pinned files — at jobs=1 and jobs=0 alike, and at
+   jobs=3, which runs three domains however few cores the host has
+   (jobs=0 is one domain on a two-core host). *)
 let test_registry_golden ~jobs () =
   List.iter
     (fun c ->
@@ -220,6 +222,8 @@ let () =
             (test_registry_golden ~jobs:1);
           Alcotest.test_case "registry vs pins, jobs=0" `Quick
             (test_registry_golden ~jobs:0);
+          Alcotest.test_case "registry vs pins, jobs=3" `Quick
+            (test_registry_golden ~jobs:3);
           Alcotest.test_case "chaos smoke vs pin" `Quick test_chaos_golden;
           Alcotest.test_case "gst smoke+full vs pins" `Quick test_gst_golden;
           Alcotest.test_case "check smoke vs pin" `Quick test_check_golden;
@@ -227,6 +231,8 @@ let () =
             (test_check_full_golden ~jobs:1);
           Alcotest.test_case "check full vs pin, jobs=0" `Quick
             (test_check_full_golden ~jobs:0);
+          Alcotest.test_case "check full vs pin, jobs=3" `Quick
+            (test_check_full_golden ~jobs:3);
         ] );
       ( "registry",
         [

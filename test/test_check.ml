@@ -259,30 +259,34 @@ let test_smoke_tightness_per_kind () =
 
 let test_jobs_invariance () =
   (* The CLI-level guarantee is byte-identical output at any --jobs; at
-     the library level compare everything the report renders. *)
+     the library level compare everything the report renders.  jobs=0 is
+     the CLI default; jobs=3 runs three domains on any host. *)
   let r1 = Lazy.force smoke_result in
-  let r0 = check_result ~jobs:0 Check.Smoke in
-  check_bool "groups identical" true (r1.Check.groups = r0.Check.groups);
-  check_int "violations identical" r1.Check.violations_total
-    r0.Check.violations_total;
-  check_bool "ok identical" true (r1.Check.ok = r0.Check.ok);
-  List.iter2
-    (fun (a : Check.tightness) (b : Check.tightness) ->
-      check_int "below-bound cells" a.Check.below_bound_cells
-        b.Check.below_bound_cells;
-      check_int "witnessed cells" a.Check.witnessed_cells b.Check.witnessed_cells;
-      check_int "below-bound runs" a.Check.below_bound_runs
-        b.Check.below_bound_runs;
-      check_string "same shrunk witness"
-        (Fmt.str "%a"
-           Fmt.(option (using (fun (c : Check.counterexample) ->
-                    c.Check.shrunk.Shrink.execution) Space.pp_execution))
-           a.Check.witness)
-        (Fmt.str "%a"
-           Fmt.(option (using (fun (c : Check.counterexample) ->
-                    c.Check.shrunk.Shrink.execution) Space.pp_execution))
-           b.Check.witness))
-    r1.Check.tightness r0.Check.tightness
+  List.iter
+    (fun jobs ->
+      let r0 = check_result ~jobs Check.Smoke in
+      check_bool "groups identical" true (r1.Check.groups = r0.Check.groups);
+      check_int "violations identical" r1.Check.violations_total
+        r0.Check.violations_total;
+      check_bool "ok identical" true (r1.Check.ok = r0.Check.ok);
+      List.iter2
+        (fun (a : Check.tightness) (b : Check.tightness) ->
+          check_int "below-bound cells" a.Check.below_bound_cells
+            b.Check.below_bound_cells;
+          check_int "witnessed cells" a.Check.witnessed_cells b.Check.witnessed_cells;
+          check_int "below-bound runs" a.Check.below_bound_runs
+            b.Check.below_bound_runs;
+          check_string "same shrunk witness"
+            (Fmt.str "%a"
+               Fmt.(option (using (fun (c : Check.counterexample) ->
+                        c.Check.shrunk.Shrink.execution) Space.pp_execution))
+               a.Check.witness)
+            (Fmt.str "%a"
+               Fmt.(option (using (fun (c : Check.counterexample) ->
+                        c.Check.shrunk.Shrink.execution) Space.pp_execution))
+               b.Check.witness))
+        r1.Check.tightness r0.Check.tightness)
+    [ 0; 3 ]
 
 (* --- prefix sharing ------------------------------------------------------ *)
 

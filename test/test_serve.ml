@@ -1121,6 +1121,66 @@ let test_unterminated_line_cut_off () =
   check_bool "a 2 MiB line is cut off" true cut;
   check_bool "another client is still answered" true answered
 
+(* --- the line channel --- *)
+
+module Chan = Vv_serve.Chan
+
+(* Write all of [data] to a non-blocking fd whose peer is not reading:
+   the test fails instead of hanging if the socket cannot hold it. *)
+let write_all fd data =
+  Unix.set_nonblock fd;
+  let rec go ofs =
+    if ofs < String.length data then
+      match Unix.write_substring fd data ofs (String.length data - ofs) with
+      | n -> go (ofs + n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.failf "the socket took only %d of %d bytes" ofs
+            (String.length data)
+  in
+  go 0
+
+(* 64 KiB of pipelined 100-byte requests come back from one [read_lines]
+   call, as they did when one 64 KiB read took them: a single read into
+   the 4 KiB buffer would return about 40 of the 655 lines. *)
+let test_chan_reads_backlog () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.setsockopt_int a Unix.SO_SNDBUF (1 lsl 18)
+   with Unix.Unix_error _ -> ());
+  let lines = List.init 655 (fun i -> Printf.sprintf "%099d" i) in
+  write_all a (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  let ch = Chan.of_fd b in
+  let got = Chan.read_lines ch in
+  check_int "lines in one call" 655 (List.length got);
+  check_bool "in order" true (got = lines);
+  check_bool "still alive" true (Chan.alive ch);
+  Chan.close ch;
+  Unix.close a
+
+(* [enqueue] only queues: the peer reads nothing until [flush_write],
+   and then one read returns every line. *)
+let test_chan_one_write () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ch = Chan.of_fd a in
+  let lines = List.init 100 (Printf.sprintf "line-%03d") in
+  List.iter (Chan.enqueue ch) lines;
+  Unix.set_nonblock b;
+  let buf = Bytes.create 65536 in
+  let read () =
+    match Unix.read b buf 0 (Bytes.length buf) with
+    | n -> Bytes.sub_string buf 0 n
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        ""
+  in
+  check (Alcotest.string) "nothing sent before the flush" "" (read ());
+  check_int "all unsent" (List.length lines * 9) (Chan.unsent ch);
+  Chan.flush_write ch;
+  check_int "nothing unsent" 0 (Chan.unsent ch);
+  check (Alcotest.string) "one read returns every line"
+    (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+    (read ());
+  Chan.close ch;
+  Unix.close b
+
 (* --- the client line reader --- *)
 
 (* A line longer than the reader's buffer, a line split across writes, and
@@ -1288,6 +1348,13 @@ let () =
           Alcotest.test_case "daemon resumes a torn log" `Quick
             test_daemon_resumes_torn_log;
           QCheck_alcotest.to_alcotest prop_load_never_raises;
+        ] );
+      ( "chan",
+        [
+          Alcotest.test_case "one read_lines call takes a 64 KiB backlog"
+            `Quick test_chan_reads_backlog;
+          Alcotest.test_case "enqueue waits; one flush_write sends all"
+            `Quick test_chan_one_write;
         ] );
       ( "client",
         [
