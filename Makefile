@@ -1,4 +1,4 @@
-.PHONY: check check-parallel check-model chaos-smoke gst-smoke validity-smoke serve-smoke serve-replica-smoke vvbench-smoke cli-smoke build test bench bench-smoke bench-baseline bench-gate
+.PHONY: check check-parallel check-model chaos-smoke gst-smoke validity-smoke serve-smoke serve-replica-smoke vvbench-smoke cli-smoke build test bench bench-smoke bench-baseline bench-gate bench-pairs
 
 check: ## build everything, then run the full test suite
 	dune build && dune runtest
@@ -125,3 +125,32 @@ bench-baseline: ## regenerate the committed benchmark baseline (BENCH_006.json)
 bench-gate: ## quick bench run diffed against the committed baseline; exits 1 on >25% regression
 	dune exec bench/main.exe -- --bench --quick --json=_build/bench.json
 	dune exec bench/diff.exe -- BENCH_006.json _build/bench.json --tolerance=0.25
+
+# Alternating vvbench pairs of REV against this checkout.  REV's tree is
+# extracted with `git archive` under _build/pairs/base (no worktree,
+# nothing written to .git); odd pairs run the base first, even pairs the
+# change.  Each run's result line is kept in _build/pairs/base.jsonl or
+# change.jsonl, and bench/pairs.exe summarises every end-to-end metric
+# of BENCHMARK.json.
+PAIRS ?= 10
+SECONDS ?= 32
+SEED ?= 1
+
+bench-pairs: ## alternating benchmark pairs: make bench-pairs REV=<rev> WORKLOAD=<w> [PAIRS=10 SECONDS=32 SEED=1]
+	@if [ -z "$(REV)" ] || [ -z "$(WORKLOAD)" ]; then \
+	  echo "usage: make bench-pairs REV=<rev> WORKLOAD=<w> [PAIRS=10 SECONDS=32 SEED=1]"; exit 2; fi
+	dune build ./bench/pairs.exe
+	rm -rf _build/pairs && mkdir -p _build/pairs/base
+	git archive $(REV) | tar -x -C _build/pairs/base
+	@run() { \
+	  bash $$1/vvbench/run.sh --workload $(WORKLOAD) --seed $(SEED) \
+	    --seconds $(SECONDS) --trace 0 > _build/pairs/run.out || return 1; \
+	  tail -n 1 _build/pairs/run.out >> _build/pairs/$$2.jsonl; \
+	}; \
+	for i in $$(seq 1 $(PAIRS)); do \
+	  if [ $$((i % 2)) -eq 1 ]; then run _build/pairs/base base && run . change; \
+	  else run . change && run _build/pairs/base base; fi || exit 1; \
+	  echo "$(WORKLOAD): pair $$i of $(PAIRS) done"; \
+	done
+	_build/default/bench/pairs.exe BENCHMARK.json _build/pairs/base.jsonl \
+	  _build/pairs/change.jsonl

@@ -202,7 +202,9 @@ exception Bad_slot of string
 let int_field fields key =
   match Json.member key fields with
   | Some (Json.Int i) -> i
-  | _ -> raise_notrace (Bad_slot (Printf.sprintf "slot: missing int field %S" key))
+  | _ ->
+      raise_notrace
+        (Bad_slot (Printf.sprintf "slot: missing int field %S" key))
 
 (* Fields are read in record order, so the first bad one names the
    error. *)

@@ -6,6 +6,7 @@
 
    Lifecycle of a submission: a [submit] line is parsed, queued on the
    engine (ack carries the assigned position), and after each read burst
+   (a pass reads each readable connection 4 KiB at a time, up to 64 KiB)
    the engine [step]s — every slot that filled up is decided (sharded
    across the engine's [jobs] domains) and its decisions are broadcast to
    every connected client as notifications.  [flush] forces a partial
@@ -156,13 +157,13 @@ let slot_of_record line =
   match Json.of_string line with
   | Error msg -> Error msg
   | Ok j -> (
-      match (Ledger.slot_of_json j, j, String.rindex_opt line ',') with
-      | (Error _ as e), _, _ -> e
-      | Ok s, Json.Obj fields, Some len -> (
-          match Json.member "crc" fields with
-          | Some (Json.Int crc) when crc = crc32 line len -> Ok s
+      match (Ledger.slot_of_json j, j) with
+      | Error msg, _ -> Error msg
+      | Ok s, Json.Obj fields -> (
+          match (Json.member "crc" fields, String.rindex_opt line ',') with
+          | Some (Json.Int crc), Some len when crc = crc32 line len -> Ok s
           | _ -> Error "checksum mismatch")
-      | Ok _, _, _ -> Error "checksum mismatch")
+      | Ok _, _ -> Error "checksum mismatch")
 
 (* The batch size a header line records, once it matches [cfg] (and
    [?batch], when given). *)
@@ -416,7 +417,6 @@ let run_loop ?batch ?jobs ?snapshot ~max_outq ?sndbuf ~listen cfg make_role =
      within half the budget, so a reading client never overflows on its
      own catchup. *)
   let window = max_outq / 2 in
-  let send = Chan.enqueue in
   (* The pass's one write; a client whose unsent bytes still exceed the
      budget after it is a slow consumer. *)
   let flush c =
@@ -433,7 +433,7 @@ let run_loop ?batch ?jobs ?snapshot ~max_outq ?sndbuf ~listen cfg make_role =
   in
   let broadcast line =
     Hashtbl.iter
-      (fun _ c -> if Option.is_none c.replay then send c.chan line)
+      (fun _ c -> if Option.is_none c.replay then Chan.enqueue c.chan line)
       clients
   in
   (* Last-gasp flush so responses reach clients that are reading. *)
@@ -463,27 +463,27 @@ let run_loop ?batch ?jobs ?snapshot ~max_outq ?sndbuf ~listen cfg make_role =
   let rec handle c line =
     if String.trim line <> "" then
       match Rpc.parse line with
-      | Error msg -> send c.chan (Rpc.error ~id:Json.Null msg)
+      | Error msg -> Chan.enqueue c.chan (Rpc.error ~id:Json.Null msg)
       | Ok (Rpc.Submit { id; subject; inputs }) ->
-          send c.chan (role.submit ~id ~subject inputs)
+          Chan.enqueue c.chan (role.submit ~id ~subject inputs)
       | Ok (Rpc.Flush { id }) ->
           let decided = role.flush () in
           commit decided;
-          send c.chan
+          Chan.enqueue c.chan
             (Rpc.result ~id
                (Json.Obj [ ("flushed", Json.Int (List.length decided)) ]))
       | Ok (Rpc.Status { id }) ->
           let extra = ("role", Json.String role.name) :: role.status () in
-          send c.chan (Rpc.result ~id (Rpc.status_json ~extra engine))
+          Chan.enqueue c.chan (Rpc.result ~id (Rpc.status_json ~extra engine))
       | Ok (Rpc.Catchup { id; from }) ->
           let replay = Engine.decisions_from engine from in
-          send c.chan
+          Chan.enqueue c.chan
             (Rpc.result ~id
                (Json.Obj [ ("replaying", Json.Int (List.length replay)) ]));
           c.replay <- Some replay;
           refill c
       | Ok (Rpc.Shutdown { id }) ->
-          send c.chan
+          Chan.enqueue c.chan
             (Rpc.result ~id (Json.Obj [ ("stopping", Json.Bool true) ]));
           running := false
   and handle_lines c = function
@@ -499,7 +499,7 @@ let run_loop ?batch ?jobs ?snapshot ~max_outq ?sndbuf ~listen cfg make_role =
     match c.replay with
     | Some (s :: rest) when Chan.alive c.chan && Chan.unsent c.chan <= window
       ->
-        send c.chan (Rpc.decision ~batch s);
+        Chan.enqueue c.chan (Rpc.decision ~batch s);
         c.replay <-
           Some
             (if rest = [] then Engine.decisions_from engine (s.Ledger.index + 1)
@@ -571,9 +571,7 @@ let run_loop ?batch ?jobs ?snapshot ~max_outq ?sndbuf ~listen cfg make_role =
            then one write per connection, and dead clients are dropped. *)
         commit (role.step ());
         Hashtbl.iter (fun _ c -> refill c) clients;
-        Option.iter
-          (fun ch -> if Chan.want_write ch then Chan.flush_write ch)
-          !upstream;
+        Option.iter Chan.flush_write !upstream;
         Hashtbl.iter (fun _ c -> flush c) clients;
         let dead =
           Hashtbl.fold

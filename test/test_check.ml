@@ -273,7 +273,8 @@ let test_jobs_invariance () =
         (fun (a : Check.tightness) (b : Check.tightness) ->
           check_int "below-bound cells" a.Check.below_bound_cells
             b.Check.below_bound_cells;
-          check_int "witnessed cells" a.Check.witnessed_cells b.Check.witnessed_cells;
+          check_int "witnessed cells" a.Check.witnessed_cells
+            b.Check.witnessed_cells;
           check_int "below-bound runs" a.Check.below_bound_runs
             b.Check.below_bound_runs;
           check_string "same shrunk witness"

@@ -308,7 +308,11 @@ let test_json_print_table () =
         (String "a\"b\\c\nd", {|"a\"b\\c\nd"|});
         (List [], "[]");
         (Obj [], "{}");
-        ( Obj [ ("k\"", Null); ("a", List [ Int 1; Null; Bool true; Bool false ]) ],
+        ( Obj
+            [
+              ("k\"", Null);
+              ("a", List [ Int 1; Null; Bool true; Bool false ]);
+            ],
           {|{"k\"":null,"a":[1,null,true,false]}|} );
       ]
 
@@ -374,7 +378,8 @@ let test_json_parse_table () =
       ( {|"\ud834\u0041"|},
         "Error high surrogate not followed by a low surrogate at offset 13" );
       ("\"a\x01b\"", {|Ok  "a\u0001b"|});
-      ({|{"a":[1,{"b":null}],"c":"x\ny"}|}, {|Ok  {"a":[1,{"b":null}],"c":"x\ny"}|});
+      ( {|{"a":[1,{"b":null}],"c":"x\ny"}|},
+        {|Ok  {"a":[1,{"b":null}],"c":"x\ny"}|} );
       ("[ ]", "Ok  []");
       ("{ }", "Ok  {}");
     ]
