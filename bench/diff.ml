@@ -28,12 +28,12 @@ let read_rows path =
                match entry with
                | Json.Obj fields ->
                    let name =
-                     match List.assoc_opt "name" fields with
+                     match Json.member "name" fields with
                      | Some (Json.String s) -> s
                      | _ -> failwith "row without a name"
                    in
                    let ns =
-                     match List.assoc_opt "ns_per_run" fields with
+                     match Json.member "ns_per_run" fields with
                      | Some (Json.Float v) -> Some v
                      | Some (Json.Int v) -> Some (float_of_int v)
                      | Some Json.Null | None -> None

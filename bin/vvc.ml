@@ -885,7 +885,7 @@ let load_cmd =
     let n_nodes, tol =
       match List.hd conns |> Vv_serve.Client.status with
       | Ok (Json.Obj fields) -> (
-          match (List.assoc_opt "n" fields, List.assoc_opt "t" fields) with
+          match (Json.member "n" fields, Json.member "t" fields) with
           | Some (Json.Int n), Some (Json.Int t) -> (n, t)
           | _ ->
               Fmt.epr "vvc load: daemon status carries no n/t@.";

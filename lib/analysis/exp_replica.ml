@@ -88,7 +88,7 @@ let await_height ~deadline path target =
   let c = Client.connect_unix ~retry_for:5. path in
   let rec poll () =
     match Client.status c with
-    | Ok (Json.Obj fields) when List.assoc_opt "height" fields
+    | Ok (Json.Obj fields) when Json.member "height" fields
                                 = Some (Json.Int target) ->
         true
     | _ when Unix.gettimeofday () > deadline -> false
