@@ -141,7 +141,8 @@ bench-pairs: ## alternating benchmark pairs: make bench-pairs REV=<rev> WORKLOAD
 	  echo "usage: make bench-pairs REV=<rev> WORKLOAD=<w> [PAIRS=10 SECONDS=32 SEED=1]"; exit 2; fi
 	dune build ./bench/pairs.exe
 	rm -rf _build/pairs && mkdir -p _build/pairs/base
-	git archive $(REV) | tar -x -C _build/pairs/base
+	git archive -o _build/pairs/base.tar $(REV)
+	tar -xf _build/pairs/base.tar -C _build/pairs/base
 	@run() { \
 	  bash $$1/vvbench/run.sh --workload $(WORKLOAD) --seed $(SEED) \
 	    --seconds $(SECONDS) --trace 0 > _build/pairs/run.out || return 1; \
