@@ -1,4 +1,4 @@
-.PHONY: check check-parallel check-model chaos-smoke gst-smoke validity-smoke serve-smoke serve-replica-smoke vvbench-smoke cli-smoke build test bench bench-smoke bench-baseline bench-gate bench-pairs
+.PHONY: check check-parallel check-model chaos-smoke gst-smoke validity-smoke serve-smoke serve-replica-smoke vvbench-smoke cli-smoke registry-pin build test bench bench-smoke bench-baseline bench-gate bench-pairs
 
 check: ## build everything, then run the full test suite
 	dune build && dune runtest
@@ -77,7 +77,7 @@ vvbench-smoke: ## every benchmark workload for 2 s; fails unless its correctness
 	  esac; \
 	done
 
-cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreachable daemon; printed protocol labels parse (exit 0); never an uncaught exception, no socket file left
+cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreachable daemon or an uncreatable --csv-dir; printed protocol labels parse (exit 0); never an uncaught exception, no socket file left
 	dune build
 	@rm -f _build/cli-smoke.sock; status=0; \
 	for case in "124 serve --socket _build/cli-smoke.sock --batch 0" \
@@ -95,7 +95,9 @@ cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreacha
 	  "124 bounds -n 5 -t 1 --bg=-1" "124 bounds -n 5 -t 1 --cg=-1" \
 	  "0 run -p algo2-sct" "0 run -p sct-incr" \
 	  "124 load --socket _build/cli-smoke-missing/x.sock --retry-for 0 --subjects=-1" \
-	  "1 load --socket _build/cli-smoke-missing/x.sock --retry-for 0"; do \
+	  "1 load --socket _build/cli-smoke-missing/x.sock --retry-for 0" \
+	  "1 all --profile=smoke --csv-dir=_build/cli-smoke-missing/x" \
+	  "124 exp nope" "124 check --validity=,"; do \
 	  want=$${case%% *}; args=$${case#* }; \
 	  timeout 10 _build/default/bin/vvc.exe $$args > /dev/null 2> _build/cli-smoke.err; \
 	  code=$$?; \
@@ -107,6 +109,23 @@ cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreacha
 	done; \
 	rm -f _build/cli-smoke.err; exit $$status
 
+# `vvc all` is the one path that regenerates every table: its full-tier
+# CSV must be the registry goldens concatenated in `vvc list` order, and
+# its smoke-tier CSV must not depend on the domain count.
+registry-pin: ## vvc all --format=csv equals the registry goldens (full tier, jobs 3) and is identical at jobs 1 and 3 (smoke tier)
+	dune build
+	@vvc=_build/default/bin/vvc.exe; \
+	for id in $$($$vvc list | cut -d' ' -f1); do \
+	  i=0; while [ -f test/golden/$${id}_$$i.csv ]; do \
+	    cat test/golden/$${id}_$$i.csv; i=$$((i + 1)); done; \
+	done > _build/registry-pin.golden.csv; \
+	$$vvc all --profile=full --jobs=3 --format=csv > _build/registry-pin.full.csv \
+	  && cmp _build/registry-pin.golden.csv _build/registry-pin.full.csv \
+	  && $$vvc all --profile=smoke --jobs=1 --format=csv > _build/registry-pin.smoke1.csv \
+	  && $$vvc all --profile=smoke --jobs=3 --format=csv > _build/registry-pin.smoke3.csv \
+	  && cmp _build/registry-pin.smoke1.csv _build/registry-pin.smoke3.csv \
+	  && echo "registry-pin: full tier equals the goldens; smoke tier equal at jobs 1 and 3"
+
 build:
 	dune build
 
@@ -114,16 +133,16 @@ test:
 	dune runtest
 
 bench:
-	dune exec bench/main.exe -- --bench
+	dune exec bench/main.exe
 
-bench-smoke: ## CI-sized benchmark pass: smoke-tier tables + shrunk timings, JSON to _build/bench.json
+bench-smoke: ## CI-sized benchmark pass: shrunk timings, JSON to _build/bench.json
 	dune exec bench/main.exe -- --quick --json=_build/bench.json
 
 bench-baseline: ## regenerate the committed benchmark baseline (BENCH_006.json)
-	dune exec bench/main.exe -- --bench --quick --json=BENCH_006.json
+	dune exec bench/main.exe -- --quick --json=BENCH_006.json
 
 bench-gate: ## quick bench run diffed against the committed baseline; exits 1 on >25% regression
-	dune exec bench/main.exe -- --bench --quick --json=_build/bench.json
+	dune exec bench/main.exe -- --quick --json=_build/bench.json
 	dune exec bench/diff.exe -- BENCH_006.json _build/bench.json --tolerance=0.25
 
 # Alternating vvbench pairs of REV against this checkout.  REV's tree is

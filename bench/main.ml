@@ -1,19 +1,17 @@
-(* Benchmark / reproduction harness.
+(* Timing harness.
 
-   Running `dune exec bench/main.exe` does two things:
+   Running `dune exec bench/main.exe` times the paper's machinery: the
+   enumeration memoisation behind Figure 1(b), the domain pool on the
+   Figure 1(b) sweep and a run batch, the E17 chaos campaign, and one
+   Bechamel wall-clock micro-benchmark per experiment family (a full
+   consensus instance per protocol, each broadcast substrate, and the
+   probability kernels behind Figure 1).  `vvc all` regenerates the
+   tables themselves.
 
-   1. regenerates every figure/experiment of the paper as printed series
-      (the Figure 1 panels and experiments E4-E10; DESIGN.md §4 is the
-      index, EXPERIMENTS.md the paper-vs-measured record);
-   2. runs one Bechamel wall-clock micro-benchmark per experiment family
-      (a full consensus instance per protocol, each broadcast substrate,
-      and the probability kernels behind Figure 1).
-
-   Pass `--tables` or `--bench` to run only one half; `--quick` shrinks the
-   statistical workloads for smoke runs (tables at the Smoke tier, smaller
-   timing workloads, a shorter Bechamel quota); `--json=PATH` additionally
-   writes the micro-benchmark results as a JSON array of
-   {name, ns_per_run, runs} records. *)
+   `--quick` shrinks the timing workloads and the Bechamel quota for
+   smoke runs; `--jobs=N` sets the domain count of the pool timings
+   (default 4); `--json=PATH` additionally writes the micro-benchmark
+   results as a JSON array of {name, ns_per_run, runs} records. *)
 
 module Runner = Vv_core.Runner
 module Strategy = Vv_core.Strategy
@@ -405,8 +403,6 @@ let benches ?(quick = false) ?json_path () =
 
 let () =
   let args = Array.to_list Sys.argv in
-  let tables_only = List.mem "--tables" args in
-  let bench_only = List.mem "--bench" args in
   let quick = List.mem "--quick" args in
   let keyed key =
     List.fold_left
@@ -421,24 +417,27 @@ let () =
     match keyed "--jobs" with Some s -> int_of_string s | None -> 4
   in
   let json_path = keyed "--json" in
-  if not bench_only then begin
-    Fmt.pr "=== Reproduction harness: every figure/experiment of the paper \
-            ===@.";
-    let profile =
-      if quick then Vv_exec.Campaign.Smoke else Vv_exec.Campaign.Full
-    in
-    Vv_analysis.Experiments.run_all ~profile ()
-  end;
-  if not tables_only then begin
-    if quick then begin
-      memo_timing ~ng:16 ~t_max:2 ~reps:2 ();
-      par_timing ~jobs ~trials:2_000 ();
-      chaos_timing ~trials:2 ()
-    end
-    else begin
-      memo_timing ();
-      par_timing ~jobs ();
-      chaos_timing ()
-    end;
-    benches ~quick ?json_path ()
+  let known a =
+    a = "--quick"
+    || List.exists
+         (fun k -> String.starts_with ~prefix:(k ^ "=") a)
+         [ "--jobs"; "--json" ]
+  in
+  (match List.filter (fun a -> not (known a)) (List.tl args) with
+  | [] -> ()
+  | bad ->
+      Fmt.epr "bench: unknown argument %s (usage: [--quick] [--jobs=N] \
+               [--json=PATH])@."
+        (String.concat " " bad);
+      exit 2);
+  if quick then begin
+    memo_timing ~ng:16 ~t_max:2 ~reps:2 ();
+    par_timing ~jobs ~trials:2_000 ();
+    chaos_timing ~trials:2 ()
   end
+  else begin
+    memo_timing ();
+    par_timing ~jobs ();
+    chaos_timing ()
+  end;
+  benches ~quick ?json_path ()

@@ -9,12 +9,14 @@
      check [--profile=P]         exhaustive small-model checker (vv_check)
      chaos [--profile=P]         chaos-substrate resilience campaign (E17)
      gst [--profile=P]           network-agnostic validity campaign (E20)
+     validity [--profile=P]      validity-hierarchy campaign (E21)
      serve --socket S [...]      multi-shot ledger as a JSON-RPC daemon
      load --socket S [...]       drive a running daemon, report decisions/s
 
-   The campaign subcommands (exp, all, chaos, check) share one flag
-   bundle — --format/--profile/--jobs/--seed/--progress/--out — parsed
-   in {!Cli}; the point subcommands (bounds, run, ledger, radio) take
+   The campaign subcommands (exp, all, check, chaos, gst, validity) share
+   one flag bundle — --format/--profile/--jobs/--seed/--progress/--out —
+   parsed in {!Cli}, and check, chaos, gst and validity are each built by
+   [campaign_cmd]; the point subcommands (bounds, run, ledger, radio) take
    the shared --format term only. *)
 
 module C = Cmdliner
@@ -44,23 +46,20 @@ let list_cmd =
 
 let exp_cmd =
   let doc = "Run one experiment campaign and print its table(s)." in
-  let id =
+  let campaign =
+    let ids =
+      List.map (fun c -> (Campaign.id c, c)) Vv_analysis.Experiments.all
+    in
     C.Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some (enum ids)) None
       & info [] ~docv:"ID" ~doc:"Experiment id (see $(b,vvc list)).")
   in
-  let run id opts =
-    match Vv_analysis.Experiments.find id with
-    | None ->
-        Fmt.epr "unknown experiment %S; try: %a@." id
-          Fmt.(list ~sep:sp string)
-          Vv_analysis.Experiments.ids;
-        exit 1
-    | Some c -> Cli.handle opts c
-  in
   C.Cmd.v (C.Cmd.info "exp" ~doc)
-    C.Term.(const run $ id $ Cli.opts_term ~default_profile:Campaign.Full)
+    C.Term.(
+      const (fun c opts -> Cli.handle opts c)
+      $ campaign
+      $ Cli.opts_term ~default_profile:Campaign.Full)
 
 (* --- all --- *)
 
@@ -75,7 +74,11 @@ let all_cmd =
   in
   let run (opts : Cli.opts) csv_dir =
     (match csv_dir with
-    | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
+    | Some dir when not (Sys.file_exists dir && Sys.is_directory dir) -> (
+        try Unix.mkdir dir 0o755
+        with Unix.Unix_error (e, _, _) ->
+          Fmt.epr "vvc: cannot create %s: %s@." dir (Unix.error_message e);
+          exit 1)
     | _ -> ());
     let write_csvs c tables =
       match csv_dir with
@@ -551,7 +554,16 @@ let radio_cmd =
   C.Cmd.v (C.Cmd.info "radio" ~doc)
     C.Term.(ret (const checked $ format_term $ topo $ t))
 
-(* --- check --- *)
+(* --- check, chaos, gst, validity --- *)
+
+(* A campaign subcommand: [campaign] builds the campaign from the
+   subcommand's own flags, and it runs under the shared flag bundle at the
+   smoke tier by default. *)
+let campaign_cmd name ~doc campaign =
+  C.Cmd.v (C.Cmd.info name ~doc)
+    C.Term.(
+      const Cli.handle $ Cli.opts_term ~default_profile:Campaign.Smoke
+      $ campaign)
 
 let validity_list_conv =
   let module Property = Vv_ballot.Property in
@@ -561,6 +573,7 @@ let validity_list_conv =
       |> List.filter (fun x -> x <> "")
     in
     let names = if List.mem "all" names then Property.names else names in
+    let choices = String.concat ", " Property.names in
     let rec resolve acc = function
       | [] -> Ok (List.rev acc)
       | n :: rest -> (
@@ -570,9 +583,11 @@ let validity_list_conv =
               Error
                 (`Msg
                    (Fmt.str "unknown validity %S (one of: %s, or all)" n
-                      (String.concat ", " Property.names))))
+                      choices)))
     in
-    resolve [] names
+    if names = [] then
+      Error (`Msg (Fmt.str "empty validity list (one of: %s, or all)" choices))
+    else resolve [] names
   in
   C.Arg.conv
     (parse, fun ppf ps -> Fmt.(list ~sep:comma Vv_ballot.Property.pp) ppf ps)
@@ -597,14 +612,10 @@ let check_cmd =
                 $(b,all)). Default: voting, the paper's property."
                (String.concat ", " Vv_ballot.Property.names)))
   in
-  let run opts properties =
-    Cli.handle opts (Vv_check.Report.campaign ~properties ())
-  in
-  C.Cmd.v (C.Cmd.info "check" ~doc)
+  campaign_cmd "check" ~doc
     C.Term.(
-      const run $ Cli.opts_term ~default_profile:Campaign.Smoke $ validity)
-
-(* --- chaos --- *)
+      const (fun properties -> Vv_check.Report.campaign ~properties ())
+      $ validity)
 
 let chaos_cmd =
   let doc =
@@ -621,16 +632,11 @@ let chaos_cmd =
           ~doc:"Enable the capped-exponential-backoff retransmission \
                 policy for every run.")
   in
-  let run opts retransmit trials =
-    Cli.handle opts (Vv_analysis.Exp_chaos.campaign ~retransmit ?trials ())
-  in
-  C.Cmd.v (C.Cmd.info "chaos" ~doc)
+  campaign_cmd "chaos" ~doc
     C.Term.(
-      const run
-      $ Cli.opts_term ~default_profile:Campaign.Smoke
+      const (fun retransmit trials ->
+          Vv_analysis.Exp_chaos.campaign ~retransmit ?trials ())
       $ retransmit $ Cli.trials_term)
-
-(* --- gst --- *)
 
 let gst_cmd =
   let doc =
@@ -641,14 +647,10 @@ let gst_cmd =
      E20). Exits nonzero when a predicted-achievable cell shows any \
      violation or stall."
   in
-  let run opts trials =
-    Cli.handle opts (Vv_analysis.Exp_gst.campaign ?trials ())
-  in
-  C.Cmd.v (C.Cmd.info "gst" ~doc)
+  campaign_cmd "gst" ~doc
     C.Term.(
-      const run $ Cli.opts_term ~default_profile:Campaign.Smoke $ Cli.trials_term)
-
-(* --- validity --- *)
+      const (fun trials -> Vv_analysis.Exp_gst.campaign ?trials ())
+      $ Cli.trials_term)
 
 let validity_cmd =
   let doc =
@@ -660,12 +662,10 @@ let validity_cmd =
      (impl, config, validity) cell shows a violation or stall — the \
      executable form of the arXiv 2301.04920 solvability hierarchy."
   in
-  let run opts trials =
-    Cli.handle opts (Vv_analysis.Exp_validity.campaign ?trials ())
-  in
-  C.Cmd.v (C.Cmd.info "validity" ~doc)
+  campaign_cmd "validity" ~doc
     C.Term.(
-      const run $ Cli.opts_term ~default_profile:Campaign.Smoke $ Cli.trials_term)
+      const (fun trials -> Vv_analysis.Exp_validity.campaign ?trials ())
+      $ Cli.trials_term)
 
 (* --- serve / load --- *)
 

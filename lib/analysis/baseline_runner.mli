@@ -6,13 +6,6 @@ type summary = {
   stalled : bool;
 }
 
-val raw_collude : unit -> Vv_baselines.Exchange_ba.msg Vv_sim.Adversary.t
-(** Observe honest round-0 values and flood the runner-up — the collusion
-    the voting protocols face, aimed at the exchange-based baselines. *)
-
-val approx_outlier : value:float -> float Vv_sim.Adversary.t
-(** Flood an extreme scalar every round (the sensor-failure scenario). *)
-
 module Median_E : module type of Vv_sim.Engine.Make (Vv_baselines.Median_validity)
 module Interval_E : module type of Vv_sim.Engine.Make (Vv_baselines.Interval_validity)
 module Strong_E : module type of Vv_sim.Engine.Make (Vv_baselines.Strong_consensus)

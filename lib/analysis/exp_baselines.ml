@@ -44,7 +44,8 @@ let record r ~honest ~outputs =
   if agree then r.agree <- r.agree + 1;
   if exact then r.exact <- r.exact + 1
 
-let e8_election ?(trials = 120) ?(ng = 10) ?(t = 2) ?(seed = 0xe8) () =
+let e8_election ~trials ~seed =
+  let ng = 10 and t = 2 in
   let rng = Rng.create seed in
   let dist = Vv_dist.Profiles.distribution ~ng Vv_dist.Profiles.d2 in
   let n = ng + t in
@@ -119,7 +120,8 @@ let e8_election ?(trials = 120) ?(ng = 10) ?(t = 2) ?(seed = 0xe8) () =
     ];
   t_out
 
-let e8_sensor ?(trials = 60) ?(ng = 9) ?(t = 2) ?(seed = 0x5e45) () =
+let e8_sensor ~trials ~seed =
+  let ng = 9 and t = 2 in
   let rng = Rng.create seed in
   let n = ng + t in
   let byz = List.init t (fun i -> ng + i) in
@@ -218,26 +220,24 @@ let e8_sensor ?(trials = 60) ?(ng = 9) ?(t = 2) ?(seed = 0x5e45) () =
    than one cell per trial.  The default campaign seed reproduces the two
    legacy per-table seeds exactly; an explicit [--seed] derives a fresh
    per-cell seed for the sensor workload instead. *)
-type e8_cell = [ `Election | `Sensor ]
-
 let e8_campaign =
   Campaign.v ~id:"e8"
     ~what:"Baselines: exactness on elections; median/approx on sensors"
     ~seed:0xe8
-    ~cells:(fun _ -> ([ `Election; `Sensor ] : e8_cell list))
+    ~cells:(fun _ -> [ `Election; `Sensor ])
     ~run_cell:(fun ctx cell ->
       let smoke = ctx.Campaign.profile = Campaign.Smoke in
       match cell with
       | `Election ->
           let trials = if smoke then 30 else 120 in
-          e8_election ~trials ~seed:ctx.Campaign.base_seed ()
+          e8_election ~trials ~seed:ctx.Campaign.base_seed
       | `Sensor ->
           let trials = if smoke then 15 else 60 in
           let seed =
             if ctx.Campaign.base_seed = 0xe8 then 0x5e45
             else ctx.Campaign.cell_seed
           in
-          e8_sensor ~trials ~seed ())
+          e8_sensor ~trials ~seed)
     ~collect:(fun _ pairs -> Campaign.tables (List.map snd pairs))
     ()
 
@@ -269,7 +269,8 @@ let e9_cells =
         e9_variants)
     [ 6; 9; 12 ]
 
-let e9_row ~t (protocol, bb, label, ng) =
+let e9_row (protocol, bb, label, ng) =
+  let t = 1 in
   let honest = Witness.inputs ~ag:(ng - 1) ~bg:1 ~cg:0 in
   let r =
     Runner.simple ~protocol ~bb ~strategy:Strategy.Collude_second ~t ~f:t honest
@@ -283,18 +284,11 @@ let e9_row ~t (protocol, bb, label, ng) =
     Table.icell r.Runner.byz_msgs;
   ]
 
-let e9 ?(t = 1) () =
-  let tt = e9_table () in
-  List.iter (fun c -> Table.add_row tt (e9_row ~t c)) e9_cells;
-  tt
-
 let e9_campaign =
-  Campaign.v ~id:"e9"
+  Tabulate.campaign ~id:"e9"
     ~what:"Protocol cost: rounds and messages per protocol/substrate"
-    ~cells:(fun _ -> e9_cells)
-    ~run_cell:(fun _ c -> e9_row ~t:1 c)
-    ~collect:(fun _ pairs ->
-      let tt = e9_table () in
-      List.iter (fun (_, row) -> Table.add_row tt row) pairs;
-      Campaign.tables [ tt ])
-    ()
+    [
+      Tabulate.section ~table:e9_table
+        ~cells:(fun _ -> e9_cells)
+        ~row:(fun _ c -> Some (e9_row c));
+    ]

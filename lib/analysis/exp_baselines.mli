@@ -1,23 +1,14 @@
 (** Experiments E8-E9: baseline comparison and protocol cost. *)
 
-val e8_election :
-  ?trials:int -> ?ng:int -> ?t:int -> ?seed:int -> unit -> Vv_prelude.Table.t
-(** Election workload: exact-plurality / agreement / termination rates of
-    the voting-validity protocols vs the approximate baselines under
-    collusion. *)
-
-val e8_sensor :
-  ?trials:int -> ?ng:int -> ?t:int -> ?seed:int -> unit -> Vv_prelude.Table.t
-(** Sensor workload with Byzantine outliers: where median/approximate
-    agreement win and plurality voting has nothing to find. *)
-
-val e9 : ?t:int -> unit -> Vv_prelude.Table.t
-(** Rounds and messages per protocol and substrate across system sizes. *)
-
 val e8_campaign : Vv_exec.Campaign.t
-(** Two coarse cells (election, sensor), each threading its own rng; the
-    default seed reproduces the legacy per-table seeds byte-for-byte.
-    Smoke tier shrinks the trial counts. *)
+(** Two coarse cells, each threading its own rng: the election workload
+    (exact-plurality / agreement / termination rates of the
+    voting-validity protocols vs the approximate baselines under
+    collusion) and the sensor workload with Byzantine outliers (where
+    median/approximate agreement win and plurality voting has nothing to
+    find). The default seed reproduces the legacy per-table seeds
+    byte-for-byte. Smoke tier shrinks the trial counts. *)
 
 val e9_campaign : Vv_exec.Campaign.t
-(** One cell per (protocol, substrate, N_G) triple; deterministic. *)
+(** Rounds and messages per protocol and substrate across system sizes;
+    one cell per (protocol, substrate, N_G) triple, deterministic. *)

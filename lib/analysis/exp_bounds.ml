@@ -14,7 +14,6 @@ module Bounds = Vv_core.Bounds
 module Runner = Vv_core.Runner
 module Strategy = Vv_core.Strategy
 module Oid = Vv_ballot.Option_id
-module Campaign = Vv_exec.Campaign
 
 let e6_table () =
   Table.create
@@ -23,9 +22,6 @@ let e6_table () =
        (B_G=1, C_G=0, f=t colluders)"
     ~headers:
       [ "N"; "t"; "3t<N (Ineq3)"; "Ineq15 ok"; "algo4 term"; "algo4 valid" ]
-    ~aligns:
-      [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-        Table.Right ]
     ()
 
 (* Points where the electorate has a strict plurality (A_G > B_G with
@@ -58,21 +54,14 @@ let e6_row (n, tol) =
     Table.bcell r.Runner.voting_validity;
   ]
 
-let e6 () =
-  let t = e6_table () in
-  List.iter (fun c -> Table.add_row t (e6_row c)) e6_cells;
-  t
-
 let e6_campaign =
-  Campaign.v ~id:"e6"
+  Tabulate.campaign ~id:"e6"
     ~what:"Algorithm 4 under local broadcast: the 3t term disappears"
-    ~cells:(fun _ -> e6_cells)
-    ~run_cell:(fun _ c -> e6_row c)
-    ~collect:(fun _ pairs ->
-      let t = e6_table () in
-      List.iter (fun (_, row) -> Table.add_row t row) pairs;
-      Campaign.tables [ t ])
-    ()
+    [
+      Tabulate.section ~table:e6_table
+        ~cells:(fun _ -> e6_cells)
+        ~row:(fun _ c -> Some (e6_row c));
+    ]
 
 let e7a_table () =
   Table.create
@@ -82,7 +71,6 @@ let e7a_table () =
     ~headers:
       [ "t"; "B_G"; "C_G"; "gap"; "N"; "bound ok"; "term"; "valid";
         "exact"; "matches theory" ]
-    ~aligns:(List.init 10 (fun i -> if i < 5 then Table.Right else Table.Right))
     ()
 
 (* The nested sweep flattened in loop order: t, then B_G, then C_G
@@ -118,18 +106,12 @@ let e7a_row (tol, bg, cg, gap) =
     Table.bcell c.Witness.matches_theory;
   ]
 
-let e7_lemma2 () =
-  let t = e7a_table () in
-  List.iter (fun c -> Table.add_row t (e7a_row c)) e7a_cells;
-  t
-
 let e7b_table () =
   Table.create
     ~title:
       "E7b: Theorem 10 - SCT with delta_P = t-1 is fooled on honest ties; \
        delta_P = t stalls safely"
     ~headers:[ "t"; "lax (t-1) violates"; "strict (t) safe" ]
-    ~aligns:[ Table.Right; Table.Right; Table.Right ]
     ()
 
 let e7b_row tol =
@@ -140,46 +122,30 @@ let e7b_row tol =
     Table.bcell d.Witness.strict_safe;
   ]
 
-let e7_theorem10 () =
-  let t = e7b_table () in
-  List.iter (fun tol -> Table.add_row t (e7b_row tol)) [ 1; 2; 3 ];
-  t
-
-type e7_cell = E7_lemma2 of (int * int * int * int) | E7_theorem10 of int
-
 let e7_campaign =
-  Campaign.v ~id:"e7"
+  Tabulate.campaign ~id:"e7"
     ~what:"Impossibility thresholds: Lemma 2 flip and Theorem 10"
-    ~cells:(fun _ ->
-      List.map (fun c -> E7_lemma2 c) e7a_cells
-      @ List.map (fun t -> E7_theorem10 t) [ 1; 2; 3 ])
-    ~run_cell:(fun _ -> function
-      | E7_lemma2 c -> e7a_row c
-      | E7_theorem10 t -> e7b_row t)
-    ~collect:(fun _ pairs ->
-      let rows p =
-        List.filter_map (fun (c, r) -> if p c then Some r else None) pairs
-      in
-      let ta = e7a_table () in
-      List.iter (Table.add_row ta)
-        (rows (function E7_lemma2 _ -> true | _ -> false));
-      let tb = e7b_table () in
-      List.iter (Table.add_row tb)
-        (rows (function E7_theorem10 _ -> true | _ -> false));
-      Campaign.tables [ ta; tb ])
-    ()
+    [
+      Tabulate.section ~table:e7a_table
+        ~cells:(fun _ -> e7a_cells)
+        ~row:(fun _ c -> Some (e7a_row c));
+      Tabulate.section ~table:e7b_table
+        ~cells:(fun _ -> [ 1; 2; 3 ])
+        ~row:(fun _ t -> Some (e7b_row t));
+    ]
 
-let e10a_table ~n () =
+let e10a_n = 12
+
+let e10a_table () =
   Table.create
     ~title:
       (Fmt.str
          "E10a: Theorem 12 frontier at N=%d - max tolerable t vs vote \
           dispersion (2B_G + C_G)"
-         n)
+         e10a_n)
     ~headers:
       [ "B_G"; "C_G"; "2B_G+C_G"; "t_vd (K=2)"; "max t BFT/CFT";
         "t_vd (K=3)"; "max t SCT" ]
-    ~aligns:(List.init 7 (fun _ -> Table.Right))
     ()
 
 let e10a_cells =
@@ -190,7 +156,8 @@ let e10a_cells =
         [ 0; 1; 2; 3; 4 ])
     [ 0; 1; 2; 3 ]
 
-let e10a_row ~n (bg, cg) =
+let e10a_row (bg, cg) =
+  let n = e10a_n in
   [
     Table.icell bg;
     Table.icell cg;
@@ -201,11 +168,6 @@ let e10a_row ~n (bg, cg) =
     Table.icell (Bounds.max_tolerable_t Bounds.Sct ~n ~bg ~cg);
   ]
 
-let e10_frontier ?(n = 12) () =
-  let t = e10a_table ~n () in
-  List.iter (fun c -> Table.add_row t (e10a_row ~n c)) e10a_cells;
-  t
-
 (* E11: ablation of the local judgment condition delta_P.
 
    Two workloads at t = 2: a decisive electorate (gap = 5) where larger
@@ -215,28 +177,30 @@ let e10_frontier ?(n = 12) () =
    the t+1 quorum.  Together they show delta_P = t is the unique safe and
    live choice for safety-guaranteed protocols, and delta_P = 0 maximises
    liveness when validity-below-the-bound is acceptable (Algorithm 1). *)
-let e11_table ~t () =
+let e11_t = 2
+
+let e11_table () =
   Table.create
     ~title:
       (Fmt.str
          "E11: delta_P ablation at t=%d - termination on a decisive \
           electorate vs safety under the Theorem 10 tie attack"
-         t)
+         e11_t)
     ~headers:
       [ "delta_P"; "quorum"; "decisive: term"; "decisive: valid";
         "tie attack: term"; "tie attack: tb-valid" ]
-    ~aligns:(List.init 6 (fun _ -> Table.Right))
     ()
 
-let e11_cells ~t =
+let e11_cells =
   List.concat_map
     (fun dp ->
       List.map
         (fun (quorum_label, protocol) -> (dp, quorum_label, protocol))
         [ ("N-t", Runner.Algo1); ("t+1", Runner.Algo2_sct) ])
-    (List.init ((2 * t) + 2) Fun.id)
+    (List.init ((2 * e11_t) + 2) Fun.id)
 
-let e11_row ~t (dp, quorum_label, protocol) =
+let e11_row (dp, quorum_label, protocol) =
+  let t = e11_t in
   let decisive = Witness.inputs ~ag:(1 + ((2 * t) + 1)) ~bg:1 ~cg:0 in
   let k = 2 * t in
   let tie_inputs =
@@ -263,22 +227,14 @@ let e11_row ~t (dp, quorum_label, protocol) =
     Table.bcell tie.Runner.voting_validity_tb;
   ]
 
-let e11_judgment_ablation ?(t = 2) () =
-  let tab = e11_table ~t () in
-  List.iter (fun c -> Table.add_row tab (e11_row ~t c)) (e11_cells ~t);
-  tab
-
 let e11_campaign =
-  let t = 2 in
-  Campaign.v ~id:"e11"
+  Tabulate.campaign ~id:"e11"
     ~what:"Ablation: local judgment condition delta_P (liveness vs safety)"
-    ~cells:(fun _ -> e11_cells ~t)
-    ~run_cell:(fun _ c -> e11_row ~t c)
-    ~collect:(fun _ pairs ->
-      let tab = e11_table ~t () in
-      List.iter (fun (_, row) -> Table.add_row tab row) pairs;
-      Campaign.tables [ tab ])
-    ()
+    [
+      Tabulate.section ~table:e11_table
+        ~cells:(fun _ -> e11_cells)
+        ~row:(fun _ c -> Some (e11_row c));
+    ]
 
 (* Section VI-A's remark: moving a hesitant vote from the runner-up B to a
    third option C shrinks the bound (B_G weighs double).  Compare the two
@@ -326,41 +282,16 @@ let e10b_row (label, honest) =
           Table.bcell r.Runner.voting_validity;
         ]
 
-let e10_third_option () =
-  let t = e10b_table () in
-  List.iter
-    (fun c -> match e10b_row c with Some row -> Table.add_row t row | None -> ())
-    e10b_cells;
-  t
-
-(* Two sub-tables, one campaign: the frontier grid (one cell per
-   (B_G, C_G) point) and the third-option comparison. *)
-type e10_cell =
-  | E10_frontier of (int * int)
-  | E10_third of (string * Vv_ballot.Option_id.t list)
-
+(* Two tables, one campaign: the frontier grid (one cell per (B_G, C_G)
+   point) and the third-option comparison. *)
 let e10_campaign =
-  Campaign.v ~id:"e10"
+  Tabulate.campaign ~id:"e10"
     ~what:"Theorem 12: dispersion-tolerance frontier and third-option trick"
-    ~cells:(fun _ ->
-      List.map (fun c -> E10_frontier c) e10a_cells
-      @ List.map (fun c -> E10_third c) e10b_cells)
-    ~run_cell:(fun _ cell ->
-      match cell with
-      | E10_frontier c -> Some (e10a_row ~n:12 c)
-      | E10_third c -> e10b_row c)
-    ~collect:(fun _ pairs ->
-      let rows p =
-        List.filter_map
-          (fun (c, row) ->
-            match row with Some r when p c -> Some r | _ -> None)
-          pairs
-      in
-      let ta = e10a_table ~n:12 () in
-      List.iter (Table.add_row ta)
-        (rows (function E10_frontier _ -> true | _ -> false));
-      let tb = e10b_table () in
-      List.iter (Table.add_row tb)
-        (rows (function E10_third _ -> true | _ -> false));
-      Campaign.tables [ ta; tb ])
-    ()
+    [
+      Tabulate.section ~table:e10a_table
+        ~cells:(fun _ -> e10a_cells)
+        ~row:(fun _ c -> Some (e10a_row c));
+      Tabulate.section ~table:e10b_table
+        ~cells:(fun _ -> e10b_cells)
+        ~row:(fun _ c -> e10b_row c);
+    ]

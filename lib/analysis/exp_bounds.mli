@@ -1,34 +1,20 @@
 (** Experiments E6, E7, E10 and E11: the tolerance bounds, executed. *)
 
-val e6 : unit -> Vv_prelude.Table.t
-(** Algorithm 4 under local broadcast at points with [N <= 3t]
-    (Inequality 15). *)
-
-val e7_lemma2 : unit -> Vv_prelude.Table.t
-(** Sweep of {!Witness.lemma2_cell} over (t, B_G, C_G, gap). *)
-
-val e7_theorem10 : unit -> Vv_prelude.Table.t
-(** {!Witness.theorem10_demo} for t = 1..3. *)
-
-val e10_frontier : ?n:int -> unit -> Vv_prelude.Table.t
-(** Theorem 12: max tolerable t vs vote dispersion for K = 2 and K = 3. *)
-
-val e10_third_option : unit -> Vv_prelude.Table.t
-(** Section VI-A's remark: moving hesitant votes from the runner-up to
-    third options shrinks the bound (B_G weighs double). *)
-
-val e11_judgment_ablation : ?t:int -> unit -> Vv_prelude.Table.t
-(** Ablation of delta_P x quorum: liveness on a decisive electorate vs
-    safety under the Theorem 10 tie attack. *)
-
 val e6_campaign : Vv_exec.Campaign.t
-(** One cell per (N, t) point; deterministic. *)
+(** Algorithm 4 under local broadcast at points with [N <= 3t]
+    (Inequality 15); one cell per (N, t) point, deterministic. *)
 
 val e7_campaign : Vv_exec.Campaign.t
-(** Lemma 2 sweep cells plus Theorem 10 demo cells; two tables. *)
+(** Two tables: {!Witness.lemma2_cell} swept over (t, B_G, C_G, gap),
+    and {!Witness.theorem10_demo} for t = 1..3. *)
 
 val e10_campaign : Vv_exec.Campaign.t
-(** Frontier grid cells plus the third-option comparison; two tables. *)
+(** Theorem 12: max tolerable t vs vote dispersion for K = 2 and K = 3,
+    one cell per (B_G, C_G) point; then Section VI-A's remark that moving
+    hesitant votes from the runner-up to third options shrinks the bound
+    (B_G weighs double). Two tables. *)
 
 val e11_campaign : Vv_exec.Campaign.t
-(** One cell per (delta_P, quorum) pair; deterministic. *)
+(** Ablation of delta_P x quorum at t = 2: liveness on a decisive
+    electorate vs safety under the Theorem 10 tie attack. One cell per
+    (delta_P, quorum) pair; deterministic. *)

@@ -33,8 +33,6 @@ module Property = Vv_ballot.Property
 
 type profile = Campaign.profile = Smoke | Full
 
-let profile_label = Campaign.profile_label
-
 type scenario = { width : int; heal : int }
 
 (* The grid's protocol axis: the synchronous voting pipeline variants,
@@ -62,14 +60,6 @@ let cell_class c =
   if c.violations > 0 then Property.Violation
   else if c.stalls > 0 then Property.Stall
   else Property.Exact
-
-type result = {
-  profile : profile;
-  retransmit : bool;
-  trials : int;
-  cells : cell list;
-  ok : bool;
-}
 
 let protocols =
   [
@@ -246,14 +236,14 @@ let result_ok cells =
 
 (* --- tables --- *)
 
-let grid_table r =
+let grid_table ~profile ~retransmit ~trials cells =
   let tab =
     Table.create
       ~title:
         (Fmt.str
            "E17: chaos degradation grid (profile=%s trials=%d retransmit=%b; \
             dup=drop/2, jitter=1 when drop>0)"
-           (profile_label r.profile) r.trials r.retransmit)
+           (Campaign.profile_label profile) trials retransmit)
       ~headers:
         [ "protocol"; "drop"; "partition"; "class"; "exact"; "stall";
           "violation"; "avg rounds"; "avg dropped"; "avg retrans" ]
@@ -277,12 +267,12 @@ let grid_table r =
           Table.fcell ~decimals:1 c.dropped_avg;
           Table.fcell ~decimals:1 c.retrans_avg;
         ])
-    r.cells;
+    cells;
   tab
 
 (* The envelope: the largest swept drop rate below which the
    partition-free column stays all-Exact, per protocol. *)
-let envelope_table r =
+let envelope_table ~profile cells =
   let tab =
     Table.create
       ~title:"E17: degradation envelope per protocol"
@@ -296,7 +286,7 @@ let envelope_table r =
   in
   List.iter
     (fun variant ->
-      let cs = List.filter (fun c -> c.variant = variant) r.cells in
+      let cs = List.filter (fun c -> c.variant = variant) cells in
       let count f = List.length (List.filter f cs) in
       let clean_envelope =
         (* Largest prefix of the ascending drop axis whose
@@ -313,7 +303,7 @@ let envelope_table r =
                   cs
               in
               if ok then (true, Some d) else (false, best))
-          (true, None) (drops r.profile)
+          (true, None) (drops profile)
         |> snd
       in
       let violations =
@@ -334,8 +324,6 @@ let envelope_table r =
     variants;
   tab
 
-let tables r = [ grid_table r; envelope_table r ]
-
 let campaign ?(retransmit = false) ?trials () =
   let trials_for profile =
     match trials with Some k -> k | None -> default_trials profile
@@ -351,14 +339,14 @@ let campaign ?(retransmit = false) ?trials () =
         ~index:ctx.Campaign.index cell)
     ~collect:(fun profile pairs ->
       let cells = List.map snd pairs in
-      let r =
-        {
-          profile;
-          retransmit;
-          trials = trials_for profile;
-          cells;
-          ok = result_ok cells;
-        }
-      in
-      { Campaign.tables = tables r; ok = r.ok; verdict = None })
+      let trials = trials_for profile in
+      {
+        Campaign.tables =
+          [
+            grid_table ~profile ~retransmit ~trials cells;
+            envelope_table ~profile cells;
+          ];
+        ok = result_ok cells;
+        verdict = None;
+      })
     ()

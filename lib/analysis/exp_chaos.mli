@@ -17,56 +17,6 @@
     {!Vv_exec.Campaign.run} with per-index derived seeds and are
     aggregated sequentially in index order. *)
 
-type profile = Vv_exec.Campaign.profile = Smoke | Full
-(** Re-export of {!Vv_exec.Campaign.profile}. [Smoke] is the CI tier (3 drop rates x 3 partition scenarios x 6
-    variants x 3 trials); [Full] widens every axis. *)
-
-type scenario = {
-  width : int;  (** honest nodes isolated by the transient partition *)
-  heal : int;  (** rounds until the partition heals (recovery lag) *)
-}
-
-type variant =
-  | Std of Vv_core.Runner.protocol
-      (** a synchronous voting pipeline variant *)
-  | Na
-      (** {!Vv_bb.Na_voting} — the network-agnostic broadcast protocol
-          of E20 — run through the same substrate faults under the E20
-          forging adversary *)
-
-val variant_label : variant -> string
-
-type cell = {
-  variant : variant;
-  drop : float;
-  scenario : scenario;
-  exact : int;  (** trials classified Exact *)
-  stalls : int;
-  violations : int;
-  rounds_avg : float;
-  dropped_avg : float;  (** deliveries destroyed by the substrate *)
-  retrans_avg : float;  (** retransmission attempts fired *)
-}
-
-val cell_class : cell -> Vv_ballot.Property.verdict
-(** Worst classification over the cell's trials:
-    Violation > Stall > Exact. *)
-
-type result = {
-  profile : profile;
-  retransmit : bool;
-  trials : int;
-  cells : cell list;  (** grid order: variant, then drop, then scenario *)
-  ok : bool;
-      (** the safety-guaranteed variant (Algo2_sct) and the
-          network-agnostic variant ([Na]) had zero Violation trials on
-          the whole grid *)
-}
-
-val tables : result -> Vv_prelude.Table.t list
-(** The per-cell degradation grid and the per-protocol envelope summary,
-    for the shared {!Vv_exec.Emit} path. *)
-
 val campaign : ?retransmit:bool -> ?trials:int -> unit -> Vv_exec.Campaign.t
 (** The campaign: one cell per grid point, per-trial seeds derived from
     the flat (cell, trial) index, [ok] wired to the emitted value so the

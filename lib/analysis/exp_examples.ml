@@ -66,21 +66,14 @@ let e4_cells =
 let e4_row (protocol, honest) =
   run_row protocol Strategy.Collude_second ~tol:3 ~f:3 honest
 
-let e4 () =
-  let t = e4_table () in
-  List.iter (fun c -> Table.add_row t (e4_row c)) e4_cells;
-  t
-
 let e4_campaign =
-  Campaign.v ~id:"e4"
+  Tabulate.campaign ~id:"e4"
     ~what:"Section I/IV worked example: Algorithm 1 fooled, SCT safe"
-    ~cells:(fun _ -> e4_cells)
-    ~run_cell:(fun _ c -> e4_row c)
-    ~collect:(fun _ pairs ->
-      let t = e4_table () in
-      List.iter (fun (_, row) -> Table.add_row t row) pairs;
-      Campaign.tables [ t ])
-    ()
+    [
+      Tabulate.section ~table:e4_table
+        ~cells:(fun _ -> e4_cells)
+        ~row:(fun _ c -> Some (e4_row c));
+    ]
 
 let e5a_table () =
   Table.create
@@ -93,11 +86,7 @@ let e5a_table () =
 
 let e5a_row dp =
   let fires =
-    match dp with
-    | 0 -> Witness.incremental_firing_point ~n:10 Witness.section7_sequence
-    | _ ->
-        Witness.incremental_firing_point ~delta_p:dp ~n:10
-          Witness.section7_sequence
+    Witness.incremental_firing_point ~delta_p:dp ~n:10 Witness.section7_sequence
   in
   let paper = if dp = 0 then "7 (Section VII-A)" else "-" in
   [
@@ -105,11 +94,6 @@ let e5a_row dp =
     (match fires with Some k -> Table.icell k | None -> "-");
     paper;
   ]
-
-let e5_firing () =
-  let t = e5a_table () in
-  List.iter (fun dp -> Table.add_row t (e5a_row dp)) [ 0; 1 ];
-  t
 
 let mean_decision_round (r : Runner.outcome) =
   let rounds = List.filter_map Fun.id r.Runner.decision_rounds in
@@ -126,21 +110,24 @@ let mean_decision_round (r : Runner.outcome) =
    possible.  Algorithm 3 must still decide no later than Algorithm 1's
    fixed 2*delta wait — optimistic responsiveness degrades gracefully to
    the synchronous bound. *)
-let e5c_table ~delta () =
+let e5c_delta = 4
+
+let e5c_table () =
   Table.create
     ~title:
       (Fmt.str
          "E5c: adversarial schedule (leader votes delayed to the bound \
           delta=%d) - Algorithm 3 degrades to Algorithm 1's wait, never \
           worse"
-         delta)
+         e5c_delta)
     ~headers:[ "protocol"; "schedule"; "term"; "valid"; "rounds" ]
     ~aligns:[ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right ]
     ()
 
 let e5c_cases = [ `Algo1_worst; `Algo3_starved; `Algo3_instant ]
 
-let e5c_row ~delta case =
+let e5c_row case =
+  let delta = e5c_delta in
   let honest = List.map Oid.of_int [ 0; 0; 0; 0; 0; 1 ] in
   let n = List.length honest + 1 in
   (* Senders preferring the leader get the full delay; everyone else is
@@ -171,11 +158,6 @@ let e5c_row ~delta case =
     Table.icell r.Runner.rounds;
   ]
 
-let e5_adversarial_schedule ?(delta = 4) () =
-  let t = e5c_table ~delta () in
-  List.iter (fun case -> Table.add_row t (e5c_row ~delta case)) e5c_cases;
-  t
-
 let e5b_table () =
   Table.create
     ~title:
@@ -184,7 +166,6 @@ let e5b_table () =
     ~headers:
       [ "delta"; "algo1 mean decision round"; "algo3 mean decision round";
         "speedup" ]
-    ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right ]
     ()
 
 let e5b_deltas = [ 1; 2; 3; 4; 5; 6 ]
@@ -219,44 +200,26 @@ let e5b_row ~seeds hi =
     Table.fcell ~decimals:2 (m1 /. m3);
   ]
 
-let e5_delay_sweep ?(seeds = 12) () =
-  let t = e5b_table () in
-  List.iter (fun hi -> Table.add_row t (e5b_row ~seeds hi)) e5b_deltas;
-  t
-
-(* Three sub-tables, one campaign: the firing-point rows, the delay
-   sweep (one cell per delta; every trial seed is explicit, so the cells
-   are independent), and the adversarial schedule. *)
-type e5_cell =
-  | E5_firing of int
-  | E5_sweep of int
-  | E5_adv of [ `Algo1_worst | `Algo3_starved | `Algo3_instant ]
-
+(* Three tables, one campaign: the firing-point rows, the delay sweep
+   (one cell per delta; every trial seed is explicit, so the cells are
+   independent), and the adversarial schedule. *)
 let e5_campaign =
-  Campaign.v ~id:"e5"
+  Tabulate.campaign ~id:"e5"
     ~what:"Section VII-A incremental threshold: firing point + delay sweep"
-    ~cells:(fun _ ->
-      List.map (fun dp -> E5_firing dp) [ 0; 1 ]
-      @ List.map (fun hi -> E5_sweep hi) e5b_deltas
-      @ List.map (fun c -> E5_adv c) e5c_cases)
-    ~run_cell:(fun ctx cell ->
-      let seeds =
-        match ctx.Campaign.profile with Campaign.Full -> 12 | Campaign.Smoke -> 4
-      in
-      match cell with
-      | E5_firing dp -> e5a_row dp
-      | E5_sweep hi -> e5b_row ~seeds hi
-      | E5_adv case -> e5c_row ~delta:4 case)
-    ~collect:(fun _ pairs ->
-      let rows p = List.filter_map (fun (c, r) -> if p c then Some r else None) pairs in
-      let ta = e5a_table () in
-      List.iter (Table.add_row ta)
-        (rows (function E5_firing _ -> true | _ -> false));
-      let tb = e5b_table () in
-      List.iter (Table.add_row tb)
-        (rows (function E5_sweep _ -> true | _ -> false));
-      let tc = e5c_table ~delta:4 () in
-      List.iter (Table.add_row tc)
-        (rows (function E5_adv _ -> true | _ -> false));
-      Campaign.tables [ ta; tb; tc ])
-    ()
+    [
+      Tabulate.section ~table:e5a_table
+        ~cells:(fun _ -> [ 0; 1 ])
+        ~row:(fun _ dp -> Some (e5a_row dp));
+      Tabulate.section ~table:e5b_table
+        ~cells:(fun _ -> e5b_deltas)
+        ~row:(fun ctx hi ->
+          let seeds =
+            match ctx.Campaign.profile with
+            | Campaign.Full -> 12
+            | Campaign.Smoke -> 4
+          in
+          Some (e5b_row ~seeds hi));
+      Tabulate.section ~table:e5c_table
+        ~cells:(fun _ -> e5c_cases)
+        ~row:(fun _ case -> Some (e5c_row case));
+    ]

@@ -1,24 +1,14 @@
 (** Experiments E4-E5: the paper's worked examples. *)
 
-val e4 : unit -> Vv_prelude.Table.t
-(** Section I / IV example: Algorithm 1 fooled below the bound, SCT stalls
-    safely; both exact above it. *)
-
-val e5_firing : unit -> Vv_prelude.Table.t
-(** Section VII-A: the incremental threshold fires after 7 of 10 votes. *)
-
-val e5_delay_sweep : ?seeds:int -> unit -> Vv_prelude.Table.t
-(** Mean rounds-to-decision of Algorithms 1 vs 3 under uniform delays
-    1..delta. *)
-
-val e5_adversarial_schedule : ?delta:int -> unit -> Vv_prelude.Table.t
-(** Worst-case scheduling: leader votes delayed to the bound. Algorithm 3
-    degrades to Algorithm 1's synchronous wait, never beyond. *)
-
 val e4_campaign : Vv_exec.Campaign.t
-(** One cell per (protocol, electorate); deterministic. *)
+(** Section I / IV example: Algorithm 1 fooled below the bound, SCT
+    stalls safely; both exact above it. One cell per (protocol,
+    electorate); deterministic. *)
 
 val e5_campaign : Vv_exec.Campaign.t
-(** All three E5 tables as one grid: firing-point, delay-sweep and
-    adversarial-schedule cells. Smoke tier shrinks the sweep's seed
-    count. *)
+(** Section VII-A's incremental threshold as three tables: the firing
+    point (after 7 of 10 votes), mean rounds-to-decision of Algorithms 1
+    vs 3 under uniform delays 1..delta, and a worst-case schedule that
+    delays the leader's votes to the bound, where Algorithm 3 degrades to
+    Algorithm 1's synchronous wait, never beyond. Smoke tier shrinks the
+    sweep's seed count. *)

@@ -11,7 +11,6 @@
 module Table = Vv_prelude.Table
 module Oid = Vv_ballot.Option_id
 module Weighted = Vv_ballot.Weighted
-module Campaign = Vv_exec.Campaign
 
 let e14a_table () =
   Table.create
@@ -48,11 +47,6 @@ let e14a_row (label, votes) =
     Table.icell (max_wf (Weighted.exactness_guaranteed ~tie) votes);
     Table.icell (max_wf (Weighted.sct_guaranteed ~tie) votes);
   ]
-
-let e14_weighted () =
-  let tab = e14a_table () in
-  List.iter (fun c -> Table.add_row tab (e14a_row c)) e14a_cells;
-  tab
 
 module Approval = Vv_core.Approval.Make (Vv_bb.Plain)
 
@@ -114,11 +108,6 @@ let e14b_row (label, approvals) =
   in
   [ label; cell; Table.icell gap; Table.bcell term; winner ]
 
-let e14_approval () =
-  let tab = e14b_table () in
-  List.iter (fun c -> Table.add_row tab (e14b_row c)) e14b_cells;
-  tab
-
 let e14c_table () =
   Table.create
     ~title:
@@ -159,46 +148,17 @@ let e14c_row (label, inputs) =
         ]
   | _ -> None
 
-let e14_multidim () =
-  let tab = e14c_table () in
-  List.iter
-    (fun c ->
-      match e14c_row c with Some row -> Table.add_row tab row | None -> ())
-    e14c_cells;
-  tab
-
-type e14_cell =
-  | E14_weighted of (string * Weighted.vote list)
-  | E14_approval of (string * (int -> Oid.t list))
-  | E14_multidim of (string * Oid.t list list)
-
 let e14_campaign =
-  Campaign.v ~id:"e14"
+  Tabulate.campaign ~id:"e14"
     ~what:"Extensions: weighted stakes, approval voting, multi-dimensional"
-    ~cells:(fun _ ->
-      List.map (fun c -> E14_weighted c) e14a_cells
-      @ List.map (fun c -> E14_approval c) e14b_cells
-      @ List.map (fun c -> E14_multidim c) e14c_cells)
-    ~run_cell:(fun _ cell ->
-      match cell with
-      | E14_weighted c -> Some (e14a_row c)
-      | E14_approval c -> Some (e14b_row c)
-      | E14_multidim c -> e14c_row c)
-    ~collect:(fun _ pairs ->
-      let rows p =
-        List.filter_map
-          (fun (c, row) ->
-            match row with Some r when p c -> Some r | _ -> None)
-          pairs
-      in
-      let ta = e14a_table () in
-      List.iter (Table.add_row ta)
-        (rows (function E14_weighted _ -> true | _ -> false));
-      let tb = e14b_table () in
-      List.iter (Table.add_row tb)
-        (rows (function E14_approval _ -> true | _ -> false));
-      let tc = e14c_table () in
-      List.iter (Table.add_row tc)
-        (rows (function E14_multidim _ -> true | _ -> false));
-      Campaign.tables [ ta; tb; tc ])
-    ()
+    [
+      Tabulate.section ~table:e14a_table
+        ~cells:(fun _ -> e14a_cells)
+        ~row:(fun _ c -> Some (e14a_row c));
+      Tabulate.section ~table:e14b_table
+        ~cells:(fun _ -> e14b_cells)
+        ~row:(fun _ c -> Some (e14b_row c));
+      Tabulate.section ~table:e14c_table
+        ~cells:(fun _ -> e14c_cells)
+        ~row:(fun _ c -> e14c_row c);
+    ]

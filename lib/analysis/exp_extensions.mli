@@ -1,16 +1,7 @@
 (** Experiment E14: the library extensions in action. *)
 
-val e14_weighted : unit -> Vv_prelude.Table.t
-(** Stake-weighted thresholds: max tolerable adversary weight per stake
-    profile. *)
-
-val e14_approval : unit -> Vv_prelude.Table.t
-(** Approval voting under collusion: the endorsement-gap exactness
-    condition on the live protocol. *)
-
-val e14_multidim : unit -> Vv_prelude.Table.t
-(** Multi-dimensional subjects with per-coordinate SCT verdicts. *)
-
 val e14_campaign : Vv_exec.Campaign.t
-(** Weighted, approval and multi-dimensional cells; three tables,
-    deterministic. *)
+(** Three tables, deterministic: stake-weighted thresholds (max tolerable
+    adversary weight per stake profile), approval voting under collusion
+    (the endorsement-gap exactness condition on the live protocol), and
+    multi-dimensional subjects with per-coordinate SCT verdicts. *)

@@ -26,7 +26,8 @@ let fig1a_table () =
         Table.Right; Table.Right ]
     ()
 
-let fig1a_row ~ng (pr : Profiles.t) =
+let fig1a_row (pr : Profiles.t) =
+  let ng = Profiles.default_ng in
   let cells = Array.to_list (Array.map (fun p -> Table.fcell ~decimals:2 p) pr.p) in
   [ pr.Profiles.name ] @ cells
   @ [
@@ -34,21 +35,14 @@ let fig1a_row ~ng (pr : Profiles.t) =
       Table.fcell ~decimals:2 (Profiles.initial_entropy ~ng pr);
     ]
 
-let fig1a ?(ng = Profiles.default_ng) () =
-  let t = fig1a_table () in
-  List.iter (fun pr -> Table.add_row t (fig1a_row ~ng pr)) Profiles.all;
-  t
-
 let fig1a_campaign =
-  Campaign.v ~id:"fig1a"
+  Tabulate.campaign ~id:"fig1a"
     ~what:"Figure 1(a): preference profiles D1-D4 and initial entropy"
-    ~cells:(fun _ -> Profiles.all)
-    ~run_cell:(fun _ pr -> fig1a_row ~ng:Profiles.default_ng pr)
-    ~collect:(fun _ pairs ->
-      let t = fig1a_table () in
-      List.iter (fun (_, row) -> Table.add_row t row) pairs;
-      Campaign.tables [ t ])
-    ()
+    [
+      Tabulate.section ~table:fig1a_table
+        ~cells:(fun _ -> Profiles.all)
+        ~row:(fun _ pr -> Some (fig1a_row pr));
+    ]
 
 (* One empirical success estimate: sample honest inputs from the profile,
    run Algorithm 1 with f = t colluders on the runner-up, and count the
@@ -73,8 +67,8 @@ let empirical_success ?jobs ~trials ~t ~rng dist =
   if trials = 0 then 0.0
   else float_of_int (Array.fold_left ( + ) 0 wins) /. float_of_int trials
 
-let fig1b ?jobs ?(ng = Profiles.default_ng) ?(t_max = 4) ?(mc_samples = 20_000)
-    ?(trials = 150) ?(seed = 0xf1b) () =
+let fig1b ?jobs ?(t_max = 4) ?(mc_samples = 20_000) ?(trials = 150)
+    ?(seed = 0xf1b) () =
   let rng = Rng.create seed in
   let t =
     Table.create
@@ -90,7 +84,7 @@ let fig1b ?jobs ?(ng = Profiles.default_ng) ?(t_max = 4) ?(mc_samples = 20_000)
   in
   List.iter
     (fun (pr : Profiles.t) ->
-      let dist = Profiles.distribution ~ng pr in
+      let dist = Profiles.distribution ~ng:Profiles.default_ng pr in
       for tol = 0 to t_max do
         let exact = Cache.pr_voting_validity dist ~t:tol in
         let mc, hw =
@@ -130,33 +124,31 @@ let fig1b_campaign =
     ~collect:(fun _ pairs -> Campaign.tables (List.map snd pairs))
     ()
 
-let fig1c_table ~f_max () =
+let fig1c_f_max = 4
+
+let fig1c_table () =
   Table.create ~title:"Figure 1(c): system entropy H_s vs actual faults f"
     ~headers:
-      ([ "profile"; "H0" ] @ List.init (f_max + 1) (fun f -> Fmt.str "f=%d" f))
-    ~aligns:(Table.Left :: List.init (f_max + 2) (fun _ -> Table.Right))
+      ([ "profile"; "H0" ]
+      @ List.init (fig1c_f_max + 1) (fun f -> Fmt.str "f=%d" f))
+    ~aligns:(Table.Left :: List.init (fig1c_f_max + 2) (fun _ -> Table.Right))
     ()
 
-let fig1c_row ~ng ~f_max (pr : Profiles.t) =
+let fig1c_row (pr : Profiles.t) =
+  let ng = Profiles.default_ng in
   let dist = Profiles.distribution ~ng pr in
   let cells =
-    List.init (f_max + 1) (fun f -> Table.fcell (Cache.system_entropy dist ~f))
+    List.init (fig1c_f_max + 1) (fun f ->
+        Table.fcell (Cache.system_entropy dist ~f))
   in
   [ pr.Profiles.name; Table.fcell ~decimals:2 (Profiles.initial_entropy ~ng pr) ]
   @ cells
 
-let fig1c ?(ng = Profiles.default_ng) ?(f_max = 4) () =
-  let t = fig1c_table ~f_max () in
-  List.iter (fun pr -> Table.add_row t (fig1c_row ~ng ~f_max pr)) Profiles.all;
-  t
-
 let fig1c_campaign =
-  Campaign.v ~id:"fig1c"
+  Tabulate.campaign ~id:"fig1c"
     ~what:"Figure 1(c): system entropy H_s vs actual faults"
-    ~cells:(fun _ -> Profiles.all)
-    ~run_cell:(fun _ pr -> fig1c_row ~ng:Profiles.default_ng ~f_max:4 pr)
-    ~collect:(fun _ pairs ->
-      let t = fig1c_table ~f_max:4 () in
-      List.iter (fun (_, row) -> Table.add_row t row) pairs;
-      Campaign.tables [ t ])
-    ()
+    [
+      Tabulate.section ~table:fig1c_table
+        ~cells:(fun _ -> Profiles.all)
+        ~row:(fun _ pr -> Some (fig1c_row pr));
+    ]

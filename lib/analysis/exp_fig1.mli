@@ -1,8 +1,5 @@
 (** Experiments E1-E3: regenerate Figure 1 (Section VI-B). *)
 
-val fig1a : ?ng:int -> unit -> Vv_prelude.Table.t
-(** Figure 1(a): the D1-D4 profiles and initial system entropy H_0. *)
-
 val empirical_success :
   ?jobs:int ->
   trials:int ->
@@ -17,22 +14,20 @@ val empirical_success :
 
 val fig1b :
   ?jobs:int ->
-  ?ng:int ->
   ?t_max:int ->
   ?mc_samples:int ->
   ?trials:int ->
   ?seed:int ->
   unit ->
   Vv_prelude.Table.t
-(** Figure 1(b): [Pr(A_G - B_G > t)] per profile and tolerance, computed by
-    exact enumeration, Monte-Carlo, and live protocol runs (the latter
-    parallelisable via [?jobs], with identical output at every value). *)
-
-val fig1c : ?ng:int -> ?f_max:int -> unit -> Vv_prelude.Table.t
-(** Figure 1(c): system entropy H_s vs actual faults f. *)
+(** Figure 1(b): [Pr(A_G - B_G > t)] per profile and tolerance at the
+    paper's [N_G], computed by exact enumeration, Monte-Carlo, and live
+    protocol runs (the latter parallelisable via [?jobs], with identical
+    output at every value). *)
 
 val fig1a_campaign : Vv_exec.Campaign.t
-(** One cell per profile; deterministic. *)
+(** Figure 1(a): the D1-D4 profiles and initial system entropy H_0; one
+    cell per profile, deterministic. *)
 
 val fig1b_campaign : Vv_exec.Campaign.t
 (** A single cell (the table shares one rng across the whole grid) that
@@ -41,4 +36,5 @@ val fig1b_campaign : Vv_exec.Campaign.t
     trial count. *)
 
 val fig1c_campaign : Vv_exec.Campaign.t
-(** One cell per profile; deterministic. *)
+(** Figure 1(c): system entropy H_s vs actual faults f; one cell per
+    profile, deterministic. *)

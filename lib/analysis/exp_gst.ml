@@ -51,8 +51,6 @@ module Validity = Vv_ballot.Validity
 
 type profile = Campaign.profile = Smoke | Full
 
-let profile_label = Campaign.profile_label
-
 type sched = Sync | Gst of int | Gst_adv of int | Async
 
 let sched_label = function
@@ -173,13 +171,6 @@ let cell_class s =
    bound anything goes (violations are expected, stalls admissible). *)
 let stats_ok s = (not (predicted s.cell)) || cell_class s = Property.Exact
 
-type result = {
-  profile : profile;
-  trials : int;
-  cells : stats list;
-  ok : bool;
-}
-
 let pairs = function
   | Smoke -> [ (1, 1); (2, 1) ]
   | Full -> [ (1, 1); (2, 1); (2, 2); (3, 1) ]
@@ -293,14 +284,14 @@ let cell_stats ~trials ~seed ~index cell =
 
 let electorate_label c = Fmt.str "%d/%d/%d" c.ag c.bg c.cg
 
-let grid_table r =
+let grid_table ~profile ~trials cells =
   let tab =
     Table.create
       ~title:
         (Fmt.str
            "E20: network-agnostic validity grid (profile=%s trials=%d; \
             es bound=%d, async fairness=%d)"
-           (profile_label r.profile) r.trials es_bound async_fairness)
+           (Campaign.profile_label profile) trials es_bound async_fairness)
       ~headers:
         [ "t_s"; "t_a"; "network"; "probe"; "A/B/C"; "f"; "n"; "t";
           "predicted"; "class"; "exact"; "stall"; "violation"; "avg rounds";
@@ -332,12 +323,12 @@ let grid_table r =
           Table.fcell ~decimals:1 s.rounds_avg;
           (if stats_ok s then "yes" else "NO");
         ])
-    r.cells;
+    cells;
   tab
 
 (* The (t_s, t_a) region summary: per tolerance pair and network, the
    observed class of each probe against the bound prediction. *)
-let region_table r =
+let region_table ~profile cells =
   let tab =
     Table.create
       ~title:
@@ -360,7 +351,7 @@ let region_table r =
               (fun s ->
                 s.cell.t_s = t_s && s.cell.t_a = t_a && s.cell.sched = sched
                 && s.cell.probe = probe)
-              r.cells
+              cells
           in
           let w = find Wide and o = find Overfault and m = find Margin in
           let matched = stats_ok w && stats_ok o && stats_ok m in
@@ -375,11 +366,9 @@ let region_table r =
               Property.verdict_label (cell_class m);
               (if matched then "yes" else "NO");
             ])
-        (scheds r.profile))
-    (pairs r.profile);
+        (scheds profile))
+    (pairs profile);
   tab
-
-let tables r = [ grid_table r; region_table r ]
 
 let campaign ?trials () =
   let trials_for profile =
@@ -398,13 +387,13 @@ let campaign ?trials () =
         cell)
     ~collect:(fun profile pairs ->
       let cells = List.map snd pairs in
-      let r =
-        {
-          profile;
-          trials = trials_for profile;
-          cells;
-          ok = List.for_all stats_ok cells;
-        }
-      in
-      { Campaign.tables = tables r; ok = r.ok; verdict = None })
+      {
+        Campaign.tables =
+          [
+            grid_table ~profile ~trials:(trials_for profile) cells;
+            region_table ~profile cells;
+          ];
+        ok = List.for_all stats_ok cells;
+        verdict = None;
+      })
     ()

@@ -14,10 +14,14 @@
 module Table = Vv_prelude.Table
 module Profiles = Vv_dist.Profiles
 module Cache = Vv_dist.Cache
-module Oid = Vv_ballot.Option_id
-module Campaign = Vv_exec.Campaign
 
-let e13a_table ~t_max () =
+(* Tolerances t = 1..3 for the price table; m = 4 options and t = 3 for
+   Neiger's bound. *)
+let t_max = 3
+let neiger_t = 3
+let neiger_m = 4
+
+let e13a_table () =
   Table.create
     ~title:
       "E13a: the price of the safety guarantee - Pr(gap > t) vs \
@@ -30,8 +34,8 @@ let e13a_table ~t_max () =
     ~aligns:(Table.Left :: List.init (2 * t_max) (fun _ -> Table.Right))
     ()
 
-let e13a_row ~ng ~t_max (pr : Profiles.t) =
-  let dist = Profiles.distribution ~ng pr in
+let e13a_row (pr : Profiles.t) =
+  let dist = Profiles.distribution ~ng:Profiles.default_ng pr in
   let cells =
     List.concat_map
       (fun t ->
@@ -43,28 +47,23 @@ let e13a_row ~ng ~t_max (pr : Profiles.t) =
   in
   pr.Profiles.name :: cells
 
-let e13_sct_price ?(ng = Profiles.default_ng) ?(t_max = 3) () =
-  let tab = e13a_table ~t_max () in
-  List.iter
-    (fun pr -> Table.add_row tab (e13a_row ~ng ~t_max pr))
-    Profiles.all;
-  tab
-
-let e13b_table ~t ~m () =
+let e13b_table () =
   Table.create
     ~title:
       (Fmt.str
          "E13b: Neiger's N > mt bound, empirically (m=%d options, t=f=%d, \
           coalition floods a value no honest node holds)"
-         m t)
+         neiger_m neiger_t)
     ~headers:[ "N"; "N > mt"; "honest spread"; "strong validity"; "alien won" ]
     ~aligns:[ Table.Right; Table.Right; Table.Left; Table.Right; Table.Right ]
     ()
 
-let e13b_points ~t ~m =
-  [ (m * t) - 1; m * t; (m * t) + 1; (m * t) + 3; (m * t) + 6 ]
+let e13b_points =
+  let mt = neiger_m * neiger_t in
+  [ mt - 1; mt; mt + 1; mt + 3; mt + 6 ]
 
-let e13b_row ~t ~m n =
+let e13b_row n =
+  let t = neiger_t and m = neiger_m in
   let ng = n - t in
   (* Spread honest inputs as evenly as possible over options 0..m-1;
      the adversary floods option [m] (held by nobody honest). *)
@@ -109,33 +108,14 @@ let e13b_row ~t ~m n =
     Table.bcell alien_won;
   ]
 
-let e13_neiger ?(t = 3) ?(m = 4) () =
-  let tab = e13b_table ~t ~m () in
-  List.iter (fun n -> Table.add_row tab (e13b_row ~t ~m n)) (e13b_points ~t ~m);
-  tab
-
-type e13_cell = Price of Profiles.t | Neiger of int
-
 let e13_campaign =
-  let t = 3 and m = 4 in
-  Campaign.v ~id:"e13"
+  Tabulate.campaign ~id:"e13"
     ~what:"Probability companions: SCT's price; Neiger's N > mt, empirically"
-    ~cells:(fun _ ->
-      List.map (fun pr -> Price pr) Profiles.all
-      @ List.map (fun n -> Neiger n) (e13b_points ~t ~m))
-    ~run_cell:(fun _ cell ->
-      match cell with
-      | Price pr -> e13a_row ~ng:Profiles.default_ng ~t_max:3 pr
-      | Neiger n -> e13b_row ~t ~m n)
-    ~collect:(fun _ pairs ->
-      let rows p =
-        List.filter_map (fun (c, r) -> if p c then Some r else None) pairs
-      in
-      let ta = e13a_table ~t_max:3 () in
-      List.iter (Table.add_row ta)
-        (rows (function Price _ -> true | _ -> false));
-      let tb = e13b_table ~t ~m () in
-      List.iter (Table.add_row tb)
-        (rows (function Neiger _ -> true | _ -> false));
-      Campaign.tables [ ta; tb ])
-    ()
+    [
+      Tabulate.section ~table:e13a_table
+        ~cells:(fun _ -> Profiles.all)
+        ~row:(fun _ pr -> Some (e13a_row pr));
+      Tabulate.section ~table:e13b_table
+        ~cells:(fun _ -> e13b_points)
+        ~row:(fun _ n -> Some (e13b_row n));
+    ]

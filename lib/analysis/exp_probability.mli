@@ -1,13 +1,8 @@
 (** Experiment E13: probability companions to Figure 1. *)
 
-val e13_sct_price : ?ng:int -> ?t_max:int -> unit -> Vv_prelude.Table.t
-(** [Pr(gap > t)] (BFT exactness) vs [Pr(gap > 2t)] (SCT termination) per
-    profile — the price of the safety guarantee. *)
-
-val e13_neiger : ?t:int -> ?m:int -> unit -> Vv_prelude.Table.t
-(** Neiger's [N > mt] strong-consensus bound, demonstrated empirically on
-    the strong-consensus baseline with an alien-value flooding coalition. *)
-
 val e13_campaign : Vv_exec.Campaign.t
-(** Price-of-safety cells (one per profile) plus Neiger cells (one per
-    system size); two tables, deterministic. *)
+(** Two tables, deterministic: [Pr(gap > t)] (BFT exactness) vs
+    [Pr(gap > 2t)] (SCT termination) per profile, the price of the safety
+    guarantee; and Neiger's [N > mt] strong-consensus bound, demonstrated
+    on the strong-consensus baseline with an alien-value flooding
+    coalition, one cell per system size. *)

@@ -14,7 +14,6 @@ module Table = Vv_prelude.Table
 module T = Vv_radio.Topology
 module R = Vv_radio.Radio_runner
 module Oid = Vv_ballot.Option_id
-module Campaign = Vv_exec.Campaign
 
 (* 9 nodes, one Byzantine (node 8); honest A=6 vs B=2. *)
 let inputs9 =
@@ -59,11 +58,6 @@ let e12a_row (label, topo) =
     Table.icell r.R.messages;
   ]
 
-let e12_topologies () =
-  let tab = e12a_table () in
-  List.iter (fun c -> Table.add_row tab (e12a_row c)) e12a_cells;
-  tab
-
 let e12b_table () =
   Table.create
     ~title:
@@ -101,35 +95,14 @@ let e12b_row (label, topo, strat, attack) =
     Table.bcell (r.R.termination && r.R.voting_validity);
   ]
 
-let e12_poison () =
-  let tab = e12b_table () in
-  List.iter (fun c -> Table.add_row tab (e12b_row c)) e12b_cells;
-  tab
-
-type e12_cell =
-  | E12_topo of (string * T.t)
-  | E12_poison of
-      (string * [ `Complete | `Ring ] * [ `Collude | `Poison ] * string)
-
 let e12_campaign =
-  Campaign.v ~id:"e12"
+  Tabulate.campaign ~id:"e12"
     ~what:"Extension: multi-hop radio voting across topologies + [36] limit"
-    ~cells:(fun _ ->
-      List.map (fun c -> E12_topo c) e12a_cells
-      @ List.map (fun c -> E12_poison c) e12b_cells)
-    ~run_cell:(fun _ cell ->
-      match cell with
-      | E12_topo c -> e12a_row c
-      | E12_poison c -> e12b_row c)
-    ~collect:(fun _ pairs ->
-      let rows p =
-        List.filter_map (fun (c, r) -> if p c then Some r else None) pairs
-      in
-      let ta = e12a_table () in
-      List.iter (Table.add_row ta)
-        (rows (function E12_topo _ -> true | _ -> false));
-      let tb = e12b_table () in
-      List.iter (Table.add_row tb)
-        (rows (function E12_poison _ -> true | _ -> false));
-      Campaign.tables [ ta; tb ])
-    ()
+    [
+      Tabulate.section ~table:e12a_table
+        ~cells:(fun _ -> e12a_cells)
+        ~row:(fun _ c -> Some (e12a_row c));
+      Tabulate.section ~table:e12b_table
+        ~cells:(fun _ -> e12b_cells)
+        ~row:(fun _ c -> Some (e12b_row c));
+    ]

@@ -1,14 +1,8 @@
 (** Experiment E12 (extension): multi-hop voting over radio topologies. *)
 
-val e12_topologies : unit -> Vv_prelude.Table.t
-(** The same electorate across connected topologies: exactness everywhere,
-    latency scaling with diameter. *)
-
-val e12_poison : unit -> Vv_prelude.Table.t
-(** The relay-poisoning limit of first-accept flooding ([36]): inert on the
-    complete graph, exactness-breaking (never validity-breaking) beyond one
-    hop. *)
-
 val e12_campaign : Vv_exec.Campaign.t
-(** Topology cells plus relay-poisoning cells; two tables,
-    deterministic. *)
+(** Two tables, deterministic: the same electorate across connected
+    topologies (exactness everywhere, latency scaling with diameter), and
+    the relay-poisoning limit of first-accept flooding ([36]): inert on
+    the complete graph, exactness-breaking (never validity-breaking)
+    beyond one hop. *)

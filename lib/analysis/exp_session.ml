@@ -11,8 +11,8 @@ module Rng = Vv_prelude.Rng
 module Session = Vv_core.Session
 module Campaign = Vv_exec.Campaign
 
-let e15 ?(trials = 60) ?(ng = Profiles.default_ng) ?(t = 2)
-    ?(max_sessions = 8) ?(seed = 0xe15) () =
+let e15 ~trials ~seed =
+  let ng = Profiles.default_ng and t = 2 and max_sessions = 8 in
   let tab =
     Table.create
       ~title:
@@ -76,6 +76,6 @@ let e15_campaign =
       let trials =
         match ctx.Campaign.profile with Campaign.Full -> 60 | Campaign.Smoke -> 15
       in
-      e15 ~trials ~seed:ctx.Campaign.base_seed ())
+      e15 ~trials ~seed:ctx.Campaign.base_seed)
     ~collect:(fun _ pairs -> Campaign.tables (List.map snd pairs))
     ()

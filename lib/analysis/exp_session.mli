@@ -1,17 +1,7 @@
 (** Experiment E15: convergence of Section V-B revote sessions. *)
 
-val e15 :
-  ?trials:int ->
-  ?ng:int ->
-  ?t:int ->
-  ?max_sessions:int ->
-  ?seed:int ->
-  unit ->
-  Vv_prelude.Table.t
-(** Success rate, mean sessions to decision and first-try rate per
-    preference profile and adjustment policy. *)
-
 val e15_campaign : Vv_exec.Campaign.t
-(** A single cell: the table shares one rng across the whole grid.  The
-    default seed reproduces the legacy output byte-for-byte; smoke tier
-    shrinks the trial count. *)
+(** Success rate, mean sessions to decision and first-try rate per
+    preference profile and adjustment policy. A single cell: the table
+    shares one rng across the whole grid. The default seed reproduces the
+    legacy output byte-for-byte; smoke tier shrinks the trial count. *)

@@ -195,27 +195,20 @@ let pair_ok impl config (property, c) =
 
 let stats_ok s = List.for_all (pair_ok s.impl s.config) s.per_property
 
-type result = {
-  profile : Campaign.profile;
-  trials : int;
-  cells : stats list;
-  ok : bool;
-}
-
 let default_trials = function Campaign.Smoke -> 2 | Campaign.Full -> 4
 
 (* --- tables ---------------------------------------------------------- *)
 
 let electorate_label c = Fmt.str "%d/%d/%d" c.ag c.bg c.cg
 
-let grid_table r =
+let grid_table ~profile ~trials cells =
   let tab =
     Table.create
       ~title:
         (Fmt.str
            "E21: validity hierarchy grid (profile=%s trials=%d; predicted = \
             f<=t, bound holds, promise implies property)"
-           (Campaign.profile_label r.profile) r.trials)
+           (Campaign.profile_label profile) trials)
       ~headers:
         [ "impl"; "promise"; "config"; "A/B/C"; "n"; "t"; "f"; "validity";
           "predicted"; "exact"; "stall"; "violation"; "ok" ]
@@ -247,13 +240,13 @@ let grid_table r =
               (if pair_ok s.impl s.config pair then "yes" else "NO");
             ])
         s.per_property)
-    r.cells;
+    cells;
   tab
 
 (* The hierarchy at a glance: one row per (impl, config), one column per
    property; [*] marks predicted-solvable pairs, the letter is the worst
    observed class (E exact / s stall / V violation). *)
-let matrix_table r =
+let matrix_table cells =
   let tab =
     Table.create
       ~title:
@@ -279,12 +272,10 @@ let matrix_table r =
                in
                mark ^ letter)
              s.per_property))
-    r.cells;
+    cells;
   tab
 
-let tables r = [ grid_table r; matrix_table r ]
-
-let verdict_line r =
+let verdict_line cells =
   let bad =
     List.concat_map
       (fun s ->
@@ -296,13 +287,13 @@ let verdict_line r =
                 (Fmt.str "%s/%s/%s" (impl_label s.impl) s.config.label
                    (Property.id property)))
           s.per_property)
-      r.cells
+      cells
   in
   if bad = [] then
     Fmt.str
       "OK: every predicted-solvable (impl, config, validity) cell exact — \
        hierarchy matched on %d cells"
-      (List.length r.cells)
+      (List.length cells)
   else
     Fmt.str "FAIL: predicted-solvable cells not exact: %s"
       (String.concat ", " bad)
@@ -330,14 +321,13 @@ let campaign ?trials () =
         ~index:ctx.Campaign.index cell)
     ~collect:(fun profile pairs ->
       let cells = List.map snd pairs in
-      let r =
-        {
-          profile;
-          trials = trials_for profile;
-          cells;
-          ok = List.for_all stats_ok cells;
-        }
-      in
-      { Campaign.tables = tables r; ok = r.ok;
-        verdict = Some (verdict_line r) })
+      {
+        Campaign.tables =
+          [
+            grid_table ~profile ~trials:(trials_for profile) cells;
+            matrix_table cells;
+          ];
+        ok = List.for_all stats_ok cells;
+        verdict = Some (verdict_line cells);
+      })
     ()

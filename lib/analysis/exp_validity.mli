@@ -11,9 +11,6 @@
     triple is exact on all trials; unpredicted triples are observed and
     tabulated but assert nothing. *)
 
-val default_trials : Vv_exec.Campaign.profile -> int
-(** Per-cell trials: 2 at [Smoke], 4 at [Full]. *)
-
 val campaign : ?trials:int -> unit -> Vv_exec.Campaign.t
 (** The registered campaign (id ["e21"], seed [0xe21]). [trials]
     overrides the profile's per-cell trial count. *)

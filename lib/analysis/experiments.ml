@@ -5,7 +5,6 @@
    [unit -> Table.t list] registry.  DESIGN.md §4 is the index;
    EXPERIMENTS.md records paper-vs-measured for each id. *)
 
-module Table = Vv_prelude.Table
 module Campaign = Vv_exec.Campaign
 
 let all : Campaign.t list =
@@ -33,11 +32,3 @@ let all : Campaign.t list =
 let find id = List.find_opt (fun c -> String.equal (Campaign.id c) id) all
 
 let ids = List.map Campaign.id all
-
-let run_all ?(out = Fmt.stdout) ?(profile = Campaign.Full) () =
-  List.iter
-    (fun c ->
-      Fmt.pf out "@.### %s — %s@.@." (Campaign.id c) (Campaign.what c);
-      let outcome = Campaign.run ~profile c in
-      List.iter (fun t -> Table.pp out t) outcome.Campaign.emitted.Campaign.tables)
-    all

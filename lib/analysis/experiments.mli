@@ -4,13 +4,7 @@
     emitted tables are unchanged from the legacy closure registry. *)
 
 val all : Vv_exec.Campaign.t list
-(** Registry order — fig1a..fig1c, then e4..e15. *)
+(** Registry order — fig1a..fig1c, e4..e15, then e18, e19 and e21. *)
 
 val find : string -> Vv_exec.Campaign.t option
 val ids : string list
-
-val run_all :
-  ?out:Format.formatter -> ?profile:Vv_exec.Campaign.profile -> unit -> unit
-(** Print every campaign's tables on one domain (the [bench/main.exe]
-    harness). [profile] defaults to [Full]; [Smoke] is the CI-sized
-    tier used by [bench --quick]. *)

@@ -74,8 +74,12 @@ let test_theorem10_demo () =
 
 let rows_of t = List.length (Table.rows t)
 
+(* A campaign's tables at its default run: the full tier and seed. *)
+let tables_of c =
+  (Vv_exec.Campaign.run c).Vv_exec.Campaign.emitted.Vv_exec.Campaign.tables
+
 let test_fig1a_shape () =
-  let t = Vv_analysis.Exp_fig1.fig1a () in
+  let t = List.hd (tables_of Vv_analysis.Exp_fig1.fig1a_campaign) in
   check_int "four profiles" 4 (rows_of t)
 
 let test_fig1b_small () =
@@ -95,7 +99,7 @@ let test_fig1b_small () =
     (Table.rows t)
 
 let test_fig1c_shape () =
-  let t = Vv_analysis.Exp_fig1.fig1c () in
+  let t = List.hd (tables_of Vv_analysis.Exp_fig1.fig1c_campaign) in
   check_int "four profiles" 4 (rows_of t);
   (* H_s at f=0 is exactly 0 for every profile. *)
   List.iter
@@ -106,7 +110,7 @@ let test_fig1c_shape () =
     (Table.rows t)
 
 let test_e4_shape () =
-  let t = Vv_analysis.Exp_examples.e4 () in
+  let t = List.hd (tables_of Vv_analysis.Exp_examples.e4_campaign) in
   check_int "four scenario rows" 4 (rows_of t);
   (* Row 1: algo1 fooled (term yes, validity no); row 2: SCT safe. *)
   (match Table.rows t with
@@ -125,7 +129,7 @@ let test_e4_shape () =
   | _ -> Alcotest.fail "table shape")
 
 let test_e6_all_green () =
-  let t = Vv_analysis.Exp_bounds.e6 () in
+  let t = List.hd (tables_of Vv_analysis.Exp_bounds.e6_campaign) in
   check_bool "has rows" true (rows_of t > 0);
   List.iter
     (fun row ->
@@ -138,7 +142,7 @@ let test_e6_all_green () =
     (Table.rows t)
 
 let test_e7_matches () =
-  let t = Vv_analysis.Exp_bounds.e7_lemma2 () in
+  let t = List.hd (tables_of Vv_analysis.Exp_bounds.e7_campaign) in
   List.iter
     (fun row ->
       match List.rev row with
@@ -148,7 +152,7 @@ let test_e7_matches () =
 
 let test_e10_frontier_monotone () =
   (* More dispersion can never increase the max tolerable t. *)
-  let t = Vv_analysis.Exp_bounds.e10_frontier ~n:12 () in
+  let t = List.hd (tables_of Vv_analysis.Exp_bounds.e10_campaign) in
   let cells =
     List.map
       (fun row ->
@@ -170,7 +174,7 @@ let test_e10_frontier_monotone () =
     cells
 
 let test_e11_ablation_shape () =
-  let t = Vv_analysis.Exp_bounds.e11_judgment_ablation ~t:2 () in
+  let t = List.hd (tables_of Vv_analysis.Exp_bounds.e11_campaign) in
   List.iter
     (fun row ->
       match row with
@@ -195,7 +199,8 @@ let test_e11_ablation_shape () =
     (Table.rows t)
 
 let test_e12_shapes () =
-  let t = Vv_analysis.Exp_radio.e12_topologies () in
+  let tables = tables_of Vv_analysis.Exp_radio.e12_campaign in
+  let t = List.nth tables 0 in
   check_bool "topologies present" true (rows_of t >= 4);
   List.iter
     (fun row ->
@@ -205,7 +210,7 @@ let test_e12_shapes () =
           check (Alcotest.string) "valid on every topology" "yes" valid
       | _ -> Alcotest.fail "row shape")
     (Table.rows t);
-  let p = Vv_analysis.Exp_radio.e12_poison () in
+  let p = List.nth tables 1 in
   match Table.rows p with
   | [ _; [ _; _; _; _; c_exact ]; _; [ _; _; _; r_valid; r_exact ] ] ->
       check (Alcotest.string) "poison inert on complete" "yes" c_exact;
@@ -215,7 +220,8 @@ let test_e12_shapes () =
 
 let test_e13_shapes () =
   (* E13a: SCT column never exceeds the BFT column (Pr(gap>2t) <= Pr(gap>t)). *)
-  let t = Vv_analysis.Exp_probability.e13_sct_price () in
+  let tables = tables_of Vv_analysis.Exp_probability.e13_campaign in
+  let t = List.nth tables 0 in
   List.iter
     (fun row ->
       match row with
@@ -231,7 +237,7 @@ let test_e13_shapes () =
       | [] -> Alcotest.fail "row shape")
     (Table.rows t);
   (* E13b: strong validity fails below N = mt and holds above. *)
-  let p = Vv_analysis.Exp_probability.e13_neiger () in
+  let p = List.nth tables 1 in
   List.iter
     (fun row ->
       match row with
@@ -246,7 +252,8 @@ let test_e13_shapes () =
   | _ -> Alcotest.fail "table shape")
 
 let test_e14_shapes () =
-  let w = Vv_analysis.Exp_extensions.e14_weighted () in
+  let tables = tables_of Vv_analysis.Exp_extensions.e14_campaign in
+  let w = List.nth tables 0 in
   (* Stake concentration never raises the tolerable adversary weight above
      the uniform profile's. *)
   (match Table.rows w with
@@ -260,7 +267,7 @@ let test_e14_shapes () =
           | _ -> Alcotest.fail "row shape")
         rest
   | _ -> Alcotest.fail "weighted table shape");
-  let m = Vv_analysis.Exp_extensions.e14_multidim () in
+  let m = List.nth tables 2 in
   List.iter
     (fun row ->
       match List.rev row with

@@ -190,6 +190,54 @@ let test_rejects_negative_jobs () =
   Alcotest.check_raises "jobs=-1" (Invalid_argument "Executor: negative jobs")
     (fun () -> ignore (Campaign.run ~jobs:(-1) synthetic))
 
+(* --- table campaigns declared as sections --- *)
+
+(* Two sections: the first one's cells depend on the profile and its row
+   for cell 1 is [None]; every row records its cell and ctx.index. *)
+let sectioned =
+  let module Tabulate = Vv_analysis.Tabulate in
+  let table title () = Table.create ~title ~headers:[ "cell"; "index" ] () in
+  let row ctx c =
+    if c = 1 then None
+    else Some [ string_of_int c; string_of_int ctx.Campaign.index ]
+  in
+  Tabulate.campaign ~id:"sectioned" ~what:"sections for tests"
+    [
+      Tabulate.section ~table:(table "first")
+        ~cells:(function
+          | Campaign.Smoke -> [ 0; 1; 2 ] | Campaign.Full -> [ 0; 1; 2; 3 ])
+        ~row;
+      Tabulate.section ~table:(table "second")
+        ~cells:(fun _ -> [ 10; 11 ])
+        ~row;
+    ]
+
+(* Tables in section order, rows in cell order without the [None] row,
+   ctx.index running on into the second section, and the same bytes at
+   jobs 1 and 3. *)
+let test_sections () =
+  List.iter
+    (fun (profile, first, second) ->
+      let run jobs =
+        (Campaign.run ~profile ~jobs sectioned).Campaign.emitted.Campaign.tables
+      in
+      let tables = run 1 in
+      Alcotest.(check (list string)) "section order" [ "first"; "second" ]
+        (List.map Table.title tables);
+      Alcotest.(check (list (list (list string))))
+        "rows" [ first; second ] (List.map Table.rows tables);
+      Alcotest.(check string) "jobs=3 equals jobs=1"
+        (Emit.tables_string Emit.Csv tables)
+        (Emit.tables_string Emit.Csv (run 3)))
+    [
+      ( Campaign.Smoke,
+        [ [ "0"; "0" ]; [ "2"; "2" ] ],
+        [ [ "10"; "3" ]; [ "11"; "4" ] ] );
+      ( Campaign.Full,
+        [ [ "0"; "0" ]; [ "2"; "2" ]; [ "3"; "3" ] ],
+        [ [ "10"; "4" ]; [ "11"; "5" ] ] );
+    ]
+
 (* --- progress hook --- *)
 
 (* At jobs=1 the ticks arrive sequentially: done_ strictly increases,
@@ -247,5 +295,6 @@ let () =
           Alcotest.test_case "negative jobs rejected" `Quick
             test_rejects_negative_jobs;
           Alcotest.test_case "progress ticks" `Quick test_progress;
+          Alcotest.test_case "tabulate sections" `Quick test_sections;
         ] );
     ]

@@ -9,6 +9,11 @@ module Table = Vv_prelude.Table
 let check_csv name expected (t : Table.t) =
   Alcotest.(check string) name expected (Table.to_csv t)
 
+(* Table [i] of a campaign's default run: the full tier and seed. *)
+let table c i =
+  List.nth
+    (Vv_exec.Campaign.run c).Vv_exec.Campaign.emitted.Vv_exec.Campaign.tables i
+
 let test_fig1a () =
   check_csv "fig1a"
     "profile,p1,p2,p3,p4,H(p),H0 (xN_G)\n\
@@ -16,14 +21,14 @@ let test_fig1a () =
      D2,0.55,0.25,0.10,0.10,1.6388,16.39\n\
      D3,0.40,0.30,0.20,0.10,1.8464,18.46\n\
      D4,0.25,0.25,0.25,0.25,2,20\n"
-    (Vv_analysis.Exp_fig1.fig1a ())
+    (table Vv_analysis.Exp_fig1.fig1a_campaign 0)
 
 let test_e5_firing () =
   check_csv "e5a"
     "delta_P,fires after k votes,paper says\n\
      0,7,7 (Section VII-A)\n\
      1,8,-\n"
-    (Vv_analysis.Exp_examples.e5_firing ())
+    (table Vv_analysis.Exp_examples.e5_campaign 0)
 
 let test_e7_theorem10 () =
   check_csv "e7b"
@@ -31,14 +36,14 @@ let test_e7_theorem10 () =
      1,yes,yes\n\
      2,yes,yes\n\
      3,yes,yes\n"
-    (Vv_analysis.Exp_bounds.e7_theorem10 ())
+    (table Vv_analysis.Exp_bounds.e7_campaign 1)
 
 let test_e10_third_option () =
   check_csv "e10b"
     "honest inputs,B_G,C_G,bound (t=3),N,term,valid\n\
      A*9 B*4      (hesitant voters all pick B),4,0,14,16,yes,yes\n\
      \"A*9 B*2 C,D  (two hesitant voters pick third options)\",2,2,12,16,yes,yes\n"
-    (Vv_analysis.Exp_bounds.e10_third_option ())
+    (table Vv_analysis.Exp_bounds.e10_campaign 1)
 
 let test_e11 () =
   check_csv "e11"
@@ -56,7 +61,7 @@ let test_e11 () =
      4,t+1,no,yes,no,yes\n\
      5,N-t,no,yes,no,yes\n\
      5,t+1,no,yes,no,yes\n"
-    (Vv_analysis.Exp_bounds.e11_judgment_ablation ())
+    (table Vv_analysis.Exp_bounds.e11_campaign 0)
 
 (* A pinned end-to-end protocol run: outputs, round and message counts. *)
 let test_pinned_run () =
