@@ -86,7 +86,8 @@ cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreacha
 	  "124 ledger -n 0" "124 ledger -n 3 -t 5" \
 	  "124 ledger --slots=0" "124 ledger --slots=-1" \
 	  "124 chaos --trials=0" "124 gst --trials=0" "124 validity --trials=-3" \
-	  "124 run -t-1" "124 run -f-1" "124 radio -t-1" "124 radio -t 20" \
+	  "124 run -t-1" "124 run -f-1" "124 run --delay=0" \
+	  "124 radio -t-1" "124 radio -t 20" \
 	  "124 radio -t 9" \
 	  "124 radio --topology=ring:0" "124 radio --topology=complete:0" \
 	  "124 radio --topology=grid:1:0" "124 radio --topology=geo:0:1" \
@@ -97,7 +98,8 @@ cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreacha
 	  "124 load --socket _build/cli-smoke-missing/x.sock --retry-for 0 --subjects=-1" \
 	  "1 load --socket _build/cli-smoke-missing/x.sock --retry-for 0" \
 	  "1 all --profile=smoke --csv-dir=_build/cli-smoke-missing/x" \
-	  "124 exp nope" "124 check --validity=,"; do \
+	  "124 exp nope" "124 exp e2" "124 check --format=cs" \
+	  "124 check --validity=,"; do \
 	  want=$${case%% *}; args=$${case#* }; \
 	  timeout 10 _build/default/bin/vvc.exe $$args > /dev/null 2> _build/cli-smoke.err; \
 	  code=$$?; \

@@ -52,7 +52,7 @@ let exp_cmd =
     in
     C.Arg.(
       required
-      & pos 0 (some (enum ids)) None
+      & pos 0 (some (Cli.exact_enum ~what:"experiment" ids)) None
       & info [] ~docv:"ID" ~doc:"Experiment id (see $(b,vvc list)).")
   in
   C.Cmd.v (C.Cmd.info "exp" ~doc)
@@ -248,7 +248,7 @@ let run_cmd =
            & info [ "inputs"; "i" ] ~doc:"Honest inputs, e.g. 0,0,0,1.")
   in
   let delay_hi =
-    C.Arg.(value & opt int 1
+    C.Arg.(value & opt (Cli.positive_int ~flag:"--delay") 1
            & info [ "delay" ] ~doc:"Delay bound (1 = synchronous, k = uniform 1..k).")
   in
   let seed = C.Arg.(value & opt int 0x5eed & info [ "seed" ] ~doc:"PRNG seed.") in
@@ -303,10 +303,7 @@ let run_cmd =
       Logs.Src.set_level Vv_sim.Engine.log_src (Some Logs.Debug)
     end;
     let f = Option.value f ~default:t in
-    let delay =
-      if delay_hi <= 1 then Vv_sim.Delay.Synchronous
-      else Vv_sim.Delay.Uniform { lo = 1; hi = delay_hi }
-    in
+    let delay = Vv_sim.Delay.Uniform { lo = 1; hi = delay_hi } in
     let r = Runner.simple ~protocol ~strategy ~bb ~delay ~seed ~t ~f inputs in
     match format with
     | Emit.Json ->

@@ -139,15 +139,19 @@ let e5c_row case =
          ~strategy:Vv_core.Strategy.Collude_second ~delay ~n ~t:1
          (honest @ [ Oid.of_int 0 ]))
   in
-  let adversarial = Vv_sim.Delay.Adversarial { bound = delta; schedule } in
+  let adversarial =
+    Vv_sim.Delay.Eventually_synchronous
+      { gst = 0; bound = delta; schedule = Some schedule }
+  in
   let label, protocol, delay, sched_label =
     match case with
     | `Algo1_worst ->
-        ("algo1", Runner.Algo1, Vv_sim.Delay.Fixed delta, "uniform worst")
+        ( "algo1", Runner.Algo1, Vv_sim.Delay.Uniform { lo = delta; hi = delta },
+          "uniform worst" )
     | `Algo3_starved ->
         ("algo3", Runner.Algo3_incremental, adversarial, "leader-starved")
     | `Algo3_instant ->
-        ("algo3", Runner.Algo3_incremental, Vv_sim.Delay.Fixed 1, "instant")
+        ("algo3", Runner.Algo3_incremental, Vv_sim.Delay.synchronous, "instant")
   in
   let r = run protocol delay in
   [
@@ -172,10 +176,7 @@ let e5b_deltas = [ 1; 2; 3; 4; 5; 6 ]
 
 let e5b_row ~seeds hi =
   let honest = List.map Oid.of_int [ 0; 0; 0; 0; 0; 1 ] in
-  let delay =
-    if hi = 1 then Vv_sim.Delay.Synchronous
-    else Vv_sim.Delay.Uniform { lo = 1; hi }
-  in
+  let delay = Vv_sim.Delay.Uniform { lo = 1; hi } in
   let mean_of protocol =
     let acc = ref 0.0 and cnt = ref 0 in
     for seed = 1 to seeds do

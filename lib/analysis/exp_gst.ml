@@ -75,7 +75,7 @@ let worst_case_schedule ~gst ~round ~src:_ ~dst:_ =
   if round < gst then max 1 (gst + es_bound - round) else es_bound
 
 let delay_of = function
-  | Sync -> Delay.Synchronous
+  | Sync -> Delay.synchronous
   | Gst gst -> Delay.Eventually_synchronous { gst; bound = es_bound; schedule = None }
   | Gst_adv gst ->
       Delay.Eventually_synchronous

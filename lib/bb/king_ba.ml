@@ -1,11 +1,18 @@
 (* Phase-King Byzantine *Agreement* (every node holds an input value).
 
-   The BA core of Phase_king without the sender round: t+1 two-round
-   phases, each broadcasting current values, computing the plurality and
-   deferring to the phase king unless the local multiplicity clears
-   n/2 + t.  Same n > 4t requirement as Phase_king; used by the baseline
-   protocols (median/interval/strong consensus) to agree on locally
-   computed candidates. *)
+   t+1 two-round phases of the Berman-Garay-Perry king algorithm: in
+   round A every node broadcasts its current value and computes the
+   plurality [maj] with multiplicity [mult]; in round B the phase's king
+   broadcasts its [maj] and every node keeps [maj] if [mult > n/2 + t],
+   otherwise adopts the king's value.
+
+   This simple two-round-per-phase variant requires n > 4t (the
+   persistence argument needs n - t > n/2 + t).  Validity: if every
+   honest node starts with one value it keeps it through every phase;
+   agreement: at least one of the t+1 kings is honest, and its phase
+   aligns all honest values.  Phase_king runs it behind the sender's
+   round; the baseline protocols (median/interval/strong consensus) use
+   it to agree on locally computed candidates. *)
 
 open Vv_sim
 
@@ -90,6 +97,8 @@ let step ~n ~t ~me st ~lround ~inbox ~outbox =
       | King _ | Val _ -> ()
     done;
     let king_value = !king_value in
+    (* Keep maj on strong multiplicity, else follow the king (a silent
+       Byzantine king leaves the current value unchanged). *)
     let v =
       if 2 * st.mult > n + (2 * t) then st.maj
       else match king_value with Some kv -> kv | None -> st.current

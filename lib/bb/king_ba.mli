@@ -1,8 +1,8 @@
 (** Phase-King Byzantine {e Agreement} (every node holds an input).
 
-    The BA core of {!Phase_king} without the sender round: [2(t+1)] local
-    rounds, [n > 4t]. Used by the baseline protocols to align locally
-    computed candidates. *)
+    [t+1] two-round Berman-Garay-Perry phases: [2(t+1)] local rounds,
+    [n > 4t]. {!Phase_king} runs it behind the sender's round; the
+    baseline protocols use it to align locally computed candidates. *)
 
 type msg =
   | Val of { phase : int; value : int }

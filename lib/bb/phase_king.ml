@@ -1,141 +1,56 @@
 (* Phase-King Byzantine Broadcast (unauthenticated, polynomial messages).
 
-   Round 0: the designated sender broadcasts its value; every node adopts
-   what it received (bottom if nothing).  Then t+1 two-round phases of the
-   Berman-Garay-Perry king algorithm run: in round A every node broadcasts
-   its current value and computes the plurality [maj] with multiplicity
-   [mult]; in round B the phase's king broadcasts its [maj] and every node
-   keeps [maj] if [mult > n/2 + t], otherwise adopts the king's value.
-
-   This simple two-round-per-phase variant requires n > 4t (the persistence
-   argument needs n - t > n/2 + t).  For the tight unauthenticated bound
-   n > 3t use Eig; for arbitrary t with authentication use Dolev_strong.
-   Validity: if the sender is honest every honest node starts with its
-   value and keeps it through every phase; agreement: at least one of the
-   t+1 kings is honest, and its phase aligns all honest values. *)
+   Round 0: the designated sender broadcasts its value; in round 1 every
+   node adopts what it received from the sender (bottom if nothing) and
+   starts the Berman-Garay-Perry king agreement of {!King_ba} with it, so
+   local round r >= 2 is King_ba's round r - 1.  Validity: if the sender
+   is honest every honest node starts King_ba with its value and keeps
+   it; agreement is King_ba's. *)
 
 open Vv_sim
 
 let name = "phase-king"
 
-type msg = Val of { phase : int; value : int } | King of { phase : int; value : int }
+(* Phase -1 marks the sender's round-0 transmission. *)
+type msg = King_ba.msg =
+  | Val of { phase : int; value : int }
+  | King of { phase : int; value : int }
 
-let equal_msg a b =
-  match (a, b) with
-  | Val a, Val b -> a.phase = b.phase && a.value = b.value
-  | King a, King b -> a.phase = b.phase && a.value = b.value
-  | (Val _ | King _), _ -> false
+let equal_msg = King_ba.equal_msg
 
-type state = {
-  sender : Types.node_id;
-  current : int;
-  maj : int;
-  mult : int;
-}
+type state =
+  | Sender_round of { sender : Types.node_id; current : int }
+  | Agreement of King_ba.state
 
-let rounds ~n:_ ~t = (2 * (t + 1)) + 1
-
-let king_of ~n phase = phase mod n
+let rounds ~n:_ ~t = King_ba.rounds ~t + 1
 
 let start ~n:_ ~t:_ ~me ~sender ~value ~outbox =
   match value with
   | Some v when me = sender ->
       if v < 0 then invalid_arg "Phase_king.start: negative value";
       Outbox.broadcast outbox (Val { phase = -1; value = v });
-      { sender; current = v; maj = Bb_intf.bottom; mult = 0 }
-  | None when me <> sender ->
-      { sender; current = Bb_intf.bottom; maj = Bb_intf.bottom; mult = 0 }
+      Sender_round { sender; current = v }
+  | None when me <> sender -> Sender_round { sender; current = Bb_intf.bottom }
   | Some _ -> invalid_arg "Phase_king.start: value supplied at non-sender"
   | None -> invalid_arg "Phase_king.start: sender has no value"
 
-(* Plurality of an association list value -> count; ties to the smaller
-   value so all honest nodes break ties identically. *)
-(* Highest count wins, ties to the smaller value — a strict total order
-   on (count, value), so the scan order cannot matter. *)
-let plurality ~vals ~cnts ~distinct =
-  let bv = ref Bb_intf.bottom and bc = ref 0 in
-  for j = 0 to distinct - 1 do
-    if cnts.(j) > !bc || (cnts.(j) = !bc && vals.(j) < !bv) then begin
-      bv := vals.(j);
-      bc := cnts.(j)
-    end
-  done;
-  (!bv, !bc)
-
 let step ~n ~t ~me st ~lround ~inbox ~outbox =
-  (* Local round layout: 1 = receive sender value, send Val(0);
-     2k+2 = receive Val(k), king sends King(k);
-     2k+3 = receive King(k), update, send Val(k+1) unless k = t. *)
-  if lround = 1 then begin
-    (* The value the designated sender sent us in round 0, if any. *)
-    let v = ref st.current in
-    for i = 0 to inbox.Bb_intf.len - 1 do
-      match inbox.Bb_intf.msgs.(i) with
-      | Val { phase = -1; value } when inbox.Bb_intf.srcs.(i) = st.sender ->
-          v := value
-      | Val _ | King _ -> ()
-    done;
-    let v = !v in
-    Outbox.broadcast outbox (Val { phase = 0; value = v });
-    { st with current = v }
-  end
-  else if lround mod 2 = 0 then begin
-    let k = (lround - 2) / 2 in
-    (* One Val per sender per phase (first message wins), counted into
-       flat arrays — at most n distinct values, so the linear probe beats
-       a pair of hash tables at every simulated size. *)
-    let seen = Array.make n false in
-    let vals = Array.make n 0 and cnts = Array.make n 0 in
-    let distinct = ref 0 in
-    for i = 0 to inbox.Bb_intf.len - 1 do
-      match inbox.Bb_intf.msgs.(i) with
-      | Val { phase; value } when phase = k -> (
-          let src = inbox.Bb_intf.srcs.(i) in
-          if not seen.(src) then begin
-            seen.(src) <- true;
-            let j = ref 0 in
-            while !j < !distinct && vals.(!j) <> value do
-              incr j
-            done;
-            if !j < !distinct then cnts.(!j) <- cnts.(!j) + 1
-            else begin
-              vals.(!distinct) <- value;
-              cnts.(!distinct) <- 1;
-              incr distinct
-            end
-          end)
-      | Val _ | King _ -> ()
-    done;
-    let maj, mult = plurality ~vals ~cnts ~distinct:!distinct in
-    let st = { st with maj; mult } in
-    if me = king_of ~n k then
-      Outbox.broadcast outbox (King { phase = k; value = maj });
-    st
-  end
-  else begin
-    let k = (lround - 3) / 2 in
-    let king = king_of ~n k in
-    let king_value = ref None in
-    for i = 0 to inbox.Bb_intf.len - 1 do
-      match inbox.Bb_intf.msgs.(i) with
-      | King { phase; value }
-        when phase = k && inbox.Bb_intf.srcs.(i) = king && !king_value = None
-        ->
-          king_value := Some value
-      | King _ | Val _ -> ()
-    done;
-    let king_value = !king_value in
-    (* Keep maj on strong multiplicity, else follow the king (a silent
-       Byzantine king leaves the current value unchanged). *)
-    let v =
-      if 2 * st.mult > n + (2 * t) then st.maj
-      else match king_value with Some kv -> kv | None -> st.current
-    in
-    let st = { st with current = v } in
-    if k < t then Outbox.broadcast outbox (Val { phase = k + 1; value = v });
-    st
-  end
+  match st with
+  | Sender_round { sender; current } ->
+      (* The value the designated sender sent us in round 0, if any. *)
+      let v = ref current in
+      for i = 0 to inbox.Bb_intf.len - 1 do
+        match inbox.Bb_intf.msgs.(i) with
+        | Val { phase = -1; value } when inbox.Bb_intf.srcs.(i) = sender ->
+            v := value
+        | Val _ | King _ -> ()
+      done;
+      Agreement (King_ba.start !v ~outbox)
+  | Agreement ba ->
+      Agreement (King_ba.step ~n ~t ~me ba ~lround:(lround - 1) ~inbox ~outbox)
 
 let copy st = st
 
-let result st = st.current
+let result = function
+  | Sender_round { current; _ } -> current
+  | Agreement ba -> King_ba.result ba

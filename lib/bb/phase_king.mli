@@ -1,12 +1,13 @@
 (** Phase-King Byzantine Broadcast (unauthenticated, polynomial messages).
 
-    Sender round plus [t+1] two-round Berman-Garay-Perry phases; requires
-    [n > 4t] (this simple two-round-per-phase variant's persistence
-    argument needs [n - t > n/2 + t]). Implements {!Bb_intf.S}. *)
+    The sender's round in front of {!King_ba}'s [t+1] two-round
+    Berman-Garay-Perry phases; requires [n > 4t] (this simple
+    two-round-per-phase variant's persistence argument needs
+    [n - t > n/2 + t]). Implements {!Bb_intf.S}. *)
 
 val name : string
 
-type msg =
+type msg = King_ba.msg =
   | Val of { phase : int; value : int }
       (** phase [-1] is the sender's round-0 transmission *)
   | King of { phase : int; value : int }
@@ -17,9 +18,6 @@ type state
 
 val rounds : n:int -> t:int -> int
 (** [2(t+1) + 1]. *)
-
-val king_of : n:int -> int -> Vv_sim.Types.node_id
-(** The king of a phase (round-robin). *)
 
 val start :
   n:int ->

@@ -76,7 +76,7 @@ type spec = {
 
 let spec ?(byzantine = []) ?(crash = []) ?(protocol = Algo1)
     ?(bb = Vv_bb.Bb.default) ?(strategy = Strategy.Passive)
-    ?(tie = Vv_ballot.Tie_break.default) ?(delay = Delay.Synchronous)
+    ?(tie = Vv_ballot.Tie_break.default) ?(delay = Delay.synchronous)
     ?(network = Network.none) ?retransmit ?(seed = 0x5eed) ?(max_rounds = 200)
     ?(subject = 1) ?(speaker = 0) ?judgment_override ~n ~t inputs =
   if List.length inputs <> n then
@@ -264,7 +264,7 @@ let run (s : spec) =
    the last [f] nodes Byzantine, speaker honest node 0. *)
 let simple_spec ?(protocol = Algo1) ?(strategy = Strategy.Collude_second)
     ?(bb = Vv_bb.Bb.default) ?(tie = Vv_ballot.Tie_break.default)
-    ?(delay = Delay.Synchronous) ?(network = Network.none) ?retransmit
+    ?(delay = Delay.synchronous) ?(network = Network.none) ?retransmit
     ?(seed = 0x5eed) ?(max_rounds = 200) ~t ~f honest_inputs =
   let ng = List.length honest_inputs in
   let n = ng + f in

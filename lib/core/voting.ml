@@ -17,7 +17,7 @@
                         Algorithm 2).
 
    Sub-machine rounds are batched by the known delay bound delta so the
-   lock-step substrates also run under Fixed/Uniform delays. *)
+   lock-step substrates also run under delays above one round. *)
 
 open Vv_sim
 module Oid = Vv_ballot.Option_id

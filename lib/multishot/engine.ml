@@ -29,15 +29,106 @@
    only, so they are deterministic and jobs-invariant. *)
 
 module Oid = Vv_ballot.Option_id
-module Rng = Vv_prelude.Rng
 module Executor = Vv_exec.Executor
+
+(* --- cost accounting --- *)
+
+type stats = {
+  decided : int;
+  committed : int;
+  skipped : int;
+  slots_used : int;
+  attempts_total : int;
+  rounds_instances : int;
+  rounds_sequential : int;
+  rounds_pipelined : int;
+  all_valid : bool;
+}
+
+(* Running totals over committed slots in position order.  The lanes of a
+   slot are adjacent positions, so only the newest slot is open: its
+   duration and occupancy grow with its lanes, and it joins the closed
+   totals when the next slot begins.  Adding a slot allocates nothing and
+   reading the stats is O(1). *)
+type tally = {
+  phase1 : int;  (* rounds of one Phase-1 broadcast *)
+  mutable positions : int;
+  mutable commits : int;
+  mutable attempts : int;
+  mutable instance_rounds : int;
+  mutable valid : bool;  (* every commit so far carried voting validity *)
+  mutable slots : int;
+  mutable open_slot : int;  (* -1 before the first slot *)
+  mutable open_duration : int;  (* its longest lane *)
+  mutable open_occupancy : int;  (* phase1 * its most attempts *)
+  mutable open_start : int;  (* when its Phase-1 broadcasts start *)
+  mutable closed_rounds : int;  (* the closed slots' summed durations *)
+  mutable closed_makespan : int;
+}
+
+let tally_create ~bb ~n ~t =
+  { phase1 = Vv_bb.Bb.rounds bb ~n ~t; positions = 0; commits = 0;
+    attempts = 0; instance_rounds = 0; valid = true; slots = 0;
+    open_slot = -1; open_duration = 0; open_occupancy = 0; open_start = 0;
+    closed_rounds = 0; closed_makespan = 0 }
+
+let tally_add tl ~batch (s : Ledger.slot) =
+  let k = s.Ledger.index / batch in
+  if k <> tl.open_slot then begin
+    tl.closed_rounds <- tl.closed_rounds + tl.open_duration;
+    tl.closed_makespan <-
+      Int.max tl.closed_makespan (tl.open_start + tl.open_duration);
+    (* The broadcast layer frees after this slot's (retried) Phase-1
+       broadcasts, but never before the slot itself could have finished
+       broadcasting — occupancy is capped by duration so a short final
+       attempt cannot let the next slot start before this one's own
+       rounds elapse in sequence. *)
+    tl.open_start <- tl.open_start + Int.min tl.open_occupancy tl.open_duration;
+    tl.open_slot <- k;
+    tl.open_duration <- 0;
+    tl.open_occupancy <- 0;
+    tl.slots <- tl.slots + 1
+  end;
+  tl.open_duration <- Int.max tl.open_duration s.Ledger.rounds_total;
+  tl.open_occupancy <-
+    Int.max tl.open_occupancy (tl.phase1 * s.Ledger.attempts);
+  tl.positions <- tl.positions + 1;
+  tl.attempts <- tl.attempts + s.Ledger.attempts;
+  tl.instance_rounds <- tl.instance_rounds + s.Ledger.rounds_total;
+  match s.Ledger.decision with
+  | Some _ ->
+      tl.commits <- tl.commits + 1;
+      tl.valid <- tl.valid && s.Ledger.valid
+  | None -> ()
+
+let stats_of_tally tl =
+  {
+    decided = tl.positions;
+    committed = tl.commits;
+    skipped = tl.positions - tl.commits;
+    slots_used = tl.slots;
+    attempts_total = tl.attempts;
+    rounds_instances = tl.instance_rounds;
+    rounds_sequential = tl.closed_rounds + tl.open_duration;
+    rounds_pipelined =
+      Int.max tl.closed_makespan (tl.open_start + tl.open_duration);
+    all_valid = tl.valid;
+  }
+
+let stats_of ~batch ~bb ~n ~t (slots : Ledger.slot list) =
+  if batch < 1 then invalid_arg "Engine.stats_of: batch must be >= 1";
+  let tl = tally_create ~bb ~n ~t in
+  List.iter (tally_add tl ~batch) slots;
+  stats_of_tally tl
+
+(* --- the engine --- *)
 
 type t = {
   cfg : Ledger.config;
   batch : int;
   jobs : int;
   mutable decided_rev : Ledger.slot list;
-  mutable ndecided : int;
+  tally : tally;  (* of [decided_rev]; its [positions] is the height *)
   mutable pending_rev : (int * Oid.t list) list;
   mutable npending : int;
 }
@@ -50,14 +141,14 @@ let create ?(batch = 1) ?(jobs = 1) cfg =
     batch;
     jobs;
     decided_rev = [];
-    ndecided = 0;
+    tally = tally_create ~bb:cfg.Ledger.bb ~n:cfg.Ledger.n ~t:cfg.Ledger.t;
     pending_rev = [];
     npending = 0;
   }
 
 let config t = t.cfg
 let batch t = t.batch
-let height t = t.ndecided
+let height t = t.tally.positions
 let pending t = t.npending
 
 let slot_of t position = position / t.batch
@@ -78,10 +169,15 @@ let decisions_from t from =
 let submit t ~subject inputs =
   if List.length inputs <> t.cfg.Ledger.n then
     invalid_arg "Engine.submit: inputs must have length n";
-  let position = t.ndecided + t.npending in
+  let position = height t + t.npending in
   t.pending_rev <- (subject, inputs) :: t.pending_rev;
   t.npending <- t.npending + 1;
   position
+
+(* Extend the committed log by the next position. *)
+let commit t (s : Ledger.slot) =
+  t.decided_rev <- s :: t.decided_rev;
+  tally_add t.tally ~batch:t.batch s
 
 (* Decide the first [m] pending submissions (in submit order) and append
    them to the committed log. *)
@@ -96,7 +192,7 @@ let decide_group t m =
     in
     let now, later = split m [] pending in
     let items = Array.of_list now in
-    let p0 = t.ndecided in
+    let p0 = height t in
     let slots =
       Executor.map ~jobs:t.jobs ~count:(Array.length items) (fun i ->
           let subject, inputs = items.(i) in
@@ -105,11 +201,7 @@ let decide_group t m =
             ~speaker_base:(slot_of t position mod t.cfg.Ledger.n)
             ~index:position ~subject inputs)
     in
-    Array.iter
-      (fun s ->
-        t.decided_rev <- s :: t.decided_rev;
-        t.ndecided <- t.ndecided + 1)
-      slots;
+    Array.iter (commit t) slots;
     t.pending_rev <- List.rev later;
     t.npending <- t.npending - Array.length items;
     Array.to_list slots
@@ -118,9 +210,9 @@ let decide_group t m =
 (* Decide every pending submission that completes a full slot; partial
    trailing slots wait for more traffic (or a flush). *)
 let step t =
-  let total = t.ndecided + t.npending in
+  let total = height t + t.npending in
   let full = total / t.batch * t.batch in
-  decide_group t (full - t.ndecided)
+  decide_group t (full - height t)
 
 let flush t = decide_group t t.npending
 
@@ -130,108 +222,18 @@ let flush t = decide_group t t.npending
 let append_committed t (s : Ledger.slot) =
   if t.npending > 0 then
     Error "append_committed: engine has local pending submissions"
-  else if s.Ledger.index < t.ndecided then Ok `Stale
-  else if s.Ledger.index > t.ndecided then
+  else if s.Ledger.index < height t then Ok `Stale
+  else if s.Ledger.index > height t then
     Error
       (Printf.sprintf "append_committed: gap (log height %d, slot index %d)"
-         t.ndecided s.Ledger.index)
+         (height t) s.Ledger.index)
   else begin
-    t.decided_rev <- s :: t.decided_rev;
-    t.ndecided <- t.ndecided + 1;
+    commit t s;
     Ok `Applied
   end
 
-let all_committed_valid t =
-  List.for_all
-    (fun (s : Ledger.slot) ->
-      match s.Ledger.decision with Some _ -> s.Ledger.valid | None -> true)
-    t.decided_rev
-
-(* --- cost accounting --- *)
-
-type stats = {
-  decided : int;
-  committed : int;
-  skipped : int;
-  slots_used : int;
-  attempts_total : int;
-  rounds_instances : int;
-  rounds_sequential : int;
-  rounds_pipelined : int;
-  all_valid : bool;
-}
-
-let stats_of ~batch ~bb ~n ~t:tol (slots : Ledger.slot list) =
-  if batch < 1 then invalid_arg "Engine.stats_of: batch must be >= 1";
-  let phase1 = Vv_bb.Bb.rounds bb ~n ~t:tol in
-  (* Group committed positions by slot, in position order. *)
-  let groups = Hashtbl.create 16 in
-  let max_slot = ref (-1) in
-  List.iter
-    (fun (s : Ledger.slot) ->
-      let k = s.Ledger.index / batch in
-      if k > !max_slot then max_slot := k;
-      Hashtbl.replace groups k
-        (s :: (Option.value ~default:[] (Hashtbl.find_opt groups k))))
-    slots;
-  let decided = List.length slots in
-  let committed =
-    List.length
-      (List.filter (fun (s : Ledger.slot) -> s.Ledger.decision <> None) slots)
-  in
-  let attempts_total =
-    List.fold_left (fun a (s : Ledger.slot) -> a + s.Ledger.attempts) 0 slots
-  in
-  let rounds_instances =
-    List.fold_left (fun a (s : Ledger.slot) -> a + s.Ledger.rounds_total) 0 slots
-  in
-  let slots_used = Hashtbl.length groups in
-  let seq = ref 0 and start = ref 0 and makespan = ref 0 in
-  for k = 0 to !max_slot do
-    match Hashtbl.find_opt groups k with
-    | None -> ()
-    | Some lanes ->
-        let duration =
-          List.fold_left
-            (fun a (s : Ledger.slot) -> max a s.Ledger.rounds_total)
-            0 lanes
-        in
-        let occupancy =
-          phase1
-          * List.fold_left
-              (fun a (s : Ledger.slot) -> max a s.Ledger.attempts)
-              0 lanes
-        in
-        seq := !seq + duration;
-        makespan := max !makespan (!start + duration);
-        (* The broadcast layer frees after this slot's (retried)
-           Phase-1 broadcasts, but never before the slot itself could
-           have finished broadcasting — occupancy is capped by
-           duration so a short final attempt cannot let the next slot
-           start before this one's own rounds elapse in sequence. *)
-        start := !start + min occupancy duration
-  done;
-  {
-    decided;
-    committed;
-    skipped = decided - committed;
-    slots_used;
-    attempts_total;
-    rounds_instances;
-    rounds_sequential = !seq;
-    rounds_pipelined = !makespan;
-    all_valid =
-      List.for_all
-        (fun (s : Ledger.slot) ->
-          match s.Ledger.decision with
-          | Some _ -> s.Ledger.valid
-          | None -> true)
-        slots;
-  }
-
-let stats t =
-  stats_of ~batch:t.batch ~bb:t.cfg.Ledger.bb ~n:t.cfg.Ledger.n
-    ~t:t.cfg.Ledger.t (decisions t)
+let all_committed_valid t = t.tally.valid
+let stats t = stats_of_tally t.tally
 
 (* --- one-shot convenience --- *)
 

@@ -64,7 +64,7 @@ val decisions_from : t -> int -> Ledger.slot list
     (restart catch-up, log appends). Costs O(height - from). *)
 
 val all_committed_valid : t -> bool
-(** Every committed decision carried voting validity. *)
+(** Every committed decision carried voting validity. O(1). *)
 
 type stats = {
   decided : int;
@@ -83,6 +83,7 @@ type stats = {
 }
 
 val stats : t -> stats
+(** O(1): each slot is folded into running totals as it is committed. *)
 
 val stats_of :
   batch:int ->
@@ -91,8 +92,9 @@ val stats_of :
   t:int ->
   Ledger.slot list ->
   stats
-(** Pure form of {!stats}, usable on a decision log reconstructed from a
-    served decision stream. Deterministic and jobs-invariant. *)
+(** The same fold over a position-ordered log, usable on one
+    reconstructed from a served decision stream. Deterministic and
+    jobs-invariant. *)
 
 val run :
   ?batch:int ->

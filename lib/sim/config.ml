@@ -57,7 +57,7 @@ let validate_network ~n (net : Network.t) =
     (fun (o : Network.outage) -> node "outage" o.Network.node)
     net.Network.outages
 
-let make ?faults ?(comm = Types.Point_to_point) ?(delay = Delay.Synchronous)
+let make ?faults ?(comm = Types.Point_to_point) ?(delay = Delay.synchronous)
     ?(max_rounds = 200) ?(seed = 0x5eed) ?topology
     ?(network = Network.none) ?retransmit ~n ~t_max () =
   if n <= 0 then invalid_arg "Config.make: n must be positive";

@@ -43,11 +43,11 @@ val make :
   t
 (** Validates sizes, crash plans, topology (length [n], symmetric, no
     self-loops or duplicates), chaos-plan node ids, and — via a probe
-    sweep over every [(round, src, dst)] — user-supplied
-    [Per_message]/[Adversarial] delay schedules, so malformed schedules
-    fail here (naming the offending point) rather than mid-run. Defaults:
-    all honest, point-to-point, synchronous delay, 200 rounds, fixed seed,
-    complete graph, no chaos, no retransmission. *)
+    sweep over every [(round, src, dst)] — user-supplied delay schedules,
+    so malformed schedules fail here (naming the offending point) rather
+    than mid-run. Defaults: all honest, point-to-point,
+    {!Delay.synchronous}, 200 rounds, fixed seed, complete graph, no
+    chaos, no retransmission. *)
 
 val reach : t -> Types.node_id -> Types.node_id list
 (** Recipients of a broadcast from the node: its neighbourhood plus

@@ -1,52 +1,39 @@
 (* Message delay models.
 
    A message sent in round r is delivered at the start of round
-   r + delay, with delay >= 1.  [Synchronous] is the paper's lock-step
-   model; [Uniform] provides the staggered arrivals that make the
-   incremental-threshold protocol (Algorithm 3) interesting and models a
-   partially synchronous network with unknown-but-bounded delay.
+   r + delay, with delay >= 1.  The models are the three behaviours of
+   the synchrony axis (Tseng, arXiv 1608.07923):
 
-   The synchrony axis (Tseng, arXiv 1608.07923) is first-class:
-   [Asynchronous] has no protocol-visible bound at all — the scheduler
-   (or an adversary-supplied schedule) picks per-message delays freely
-   under a fairness cap guaranteeing every message is eventually
-   delivered — and [Eventually_synchronous] is the GST model: arbitrary
-   scheduling before a global stabilization time, [Adversarial]-style
-   bounded delay after it, with every pre-GST message forced to land by
-   gst + bound (the classic "messages sent before GST arrive by
-   GST + delta" convention). *)
+   - [Uniform] is synchrony with a known bound delta_t = hi.  At
+     lo = hi it is a fixed delay that draws nothing ([synchronous] is
+     the paper's lock-step model, lo = hi = 1); otherwise it provides
+     the staggered arrivals that make the incremental-threshold
+     protocol (Algorithm 3) interesting.
+   - [Asynchronous] has no protocol-visible bound at all: the scheduler
+     (or an adversary-supplied schedule) picks per-message delays freely
+     under a fairness cap guaranteeing every message is eventually
+     delivered.
+   - [Eventually_synchronous] is the GST model: arbitrary scheduling
+     before a global stabilization time, bounded delay after it, with
+     every pre-GST message forced to land by gst + bound (the classic
+     "messages sent before GST arrive by GST + delta" convention).  At
+     gst = 0 with a schedule it is the strong adversary's
+     message-delaying power under synchrony. *)
 
 type schedule = round:int -> src:Types.node_id -> dst:Types.node_id -> int
 
 type t =
-  | Synchronous
-  | Fixed of int
   | Uniform of { lo : int; hi : int }
-  | Per_message of schedule
-  | Adversarial of { bound : int; schedule : schedule }
-      (** a schedule that must respect a declared bound delta_t — the
-          strong adversary's message-delaying power under synchrony *)
   | Asynchronous of { fairness : int; schedule : schedule option }
-      (** no protocol-visible bound ([bound] is [None]); the scheduler
-          (or the supplied schedule) picks each delay in [1, fairness].
-          The cap is the fairness guarantee — every message is delivered
-          within [fairness] rounds of its send — not a synchrony
-          assumption protocols may rely on. *)
   | Eventually_synchronous of { gst : int; bound : int; schedule : schedule option }
-      (** the GST model: a message sent at round r < gst may be delayed
-          arbitrarily as long as it arrives by [gst + bound]; a message
-          sent at r >= gst arrives within [bound] rounds.  Without a
-          schedule, delays are drawn uniformly over the admissible
-          range. *)
+
+(* One shared value, so specs built with the default delay compare
+   physically equal (the runner's prefix memo keys on [==]). *)
+let synchronous = Uniform { lo = 1; hi = 1 }
 
 let validate = function
-  | Synchronous -> ()
-  | Fixed d -> if d < 1 then invalid_arg "Delay.Fixed: delay must be >= 1"
   | Uniform { lo; hi } ->
       if lo < 1 || hi < lo then invalid_arg "Delay.Uniform: need 1 <= lo <= hi"
-  | Per_message _ -> ()
-  | Adversarial { bound; _ } ->
-      if bound < 1 then invalid_arg "Delay.Adversarial: bound must be >= 1"
   | Asynchronous { fairness; _ } ->
       if fairness < 1 then
         invalid_arg "Delay.Asynchronous: fairness must be >= 1"
@@ -57,83 +44,55 @@ let validate = function
         invalid_arg "Delay.Eventually_synchronous: bound must be >= 1"
 
 (* The known delay upper bound delta_t (in rounds) honest protocols may rely
-   on under synchrony; [None] for unbounded user-supplied models and for
-   genuine asynchrony (the fairness cap is a liveness guarantee, not a
-   synchrony assumption).  Under GST this is the *eventual* bound — what a
-   partially-synchronous protocol knows holds from some unknown round on. *)
+   on; [None] for genuine asynchrony (the fairness cap is a liveness
+   guarantee, not a synchrony assumption).  Under GST this is the
+   *eventual* bound — what a partially-synchronous protocol knows holds
+   from some unknown round on. *)
 let bound = function
-  | Synchronous -> Some 1
-  | Fixed d -> Some d
   | Uniform { hi; _ } -> Some hi
-  | Per_message _ -> None
-  | Adversarial { bound; _ } -> Some bound
   | Asynchronous _ -> None
   | Eventually_synchronous { bound; _ } -> Some bound
 
 (* The largest delay any message sent at [round] may be assigned — the
    engine's clamp for chaos jitter, so substrate reordering cannot break
-   the model's own delivery guarantee.  Equal to [bound] for every
-   round-independent model; for GST it shrinks toward the bound as the
-   send round approaches gst (a pre-GST message must still land by
-   gst + bound); for [Asynchronous] it is the fairness cap. *)
+   the model's own delivery guarantee.  For GST it shrinks toward the
+   bound as the send round approaches gst (a pre-GST message must still
+   land by gst + bound); for [Asynchronous] it is the fairness cap. *)
 let max_delay t ~round =
   match t with
-  | Synchronous -> Some 1
-  | Fixed d -> Some d
-  | Uniform { hi; _ } -> Some hi
-  | Per_message _ -> None
-  | Adversarial { bound; _ } -> Some bound
-  | Asynchronous { fairness; _ } -> Some fairness
+  | Uniform { hi; _ } -> hi
+  | Asynchronous { fairness; _ } -> fairness
   | Eventually_synchronous { gst; bound; _ } ->
-      Some (if round >= gst then bound else gst + bound - round)
+      if round >= gst then bound else gst + bound - round
 
-let schedule_error ?bound what d ~round ~src ~dst =
-  invalid_arg
-    (Fmt.str "Delay.%s: schedule returned %d%s at (round %d, src %d, dst %d)"
-       what d
-       (match bound with
-       | None -> ""
-       | Some b -> Fmt.str " against declared bound %d" b)
-       round src dst)
-
-(* The admissible delay range cap at [round] for the schedule-carrying
-   models (the per-round face of the declared bound). *)
-let es_cap ~gst ~bound ~round =
-  if round >= gst then bound else gst + bound - round
+(* A schedule's delay, checked against the model's per-round cap; a
+   breach names the model, its declared bound and the offending point. *)
+let scheduled t f ~round ~src ~dst =
+  let d = f ~round ~src ~dst in
+  (if d < 1 || d > max_delay t ~round then
+     let what, bound =
+       match t with
+       | Uniform { hi; _ } -> ("Uniform", hi)
+       | Asynchronous { fairness; _ } -> ("Asynchronous", fairness)
+       | Eventually_synchronous { gst; bound; _ } ->
+           (Fmt.str "Eventually_synchronous(gst %d)" gst, bound)
+     in
+     invalid_arg
+       (Fmt.str
+          "Delay.%s: schedule returned %d against declared bound %d at \
+           (round %d, src %d, dst %d)"
+          what d bound round src dst));
+  d
 
 let resolve t rng ~round ~src ~dst =
   match t with
-  | Synchronous -> 1
-  | Fixed d -> d
-  | Uniform { lo; hi } -> lo + Vv_prelude.Rng.int rng (hi - lo + 1)
-  | Per_message f ->
-      let d = f ~round ~src ~dst in
-      if d < 1 then schedule_error "Per_message" d ~round ~src ~dst;
-      d
-  | Adversarial { bound; schedule } ->
-      let d = schedule ~round ~src ~dst in
-      if d < 1 || d > bound then
-        schedule_error "Adversarial" ~bound d ~round ~src ~dst;
-      d
-  | Asynchronous { fairness; schedule } -> (
-      match schedule with
-      | None -> 1 + Vv_prelude.Rng.int rng fairness
-      | Some f ->
-          let d = f ~round ~src ~dst in
-          if d < 1 || d > fairness then
-            schedule_error "Asynchronous" ~bound:fairness d ~round ~src ~dst;
-          d)
-  | Eventually_synchronous { gst; bound; schedule } -> (
-      let cap = es_cap ~gst ~bound ~round in
-      match schedule with
-      | None -> 1 + Vv_prelude.Rng.int rng cap
-      | Some f ->
-          let d = f ~round ~src ~dst in
-          if d < 1 || d > cap then
-            schedule_error
-              (Fmt.str "Eventually_synchronous(gst %d)" gst)
-              ~bound d ~round ~src ~dst;
-          d)
+  | Uniform { lo; hi } ->
+      if lo = hi then lo else lo + Vv_prelude.Rng.int rng (hi - lo + 1)
+  | Asynchronous { schedule = Some f; _ }
+  | Eventually_synchronous { schedule = Some f; _ } ->
+      scheduled t f ~round ~src ~dst
+  | Asynchronous { schedule = None; _ } | Eventually_synchronous _ ->
+      1 + Vv_prelude.Rng.int rng (max_delay t ~round)
 
 (* Probe sweep: exercise a user-supplied schedule over every (round, src,
    dst) the engine could ask about, so an ill-formed schedule is rejected
@@ -143,43 +102,23 @@ let resolve t rng ~round ~src ~dst =
    arguments (they always were in spirit: the engine gives no other
    determinism guarantee). *)
 let validate_schedule t ~n ~max_rounds =
-  let probe ?bound what check f =
-    for round = 0 to max_rounds - 1 do
-      for src = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          let d = f ~round ~src ~dst in
-          if not (check ~round d) then
-            schedule_error ?bound what d ~round ~src ~dst
-        done
-      done
-    done
-  in
   match t with
-  | Synchronous | Fixed _ | Uniform _ -> ()
+  | Uniform _
   | Asynchronous { schedule = None; _ }
   | Eventually_synchronous { schedule = None; _ } ->
       ()
-  | Per_message f -> probe "Per_message" (fun ~round:_ d -> d >= 1) f
-  | Adversarial { bound; schedule } ->
-      probe "Adversarial" ~bound (fun ~round:_ d -> d >= 1 && d <= bound)
-        schedule
-  | Asynchronous { fairness; schedule = Some f } ->
-      probe "Asynchronous" ~bound:fairness
-        (fun ~round:_ d -> d >= 1 && d <= fairness)
-        f
-  | Eventually_synchronous { gst; bound; schedule = Some f } ->
-      probe
-        (Fmt.str "Eventually_synchronous(gst %d)" gst)
-        ~bound
-        (fun ~round d -> d >= 1 && d <= es_cap ~gst ~bound ~round)
-        f
+  | Asynchronous { schedule = Some f; _ }
+  | Eventually_synchronous { schedule = Some f; _ } ->
+      for round = 0 to max_rounds - 1 do
+        for src = 0 to n - 1 do
+          for dst = 0 to n - 1 do
+            ignore (scheduled t f ~round ~src ~dst)
+          done
+        done
+      done
 
 let pp ppf = function
-  | Synchronous -> Fmt.string ppf "synchronous"
-  | Fixed d -> Fmt.pf ppf "fixed:%d" d
   | Uniform { lo; hi } -> Fmt.pf ppf "uniform:%d..%d" lo hi
-  | Per_message _ -> Fmt.string ppf "per-message"
-  | Adversarial { bound; _ } -> Fmt.pf ppf "adversarial<=%d" bound
   | Asynchronous { fairness; _ } -> Fmt.pf ppf "async(fair<=%d)" fairness
   | Eventually_synchronous { gst; bound; _ } ->
       Fmt.pf ppf "gst:%d+<=%d" gst bound

@@ -520,9 +520,8 @@ module Make (P : Protocol.S) = struct
      [Asynchronous], and the shrinking [gst + bound - round] admissible
      window pre-GST under [Eventually_synchronous]. *)
   let clamp r ~round d =
-    match Delay.max_delay r.cfg.Config.delay ~round with
-    | Some b -> if d < b then d else b
-    | None -> d
+    let b = Delay.max_delay r.cfg.Config.delay ~round in
+    if d < b then d else b
 
   (* [route] is the send->delivery path: chaos verdict, delay assignment,
      arrival-time cut check, retransmission queuing.  The non-chaos path
@@ -534,7 +533,7 @@ module Make (P : Protocol.S) = struct
       schedule r ~arrival ~src ~dst msg
     else
       (* Packed verdict ([Network.transit_i]): no allocation per chaos
-         delivery, identical draw order to the record form. *)
+         delivery. *)
       let network = r.cfg.Config.network in
       let v = Network.transit_i network r.chaos_rng ~round ~src ~dst in
       if v = Network.dropped_i then begin

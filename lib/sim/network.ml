@@ -1,7 +1,7 @@
 (* Chaos network substrate (see network.mli for the model).
 
    The substrate sits between the engine's send step and the delay layer:
-   every delivery is offered to [transit] at its send round, and the engine
+   every delivery is offered to [transit_i] at its send round, and the engine
    re-checks [cut] at the computed arrival round so messages in flight into
    a partition or outage window are lost.  All decisions are driven by a
    chaos-private RNG seeded from [seed] alone; because the engine offers
@@ -94,18 +94,14 @@ let cut t ~round ~src ~dst =
 
 let rng t = Vv_prelude.Rng.create (0x1dea7 lxor (t.seed * 0x9e3779b9))
 
-type verdict = Dropped | Deliver of { extra_delay : int; duplicate : bool }
-
 let extra_delay t rng =
   if t.jitter = 0 then 0 else Vv_prelude.Rng.int rng (t.jitter + 1)
 
 let dropped_i = -1
 
-(* The packed form of [transit]: the engine's hot path calls this so a
-   chaos delivery costs zero allocations.  Draw order is identical to
-   [transit] (which is now a thin decoder over this), so traces and
-   goldens are unchanged.  Layout: [extra_delay lsl 1 lor duplicate];
-   [dropped_i] for a destroyed delivery. *)
+(* One send-time verdict, packed so a chaos delivery costs zero
+   allocations.  Layout: [extra_delay lsl 1 lor duplicate]; [dropped_i]
+   for a destroyed delivery. *)
 let transit_i t rng ~round ~src ~dst =
   if src = dst then 0
   else if cut t ~round ~src ~dst then dropped_i
@@ -116,11 +112,6 @@ let transit_i t rng ~round ~src ~dst =
       t.duplicate > 0.0 && Vv_prelude.Rng.float rng < t.duplicate
     in
     (extra lsl 1) lor (if duplicate then 1 else 0)
-
-let transit t rng ~round ~src ~dst =
-  match transit_i t rng ~round ~src ~dst with
-  | v when v = dropped_i -> Dropped
-  | v -> Deliver { extra_delay = v lsr 1; duplicate = v land 1 = 1 }
 
 let pp ppf t =
   if is_none t then Fmt.string ppf "none"

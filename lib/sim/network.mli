@@ -44,8 +44,8 @@ type t = private {
   duplicate : float;  (** per-delivery duplication probability, in [0, 1) *)
   jitter : int;
       (** max extra rounds of delay per delivery; the engine clamps
-          [base + jitter] into the declared {!Delay.bound} so reordering
-          stays within the synchrony assumption *)
+          [base + jitter] into {!Delay.max_delay} so reordering stays
+          within the synchrony assumption *)
   partitions : partition list;
   outages : outage list;
   seed : int;  (** chaos-private RNG seed, independent of the engine seed *)
@@ -83,28 +83,19 @@ val cut : t -> round:int -> src:Types.node_id -> dst:Types.node_id -> bool
 val rng : t -> Vv_prelude.Rng.t
 (** A fresh chaos RNG for one run, derived from [seed] only. *)
 
-type verdict =
-  | Dropped  (** omitted (or cut at send time); never reaches the delay layer *)
-  | Deliver of { extra_delay : int; duplicate : bool }
-      (** deliver with [extra_delay] rounds of jitter; [duplicate] requests
-          a second, independently delayed copy *)
+val dropped_i : int
+(** The {!transit_i} verdict of a destroyed delivery ([-1]). *)
 
-val transit : t -> Vv_prelude.Rng.t -> round:int -> src:Types.node_id -> dst:Types.node_id -> verdict
-(** One send-time decision. Draws from the RNG only for intensities that
-    are strictly positive (and never for self-deliveries or cut links), so
+val transit_i : t -> Vv_prelude.Rng.t -> round:int -> src:Types.node_id -> dst:Types.node_id -> int
+(** One send-time verdict, packed so it allocates nothing: {!dropped_i}
+    for a delivery omitted (or cut at send time), otherwise
+    [extra_delay lsl 1 lor duplicate_bit] — deliver with [extra_delay]
+    rounds of jitter, and with the bit set a second, independently
+    delayed copy. Draws from the RNG only for intensities that are
+    strictly positive (and never for self-deliveries or cut links), so
     the chaos stream is stable under adding zero-intensity axes. The
     engine additionally re-checks {!cut} at the arrival round: a message
     in flight into a partition or outage window is lost. *)
-
-val dropped_i : int
-(** The {!transit_i} encoding of [Dropped] ([-1]). *)
-
-val transit_i : t -> Vv_prelude.Rng.t -> round:int -> src:Types.node_id -> dst:Types.node_id -> int
-(** [transit] without the allocation: returns {!dropped_i} for a destroyed
-    delivery, otherwise [extra_delay lsl 1 lor duplicate_bit].  Identical
-    RNG draw order to {!transit} (which decodes this function), so traces
-    and goldens are unchanged; the engine's hot path uses this form so a
-    chaos delivery allocates nothing. *)
 
 val extra_delay : t -> Vv_prelude.Rng.t -> int
 (** An independent jitter draw (0 when [jitter = 0], without consuming

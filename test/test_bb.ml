@@ -225,7 +225,8 @@ let test_delta_batching () =
           let module P = Vv_bb.Protocol_of.Make (Sub) in
           let module E = Engine.Make (P) in
           let cfg =
-            Config.make ~delay:(Delay.Fixed delta) ~n:7 ~t_max:1 ()
+            Config.make ~delay:(Delay.Uniform { lo = delta; hi = delta }) ~n:7
+              ~t_max:1 ()
           in
           let inputs id =
             { Vv_bb.Protocol_of.sender = 2;

@@ -85,12 +85,12 @@ let test_transit_guarded_draws () =
   let net = Network.make ~drop:0.5 ~seed:7 () in
   let a = Network.rng net and b = Network.rng net in
   for round = 0 to 19 do
-    (match Network.transit net a ~round ~src:1 ~dst:1 with
-    | Network.Deliver { extra_delay = 0; duplicate = false } -> ()
-    | _ -> Alcotest.fail "self-delivery must pass untouched");
-    let va = Network.transit net a ~round ~src:0 ~dst:2 in
-    let vb = Network.transit net b ~round ~src:0 ~dst:2 in
-    check_bool "same stream" true (va = vb)
+    (* 0 packs "deliver, no extra delay, no duplicate". *)
+    check_int "self-delivery passes untouched" 0
+      (Network.transit_i net a ~round ~src:1 ~dst:1);
+    let va = Network.transit_i net a ~round ~src:0 ~dst:2 in
+    let vb = Network.transit_i net b ~round ~src:0 ~dst:2 in
+    check_int "same stream" va vb
   done
 
 (* --- retransmission policy --- *)
@@ -174,7 +174,7 @@ let test_retransmission_rescues () =
   (* At 25% omission the losses are final without retransmission and the
      run stalls; with the backoff policy and the delay bound at 2 the
      retries land inside the synchrony slack and every node decides.
-     (A retry cannot rescue under Synchronous delay — there is no slack
+     (A retry cannot rescue under [Delay.synchronous] — there is no slack
      for a one-round-late arrival — which is why the campaign and this
      test run with a delay bound above the minimum.) *)
   let network = Network.make ~drop:0.25 ~jitter:1 ~seed:5 () in
@@ -349,7 +349,7 @@ let prop_compile_matches_delivers =
 let delay_gen =
   QCheck.Gen.(
     int_range 0 2 >>= function
-    | 0 -> int_range 1 5 >>= fun d -> return (Delay.Fixed d)
+    | 0 -> int_range 1 5 >>= fun d -> return (Delay.Uniform { lo = d; hi = d })
     | 1 ->
         int_range 1 4 >>= fun lo ->
         int_range 0 4 >>= fun extra ->
@@ -357,11 +357,14 @@ let delay_gen =
     | _ ->
         int_range 1 5 >>= fun bound ->
         return
-          (Delay.Adversarial
+          (Delay.Eventually_synchronous
              {
+               gst = 0;
                bound;
                schedule =
-                 (fun ~round ~src ~dst -> 1 + ((round + (3 * src) + dst) mod bound));
+                 Some
+                   (fun ~round ~src ~dst ->
+                     1 + ((round + (3 * src) + dst) mod bound));
              }))
 
 let prop_resolve_within_bound =
@@ -452,9 +455,7 @@ let prop_retransmit_respects_post_gst_bound =
                     (fun dst ->
                       let d = Delay.resolve delay rng ~round ~src ~dst in
                       d >= 1
-                      && (match Delay.max_delay delay ~round with
-                         | Some m -> d <= m
-                         | None -> false (* both models declare a cap *))
+                      && d <= Delay.max_delay delay ~round
                       &&
                       match delay with
                       | Delay.Eventually_synchronous { gst; bound; _ } ->
@@ -479,30 +480,34 @@ let test_schedule_probe_names_offender () =
           true (contains msg needle)
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
-  (* A Per_message schedule returning 0 at exactly (2, 1, 0). *)
-  expect_msg "per-message probe" "(round 2, src 1, dst 0)" (fun () ->
-      Config.make
-        ~delay:
-          (Delay.Per_message
-             (fun ~round ~src ~dst ->
-               if round = 2 && src = 1 && dst = 0 then 0 else 1))
-        ~max_rounds:5 ~n:3 ~t_max:1 ());
-  (* An Adversarial schedule exceeding its own bound at (0, 2, 2). *)
-  expect_msg "adversarial probe" "(round 0, src 2, dst 2)" (fun () ->
-      Config.make
-        ~delay:
-          (Delay.Adversarial
-             {
-               bound = 2;
-               schedule =
-                 (fun ~round ~src ~dst ->
-                   if round = 0 && src = 2 && dst = 2 then 3 else 1);
-             })
-        ~max_rounds:4 ~n:3 ~t_max:1 ());
+  (* An adversarial schedule under a declared bound: GST at round 0. *)
+  let adversarial schedule =
+    Delay.Eventually_synchronous { gst = 0; bound = 2; schedule = Some schedule }
+  in
+  (* A schedule returning 0 at exactly (2, 1, 0). *)
+  let below_one () =
+    Config.make
+      ~delay:
+        (adversarial (fun ~round ~src ~dst ->
+             if round = 2 && src = 1 && dst = 0 then 0 else 1))
+      ~max_rounds:5 ~n:3 ~t_max:1 ()
+  in
+  expect_msg "below-one probe" "(round 2, src 1, dst 0)" below_one;
+  expect_msg "below-one probe" "against declared bound 2" below_one;
+  (* A schedule exceeding its own bound at (0, 2, 2). *)
+  let above_bound () =
+    Config.make
+      ~delay:
+        (adversarial (fun ~round ~src ~dst ->
+             if round = 0 && src = 2 && dst = 2 then 3 else 1))
+      ~max_rounds:4 ~n:3 ~t_max:1 ()
+  in
+  expect_msg "above-bound probe" "(round 0, src 2, dst 2)" above_bound;
+  expect_msg "above-bound probe" "against declared bound 2" above_bound;
   (* Well-formed schedules construct fine. *)
   ignore
     (Config.make
-       ~delay:(Delay.Per_message (fun ~round:_ ~src:_ ~dst:_ -> 2))
+       ~delay:(adversarial (fun ~round:_ ~src:_ ~dst:_ -> 2))
        ~max_rounds:5 ~n:3 ~t_max:1 ())
 
 let test_network_ids_validated () =

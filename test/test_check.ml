@@ -328,7 +328,7 @@ let one_field_changes =
     (fun s -> respec ~subject:2 s);
     (fun s -> respec ~speaker:1 s);
     (fun s -> respec ~tie:Vv_ballot.Tie_break.Prefer_smaller s);
-    (fun s -> respec ~delay:(Vv_sim.Delay.Fixed 2) s);
+    (fun s -> respec ~delay:(Vv_sim.Delay.Uniform { lo = 2; hi = 2 }) s);
     (fun s -> respec ~network:(Vv_sim.Network.make ~drop:0.2 ~seed:3 ()) s);
     (fun s -> respec ~retransmit:(Vv_sim.Retransmit.make ()) s);
     (fun s -> respec ~judgment_override:Vv_core.Variant.Delta_t s);

@@ -797,7 +797,7 @@ let resume_configs =
           Fault.Crash { at_round = 3; deliver_to = [ 0; 2 ] }
         else Fault.Honest)
   in
-  let make ?crash ?(delay = Delay.Synchronous) ?network ?retransmit () =
+  let make ?crash ?(delay = Delay.synchronous) ?network ?retransmit () =
     Config.make ~faults:(faults ?crash ()) ~delay ?network ?retransmit
       ~max_rounds:40 ~seed:17 ~n:6 ~t_max:1 ()
   in

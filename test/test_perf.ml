@@ -102,7 +102,7 @@ let test_run_allocation () =
    additional round under ES, post-GST, must cost no more than the same
    round under Uniform over the same delay range plus the synchronous
    budget.  That catches the synchrony axis reintroducing per-delivery
-   structure (boxed verdicts, per-round views, option churn in the clamp)
+   structure (boxed verdicts, per-round views, allocation in the clamp)
    without re-litigating the RNG's own allocation.  GST sits past the
    short run's horizon so both runs cross it identically warmed. *)
 let minor_words_of_delay_run ~delay ~max_rounds =
@@ -141,8 +141,7 @@ let test_gst_round_allocation () =
 (* The packed transit verdict ([Network.transit_i]) keeps the per-link
    chaos decision off the heap: an inert link consumes neither randomness
    nor words, and an active one costs at most the RNG draws (a float draw
-   may box).  The variant-returning [Network.transit] stays available for
-   callers that want the decoded record. *)
+   may box). *)
 let transit_words net ~count =
   let rng = Network.rng net in
   let sink = ref 0 in

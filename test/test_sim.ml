@@ -518,8 +518,9 @@ let test_config_validation () =
   check (Alcotest.list Alcotest.int) "honest ids" [ 0; 1; 2 ] (Config.honest_ids cfg2)
 
 let test_delay_validation () =
-  Alcotest.check_raises "fixed >= 1" (Invalid_argument "Delay.Fixed: delay must be >= 1")
-    (fun () -> Delay.validate (Delay.Fixed 0));
+  Alcotest.check_raises "fixed >= 1"
+    (Invalid_argument "Delay.Uniform: need 1 <= lo <= hi") (fun () ->
+      Delay.validate (Delay.Uniform { lo = 0; hi = 0 }));
   Alcotest.check_raises "uniform bounds"
     (Invalid_argument "Delay.Uniform: need 1 <= lo <= hi") (fun () ->
       Delay.validate (Delay.Uniform { lo = 2; hi = 1 }));
@@ -536,7 +537,7 @@ let test_delay_validation () =
     (fun () ->
       Delay.validate
         (Delay.Eventually_synchronous { gst = 3; bound = 0; schedule = None }));
-  check (Alcotest.option Alcotest.int) "bound sync" (Some 1) (Delay.bound Delay.Synchronous);
+  check (Alcotest.option Alcotest.int) "bound sync" (Some 1) (Delay.bound Delay.synchronous);
   check (Alcotest.option Alcotest.int) "bound uniform" (Some 4)
     (Delay.bound (Delay.Uniform { lo = 2; hi = 4 }));
   (* The synchrony axis: asynchrony exposes no protocol-visible bound at
@@ -544,21 +545,30 @@ let test_delay_validation () =
      [max_delay] shrinks toward it as the send round approaches gst. *)
   let async = Delay.Asynchronous { fairness = 5; schedule = None } in
   check (Alcotest.option Alcotest.int) "bound async" None (Delay.bound async);
-  check (Alcotest.option Alcotest.int) "max_delay async = fairness" (Some 5)
-    (Delay.max_delay async ~round:7);
+  check_int "max_delay async = fairness" 5 (Delay.max_delay async ~round:7);
   let es = Delay.Eventually_synchronous { gst = 4; bound = 2; schedule = None } in
   check (Alcotest.option Alcotest.int) "bound gst = eventual bound" (Some 2)
     (Delay.bound es);
-  check (Alcotest.option Alcotest.int) "max_delay pre-GST" (Some 6)
-    (Delay.max_delay es ~round:0);
-  check (Alcotest.option Alcotest.int) "max_delay at GST-1" (Some 3)
-    (Delay.max_delay es ~round:3);
-  check (Alcotest.option Alcotest.int) "max_delay post-GST" (Some 2)
-    (Delay.max_delay es ~round:9)
+  check_int "max_delay pre-GST" 6 (Delay.max_delay es ~round:0);
+  check_int "max_delay at GST-1" 3 (Delay.max_delay es ~round:3);
+  check_int "max_delay post-GST" 2 (Delay.max_delay es ~round:9)
+
+(* [Uniform] at lo = hi is a fixed delay and consumes no randomness: an
+   rng it resolves against stays in lock-step with an untouched twin. *)
+let test_fixed_delay_draws_nothing () =
+  let a = Vv_prelude.Rng.create 11 and b = Vv_prelude.Rng.create 11 in
+  List.iter
+    (fun d ->
+      let delay = Delay.Uniform { lo = d; hi = d } in
+      for round = 0 to 9 do
+        check_int "fixed delay" d (Delay.resolve delay a ~round ~src:0 ~dst:1)
+      done;
+      check_int "lock-step" (Vv_prelude.Rng.bits b) (Vv_prelude.Rng.bits a))
+    [ 1; 2; 5 ]
 
 let test_in_flight_view () =
   (* The rushing adversary can inspect the scheduler's pending deliveries.
-     Under Fixed 2 delay the round-0 broadcasts are still in flight
+     Under a fixed delay of 2 the round-0 broadcasts are still in flight
      (arrival round 2) when the adversary acts in round 1, and have been
      drained by the time it acts in round 2.  Flood only sends at init, so
      the expected pending set is exactly the two honest broadcasts. *)
@@ -569,8 +579,8 @@ let test_in_flight_view () =
         [])
   in
   let cfg =
-    Config.with_byzantine ~delay:(Delay.Fixed 2) ~max_rounds:8 ~n:3 ~t_max:1
-      [ 2 ] ()
+    Config.with_byzantine ~delay:(Delay.Uniform { lo = 2; hi = 2 })
+      ~max_rounds:8 ~n:3 ~t_max:1 [ 2 ] ()
   in
   ignore (E.run_exn cfg ~inputs:(fun id -> id) ~adversary ());
   let at r = List.assoc r !seen in
@@ -623,6 +633,8 @@ let () =
           Alcotest.test_case "topology local-broadcast neighbourhood" `Quick
             test_topology_local_broadcast_neighbourhood;
           Alcotest.test_case "delay validation" `Quick test_delay_validation;
+          Alcotest.test_case "fixed delay draws nothing" `Quick
+            test_fixed_delay_draws_nothing;
         ] );
       ( "tail",
         [
