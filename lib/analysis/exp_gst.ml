@@ -118,7 +118,8 @@ let cell_n c = c.ag + c.bg + c.cg + c.f
 let predicted c =
   let t = t_mode ~t_s:c.t_s ~t_a:c.t_a c.sched in
   let n = cell_n c in
-  c.f <= t && n > 3 * t && n > (2 * t) + (2 * c.bg) + c.cg
+  c.f <= t
+  && Vv_core.Bounds.satisfied Vv_core.Bounds.Bft ~n ~t ~bg:c.bg ~cg:c.cg
 
 (* Electorate construction per probe.  Every cell must satisfy the
    protocol's standing requirement n > 2*t_s + t_a, so [ag] is bumped

@@ -82,9 +82,7 @@ let lemma2_cell ~t ~bg ~cg ~gap =
   let honest = inputs ~ag:(bg + gap) ~bg ~cg in
   let ng = List.length honest in
   let n = ng + t in
-  let bound_ok =
-    Vv_core.Bounds.satisfied Vv_core.Bounds.Bft ~n ~t ~bg ~cg && n > 3 * t
-  in
+  let bound_ok = Vv_core.Bounds.satisfied Vv_core.Bounds.Bft ~n ~t ~bg ~cg in
   let r =
     Vv_core.Runner.simple ~protocol:Vv_core.Runner.Algo1
       ~strategy:Vv_core.Strategy.Collude_second ~t ~f:t honest

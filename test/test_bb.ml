@@ -147,6 +147,40 @@ let test_equivocating_sender () =
   in
   assert_agreement "eig equivocation" outs
 
+(* A Byzantine Phase-King speaker at n = 5, t = 1 that picks its
+   recipients: value 10 to nodes 1 and 2 in the sender round, then a
+   phase-1 [Val] of 10 to node 2 alone in round 3.  The honest nodes must
+   still agree.  With King_ba's keep-or-follow test weakened from
+   [2 * mult > n + 2t] to [2 * mult > n], node 2 keeps its plurality of 10
+   while the king moves the others to bottom: outputs bottom, 10, bottom,
+   bottom.  Of the 531,441 scripts of this shape (nothing, 10 or 20 to
+   each honest node in rounds 0, 1 and 3), none splits the honest outputs
+   and 35,910 split the weakened rule's; this is one of them. *)
+let pk_split_speaker =
+  let send ~phase dsts =
+    List.map
+      (fun dst ->
+        {
+          Adversary.src = 0;
+          dst;
+          msg = Vv_bb.Phase_king.Val { phase; value = 10 };
+        })
+      dsts
+  in
+  Adversary.named "pk-split-speaker" (fun view ->
+      match view.Adversary.round with
+      | 0 -> send ~phase:(-1) [ 1; 2 ]
+      | 3 -> send ~phase:1 [ 2 ]
+      | _ -> [])
+
+let test_byzantine_speaker_agreement () =
+  let _, outs =
+    Run_pk.go ~n:5 ~t:1 ~byz:[ 0 ] ~sender:0 ~value:10
+      ~adversary:pk_split_speaker ()
+  in
+  check_int "four honest outputs" 4 (List.length outs);
+  assert_agreement "phase-king split speaker" outs
+
 (* Dolev-Strong must run in exactly t+1 exchange rounds.  [rounds_used]
    counts executed engine rounds: round 0 (the substrate's start) plus the
    exchange rounds, so a k-exchange substrate reports k + 1. *)
@@ -421,6 +455,8 @@ let () =
             test_delta_batching;
           Alcotest.test_case "delta batching (uniform delays)" `Quick
             test_uniform_delay_batching;
+          Alcotest.test_case "Byzantine speaker picking recipients agrees"
+            `Quick test_byzantine_speaker_agreement;
         ] );
       ( "auth",
         [
