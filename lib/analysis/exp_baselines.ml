@@ -238,7 +238,7 @@ let e8_campaign =
             else ctx.Campaign.cell_seed
           in
           e8_sensor ~trials ~seed)
-    ~collect:(fun _ pairs -> Campaign.tables (List.map snd pairs))
+    ~collect:Campaign.cell_tables
     ()
 
 let e9_table () =

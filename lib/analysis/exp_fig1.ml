@@ -121,7 +121,7 @@ let fig1b_campaign =
       | Campaign.Smoke ->
           fig1b ~jobs:ctx.Campaign.jobs ~seed:ctx.Campaign.base_seed ~t_max:2
             ~mc_samples:4_000 ~trials:30 ())
-    ~collect:(fun _ pairs -> Campaign.tables (List.map snd pairs))
+    ~collect:Campaign.cell_tables
     ()
 
 let fig1c_f_max = 4

@@ -77,5 +77,5 @@ let e15_campaign =
         match ctx.Campaign.profile with Campaign.Full -> 60 | Campaign.Smoke -> 15
       in
       e15 ~trials ~seed:ctx.Campaign.base_seed)
-    ~collect:(fun _ pairs -> Campaign.tables (List.map snd pairs))
+    ~collect:Campaign.cell_tables
     ()

@@ -48,14 +48,53 @@ type t =
           vote is observed — the enumerable adversary universe of the
           exhaustive checker (Vv_check). *)
 
-(* Labels are built without Format: the checker names one trace per
-   script, tens of thousands per sweep. *)
-let action_label = function
+let equal_action a b =
+  match (a, b) with
+  | Skip, Skip -> true
+  | Vote_all i, Vote_all j | Propose_all i, Propose_all j -> Int.equal i j
+  | Vote_split (i, j), Vote_split (k, l)
+  | Vote_and_propose (i, j), Vote_and_propose (k, l) ->
+      Int.equal i k && Int.equal j l
+  | (Skip | Vote_all _ | Vote_split _ | Propose_all _ | Vote_and_propose _), _
+    ->
+      false
+
+let build_label = function
   | Skip -> "-"
   | Vote_all i -> "v" ^ string_of_int i
   | Vote_split (i, j) -> "v" ^ string_of_int i ^ "x" ^ string_of_int j
   | Propose_all i -> "p" ^ string_of_int i
   | Vote_and_propose (i, j) -> "v" ^ string_of_int i ^ "p" ^ string_of_int j
+
+(* Labels are built without Format, and the checker's are not built per
+   script at all: it names one trace per script, tens of thousands per
+   sweep, from alphabets over at most three options.  So the labels of
+   indices below [small] come from tables built once ([string_of_int] is
+   a C sprintf per call); other indices are built as above. *)
+let small = 4
+let is_small i = i >= 0 && i < small
+let singles f = Array.init small (fun i -> build_label (f i))
+
+let pairs f =
+  Array.init (small * small) (fun k ->
+      build_label (f (k / small) (k mod small)))
+
+let vote_labels = singles (fun i -> Vote_all i)
+let propose_labels = singles (fun i -> Propose_all i)
+let split_labels = pairs (fun i j -> Vote_split (i, j))
+let vote_propose_labels = pairs (fun i j -> Vote_and_propose (i, j))
+
+let action_label a =
+  match a with
+  | Skip -> "-"
+  | Vote_all i when is_small i -> vote_labels.(i)
+  | Propose_all i when is_small i -> propose_labels.(i)
+  | Vote_split (i, j) when is_small i && is_small j ->
+      split_labels.((i * small) + j)
+  | Vote_and_propose (i, j) when is_small i && is_small j ->
+      vote_propose_labels.((i * small) + j)
+  | Vote_all _ | Propose_all _ | Vote_split _ | Vote_and_propose _ ->
+      build_label a
 
 let script_label actions =
   "scripted:" ^ String.concat "." (List.map action_label actions)

@@ -45,6 +45,9 @@ type t =
           the first honest vote is observed — the enumerable adversary
           universe of the exhaustive checker. *)
 
+val equal_action : script_action -> script_action -> bool
+(** Structural equality of two actions, without polymorphic compare. *)
+
 val script_label : script_action list -> string
 (** ["scripted:"] then the actions, ["."]-separated: [-] for [Skip],
     [v1], [v0x1], [p1], [v0p1] — the adversary name of a scripted run's

@@ -399,7 +399,7 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
 
   (* Clamp: scripts are enumerated for up to d options but must stay
      meaningful when fewer are live. *)
-  let live domain i = domain.(min (max i 0) (Array.length domain - 1))
+  let live domain i = domain.(Int.min (Int.max i 0) (Array.length domain - 1))
 
   (* Broadcast along [view.reach] (not all of [n]) so plans stay legal
      under local broadcast and on sparse topologies. *)
@@ -633,7 +633,8 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
       | Ok (E.Paused cp), action :: rest ->
           let next, stored =
             match stored with
-            | (a, next) :: deeper when a = action -> (next, deeper)
+            | (a, next) :: deeper when Strategy.equal_action a action ->
+                (next, deeper)
             | _ -> (descend cp action, [])
           in
           let res, kept = go ~label next stored rest in

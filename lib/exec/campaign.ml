@@ -34,6 +34,7 @@ type ctx = {
 type emitted = { tables : Table.t list; ok : bool; verdict : string option }
 
 let tables tbls = { tables = tbls; ok = true; verdict = None }
+let cell_tables _ pairs = tables (List.map snd pairs)
 
 type ('cell, 'row) def = {
   id : string;

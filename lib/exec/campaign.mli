@@ -40,6 +40,10 @@ type emitted = {
 val tables : Vv_prelude.Table.t list -> emitted
 (** The common case: tables only, [ok = true], no verdict. *)
 
+val cell_tables : profile -> ('cell * Vv_prelude.Table.t) list -> emitted
+(** The collector of a campaign whose cells each build one whole table:
+    those tables, in cell order. *)
+
 type t
 (** A campaign with its cell and row types hidden, so heterogeneous
     campaigns form one registry list. *)

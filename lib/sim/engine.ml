@@ -34,8 +34,10 @@
    in preallocated growable buffers.  Future rounds are scheduled into a
    round-indexed circular bucket array (power-of-two capacity, slot =
    round land (cap - 1), grown on collision) instead of a Hashtbl of
-   lists.  Together with the outbox/inbox-view protocol API this makes
-   the steady-state round loop allocate almost nothing — the per-round
+   lists; a slot gets its bucket, sized once for one all-broadcast
+   round, when a round first schedules into it.  Together with the
+   outbox/inbox-view protocol API this makes the steady-state round
+   loop allocate almost nothing — the per-round
    budget is pinned by test_perf.ml, and every campaign golden is
    byte-identical to the list-based engine's output.
 
@@ -114,7 +116,8 @@ type buf = {
   mutable blen : int;
 }
 
-let buf_make () = { meta = [||]; bmsgs = [||]; blen = 0 }
+let buf_make cap =
+  { meta = Array.make cap 0; bmsgs = Array.make cap dummy; blen = 0 }
 
 let buf_grow b =
   let cap = Array.length b.meta in
@@ -148,8 +151,15 @@ let buf_copy b =
    Hashtbl-of-lists pending map.  Slot = round land (cap - 1); a slot
    remembers which round its contents belong to, and a collision with a
    non-empty slot doubles the capacity until every live bucket lands on a
-   distinct slot (bounded by max_rounds, and never reached with the
-   repo's delay bounds and the default capacity). *)
+   distinct slot (bounded by max_rounds, and reached only when deliveries
+   are scheduled more than 16 rounds ahead).
+
+   A slot gets its bucket the first time a round schedules into it; until
+   then it holds [empty], one sentinel shared by every schedule (and every
+   domain) and never written.  A short run — a checked script decides in
+   about two rounds — thus allocates only the buckets it uses, each
+   buffer once, at [first_cap] entries.  A drained bucket keeps its slot
+   and buffer for the next round that lands there. *)
 module Sched = struct
   type bucket = { mutable round : int; buf : buf }
 
@@ -157,15 +167,13 @@ module Sched = struct
     mutable cap : int;
     mutable buckets : bucket array;
     mutable live : int;  (* deliveries currently scheduled, all buckets *)
+    first_cap : int;  (* entries of a new bucket's buffer *)
   }
 
-  let create () =
-    let cap = 16 in
-    {
-      cap;
-      buckets = Array.init cap (fun _ -> { round = -1; buf = buf_make () });
-      live = 0;
-    }
+  let empty = { round = -1; buf = buf_make 0 }
+
+  let create ~first_cap =
+    { cap = 16; buckets = Array.make 16 empty; live = 0; first_cap }
 
   let grow t =
     let live =
@@ -187,14 +195,20 @@ module Sched = struct
       if ok then cap else fit (2 * cap)
     in
     let cap = fit (2 * t.cap) in
-    let buckets = Array.init cap (fun _ -> { round = -1; buf = buf_make () }) in
+    let buckets = Array.make cap empty in
     List.iter (fun b -> buckets.(b.round land (cap - 1)) <- b) live;
     t.cap <- cap;
     t.buckets <- buckets
 
   let rec bucket_for t round =
-    let b = t.buckets.(round land (t.cap - 1)) in
+    let slot = round land (t.cap - 1) in
+    let b = t.buckets.(slot) in
     if b.round = round then b
+    else if b == empty then begin
+      let b = { round; buf = buf_make t.first_cap } in
+      t.buckets.(slot) <- b;
+      b
+    end
     else if b.buf.blen = 0 then begin
       b.round <- round;
       b
@@ -221,17 +235,16 @@ module Sched = struct
 
   let is_empty t = t.live = 0
 
-  (* An independent copy: live buckets are copied, empty ones fresh. *)
+  (* An independent copy: live buckets are copied, empty slots [empty]. *)
   let copy t =
     {
-      cap = t.cap;
+      t with
       buckets =
         Array.map
           (fun b ->
-            if b.buf.blen = 0 then { round = -1; buf = buf_make () }
+            if b.buf.blen = 0 then empty
             else { round = b.round; buf = buf_copy b.buf })
           t.buckets;
-      live = t.live;
     }
 
   (* Fold over every delivery still scheduled, across all live buckets,
@@ -394,6 +407,13 @@ module Make (P : Protocol.S) = struct
     let node_rngs = Array.init n (fun _ -> Vv_prelude.Rng.split master) in
     let delay_rng = Vv_prelude.Rng.split master in
     let delta = Delay.bound cfg.Config.delay in
+    (* One all-broadcast round's deliveries (n^2 on the complete graph),
+       capped so a bucket's arrays stay minor-heap blocks. *)
+    let first_cap =
+      Int.min 256
+        (Array.fold_left (fun acc a -> acc + Array.length a) 0
+           cfg.Config.reach_arr)
+    in
     {
       cfg;
       inputs;
@@ -434,8 +454,8 @@ module Make (P : Protocol.S) = struct
       decision_round = Array.make n None;
       phases = Array.make n None;
       undecided_honest = List.length (Config.honest_ids cfg);
-      pending = Sched.create ();
-      retries = Sched.create ();
+      pending = Sched.create ~first_cap;
+      retries = Sched.create ~first_cap;
       dropped = 0;
       duplicated = 0;
       retransmitted = 0;
@@ -448,16 +468,19 @@ module Make (P : Protocol.S) = struct
       have_inbox = false;
       inbox = Inbox.create ();
       outbox = Outbox.create ();
-      honest_buf = buf_make ();
+      honest_buf = buf_make 0;
       newly_decided = [];
       rounds_used = 0;
       stalled = false;
     }
 
   (* An independent copy of [r] paused after the honest steps of [round]:
-     everything a later round writes is copied, scratch is fresh, and
-     what no later round touches (configuration, the states of nodes that
-     never step again, the arena until it is next written) is shared. *)
+     everything a later round writes is copied (the schedulers' live
+     buckets only: an empty slot holds the sentinel, and the copy makes
+     its own bucket when a round first schedules there), the round's
+     scratch (sort counts, inbox and outbox) is fresh, and what no later
+     round touches (configuration, the states of nodes that never step
+     again, the arena until it is next written) is shared. *)
   let copy_run ~copy r ~round ~(adversary : P.msg Adversary.t) =
     {
       r with
@@ -592,15 +615,15 @@ module Make (P : Protocol.S) = struct
       counts.(key) <- counts.(key) + 1
     done;
     let cum = ref 0 in
-    for key = 0 to (n * n) - 1 do
-      if key mod n = 0 then r.inbox_off.(key / n) <- !cum;
-      let c = counts.(key) in
-      counts.(key) <- !cum;
-      cum := !cum + c
-    done;
     for d = 0 to n - 1 do
-      r.inbox_len.(d) <-
-        (if d = n - 1 then len else r.inbox_off.(d + 1)) - r.inbox_off.(d)
+      let off = !cum in
+      r.inbox_off.(d) <- off;
+      for key = d * n to (d * n) + n - 1 do
+        let c = counts.(key) in
+        counts.(key) <- !cum;
+        cum := !cum + c
+      done;
+      r.inbox_len.(d) <- !cum - off
     done;
     let srcs = r.arena_srcs and msgs = r.arena_msgs in
     for i = 0 to len - 1 do

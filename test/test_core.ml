@@ -797,9 +797,10 @@ let resume_configs =
           Fault.Crash { at_round = 3; deliver_to = [ 0; 2 ] }
         else Fault.Honest)
   in
-  let make ?crash ?(delay = Delay.synchronous) ?network ?retransmit () =
+  let make ?crash ?(delay = Delay.synchronous) ?network ?retransmit
+      ?(max_rounds = 40) () =
     Config.make ~faults:(faults ?crash ()) ~delay ?network ?retransmit
-      ~max_rounds:40 ~seed:17 ~n:6 ~t_max:1 ()
+      ~max_rounds ~seed:17 ~n:6 ~t_max:1 ()
   in
   let chaos = Network.make ~drop:0.1 ~duplicate:0.1 ~jitter:1 ~seed:5 () in
   [
@@ -811,6 +812,26 @@ let resume_configs =
         ~retransmit:(Retransmit.make ~base:1 ~cap:2 ())
         () );
     ("crash", make ~crash:true ());
+    (* A delay past the scheduler's 16 initial slots: round 0's messages
+       to the Byzantine node land 17 rounds later, in the slot of round
+       1's live bucket, so every run grows its schedule in round 0 and
+       each later checkpoint copies a grown one (the runs decide before
+       those messages land).  [Uniform] with hi = 20 would too, but hi
+       is also the protocols' delta, which puts Phase King's first vote
+       past round 100. *)
+    ( "long delay",
+      make
+        ~delay:
+          (Delay.Eventually_synchronous
+             {
+               gst = 20;
+               bound = 1;
+               schedule =
+                 Some
+                   (fun ~round ~src:_ ~dst ->
+                     if round = 0 && dst = 5 then 17 else 1);
+             })
+        ~max_rounds:60 () );
   ]
 
 module Ds = Resume (Vv_bb.Dolev_strong)

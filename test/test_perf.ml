@@ -368,7 +368,15 @@ let test_prefix_sharing_allocation () =
    484 scripts share 22 first actions: the script that builds a first
    action's checkpoint is compared with the scripts that reuse it.  When
    this pin was set they averaged 4,140 and 2,866 words; without the
-   path, 4,140 and 4,169. *)
+   path, 4,140 and 4,169.
+
+   A reused script also pays the fixed cost of a short run, which the
+   ratio does not see.  The absolute budget pins it: the reused scripts
+   averaged 1,940 words while every schedule made its sixteen buckets up
+   front, 1,714 once a bucket was made when a round first scheduled into
+   it, and 1,924 with only that change reverted. *)
+let reused_script_budget = 1_800
+
 let test_path_sharing_allocation () =
   let module Space = Vv_check.Space in
   let module Runner = Vv_core.Runner in
@@ -418,7 +426,14 @@ let test_path_sharing_allocation () =
             3/4 of the %d of the script that built it"
            reused built)
         true
-        (4 * reused <= 3 * built)
+        (4 * reused <= 3 * built);
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "a script on a checkpointed first action: %d words, over the \
+            %d-word budget"
+           reused reused_script_budget)
+        true
+        (reused <= reused_script_budget)
 
 (* --- stalled runs --- *)
 
@@ -430,7 +445,17 @@ let test_path_sharing_allocation () =
    inputs 0,0,0,1,1,2,0, collude-second from nodes 7 and 8); each budget
    is run once first, which fills its tail.  When the pin was set both
    budgets allocated 7,431 words; recording round by round, 9,872 at 60
-   rounds and 79,712 at 2,000. *)
+   rounds and 79,712 at 2,000.
+
+   The run also pins a short run's fixed cost in absolute words.  The
+   60-round stall allocated 7,430 words while each schedule made its
+   sixteen buckets up front and grew each buffer from 8 entries, and
+   6,915 once a bucket is made when a round first schedules into it,
+   with its buffer sized for one broadcast round.  Reverting either
+   change alone reads 7,118 (buckets up front) or 7,229 (buffers from 8
+   entries), over the budget. *)
+let stalled_run_budget = 7_000
+
 let test_stalled_run_allocation () =
   let module Runner = Vv_core.Runner in
   let run max_rounds =
@@ -458,7 +483,13 @@ let test_stalled_run_allocation () =
         a 60-round one"
        long short)
     true
-    (long <= short + 64)
+    (long <= short + 64);
+  Alcotest.(check bool)
+    (Printf.sprintf "a 60-round stall allocates %d words, over the %d-word \
+                     budget"
+       short stalled_run_budget)
+    true
+    (short <= stalled_run_budget)
 
 (* --- judging through Property --- *)
 
