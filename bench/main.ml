@@ -183,8 +183,7 @@ let ledger_slot =
     @ [ Oid.of_int 0; Oid.of_int 0 ]
   in
   fun () ->
-    let ledger = Vv_multishot.Ledger.create cfg in
-    let slot = Vv_multishot.Ledger.decide ledger ~subject:1 inputs in
+    let slot = Vv_multishot.Ledger.compute cfg ~index:0 ~subject:1 inputs in
     assert (slot.Vv_multishot.Ledger.decision <> None)
 
 let engine_batch_run =

@@ -376,17 +376,18 @@ let ledger_cmd =
         ~retry:(Vv_multishot.Ledger.Rotate_and_adjust (Vv_core.Session.Bandwagon, 6))
         ~seed ~n ~t ()
     in
-    let ledger = Vv_multishot.Ledger.create cfg in
     let rng = Vv_prelude.Rng.create (seed + 1) in
     let dist =
       Vv_dist.Multinomial.create ~n:(n - t) ~p:[| 0.5; 0.3; 0.2 |]
     in
-    for subject = 1 to slots do
-      let honest = Vv_dist.Montecarlo.sample_inputs dist rng in
-      let inputs = honest @ List.init t (fun _ -> Oid.of_int 0) in
-      let slot = Vv_multishot.Ledger.decide ledger ~subject inputs in
-      if format = Emit.Table then Fmt.pr "%a@." Vv_multishot.Ledger.pp_slot slot
-    done;
+    let requests =
+      List.init slots (fun i ->
+          let honest = Vv_dist.Montecarlo.sample_inputs dist rng in
+          (i + 1, honest @ List.init t (fun _ -> Oid.of_int 0)))
+    in
+    let decided, stats = Vv_multishot.Engine.run cfg requests in
+    if format = Emit.Table then
+      List.iter (Fmt.pr "%a@." Vv_multishot.Ledger.pp_slot) decided;
     let tab =
       Table.create ~title:(Fmt.str "ledger n=%d t=%d seed=%#x" n t seed)
         ~headers:
@@ -411,7 +412,10 @@ let ledger_cmd =
             Table.bcell s.Vv_multishot.Ledger.valid;
             Table.icell s.Vv_multishot.Ledger.rounds_total;
           ])
-      (Vv_multishot.Ledger.slots ledger);
+      decided;
+    let { Vv_multishot.Engine.decided = height; committed; all_valid; _ } =
+      stats
+    in
     (match format with
     | Emit.Table -> ()
     | Emit.Csv -> print_string (Table.to_csv tab)
@@ -421,19 +425,13 @@ let ledger_cmd =
              (Json.Obj
                 [
                   ("slots", Table.to_json tab);
-                  ("height", Json.Int (Vv_multishot.Ledger.height ledger));
-                  ( "committed",
-                    Json.Int
-                      (List.length (Vv_multishot.Ledger.committed ledger)) );
-                  ( "all_committed_valid",
-                    Json.Bool (Vv_multishot.Ledger.all_committed_valid ledger)
-                  );
+                  ("height", Json.Int height);
+                  ("committed", Json.Int committed);
+                  ("all_committed_valid", Json.Bool all_valid);
                 ])));
     if format = Emit.Table then
-      Fmt.pr "@.height=%d committed=%d all-committed-valid=%b@."
-        (Vv_multishot.Ledger.height ledger)
-        (List.length (Vv_multishot.Ledger.committed ledger))
-        (Vv_multishot.Ledger.all_committed_valid ledger)
+      Fmt.pr "@.height=%d committed=%d all-committed-valid=%b@." height
+        committed all_valid
   in
   let checked format n t slots seed =
     sized ~n ~t (fun () -> run format n t slots seed)

@@ -11,6 +11,7 @@
 
 module Oid = Vv_ballot.Option_id
 module Ledger = Vv_multishot.Ledger
+module Engine = Vv_multishot.Engine
 
 let options = [| "approve"; "reject"; "amend"; "defer" |]
 let name_of o = options.(Oid.to_int o)
@@ -31,18 +32,19 @@ let () =
       ~retry:(Ledger.Rotate_and_adjust (Vv_core.Session.Bandwagon, 6)) ~n:9
       ~t:2 ()
   in
-  let ledger = Ledger.create cfg in
+  let ledger = Engine.create cfg in
   List.iteri
     (fun i (title, prefs) ->
       let inputs = List.map Oid.of_int prefs @ [ Oid.of_int 0; Oid.of_int 0 ] in
       Fmt.pr "%-22s honest: %a@." title
         Fmt.(list ~sep:sp (using name_of string))
         (List.map Oid.of_int prefs);
-      let slot = Ledger.decide ledger ~subject:(i + 1) inputs in
-      Fmt.pr "  -> %a@.@." Ledger.pp_slot slot)
+      ignore (Engine.submit ledger ~subject:(i + 1) inputs);
+      List.iter (Fmt.pr "  -> %a@.@." Ledger.pp_slot) (Engine.step ledger))
     motions;
-  Fmt.pr "ledger height: %d, committed: %d@." (Ledger.height ledger)
-    (List.length (Ledger.committed ledger));
+  let stats = Engine.stats ledger in
+  Fmt.pr "ledger height: %d, committed: %d@." (Engine.height ledger)
+    stats.Engine.committed;
   Fmt.pr "every committed decision is the exact honest plurality: %b@."
-    (Ledger.all_committed_valid ledger);
-  assert (Ledger.all_committed_valid ledger)
+    (Engine.all_committed_valid ledger);
+  assert (Engine.all_committed_valid ledger)

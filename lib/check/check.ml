@@ -53,7 +53,7 @@ type result = {
   total_cells : int;
   total_runs : int;
   groups : group_stats list;
-  violations : counterexample list;  (** shrunk; capped at [max_reported] *)
+  violations : counterexample list;  (** shrunk; at most [max_reported] *)
   violations_total : int;
   tightness : tightness list;  (** one row per bound kind *)
   ok : bool;
@@ -70,11 +70,14 @@ let counterexample_of ?max_trials ?property exec class_ =
 
 let kinds = [ Bounds.Bft; Bounds.Cft; Bounds.Sct ]
 
+(* How many violations [aggregate] shrinks and carries. *)
+let max_reported = 10
+
 (* The sequential tail of a check run: everything after the parallel
    classification fan-out, which the campaign wrapper in {!Report} runs
    through [Campaign.run]. *)
-let aggregate ?max_shrink_trials ?(max_reported = 10)
-    ?(property = Vv_ballot.Property.voting) profile ~execs ~classes =
+let aggregate ?max_shrink_trials ?(property = Vv_ballot.Property.voting)
+    profile ~execs ~classes =
   let dims = dims_of profile in
   let count = Array.length execs in
   (* Per (protocol, substrate) aggregation, in first-seen (= enumeration)

@@ -46,7 +46,7 @@ type result = {
   total_cells : int;
   total_runs : int;
   groups : group_stats list;  (** per (protocol, substrate), enumeration order *)
-  violations : counterexample list;  (** shrunk; capped at [max_reported] *)
+  violations : counterexample list;  (** shrunk; at most 10 *)
   violations_total : int;
   tightness : tightness list;  (** one row per bound kind (Bft, Cft, Sct) *)
   ok : bool;
@@ -56,7 +56,6 @@ type result = {
 
 val aggregate :
   ?max_shrink_trials:int ->
-  ?max_reported:int ->
   ?property:Vv_ballot.Property.t ->
   profile ->
   execs:Space.execution array ->
@@ -69,5 +68,5 @@ val aggregate :
     the classes were computed against; shrinking re-classifies under it,
     and for non-voting properties [ok] demands only freedom from
     violations (tightness is a statement about the voting bounds).
-    [max_reported] (default 10) caps how many violations are shrunk and
-    carried in the result — [violations_total] still counts all. *)
+    At most 10 violations are shrunk and carried in the result —
+    [violations_total] still counts all. *)

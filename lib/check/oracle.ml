@@ -51,8 +51,6 @@ let class_label = function
   | Defeated -> "defeated"
   | Violation v -> violation_label v
 
-let pp_class ppf c = Fmt.string ppf (class_label c)
-
 let equal_class a b =
   match (a, b) with
   | Exact, Exact | Admissible_stall, Admissible_stall | Defeated, Defeated ->

@@ -29,7 +29,6 @@ val violation_label : violation -> string
 (** ["VIOLATION:<property>:<detail>"]. *)
 
 val class_label : class_ -> string
-val pp_class : class_ Fmt.t
 val equal_class : class_ -> class_ -> bool
 
 val kind_of : Vv_core.Runner.protocol -> Vv_core.Bounds.kind

@@ -173,8 +173,7 @@ let sweep_verdict_line (p, (r : Check.result)) =
    tables in non-JSON formats.  With the default single-voting sweep the
    rendered output is byte-identical to the historical fixed-validity
    checker. *)
-let campaign ?max_shrink_trials ?max_reported
-    ?(properties = [ Property.voting ]) () =
+let campaign ?(properties = [ Property.voting ]) () =
   let module Campaign = Vv_exec.Campaign in
   let properties = if properties = [] then [ Property.voting ] else properties in
   Campaign.v ~id:"check"
@@ -192,8 +191,7 @@ let campaign ?max_shrink_trials ?max_reported
           (fun pi p ->
             let classes = Array.map (fun cs -> List.nth cs pi) sweep in
             ( p,
-              Check.aggregate ?max_shrink_trials ?max_reported ~property:p
-                profile ~execs ~classes ))
+              Check.aggregate ~property:p profile ~execs ~classes ))
           properties
       in
       match results with

@@ -17,8 +17,6 @@ val sweep_verdict_line : Vv_ballot.Property.t * Check.result -> string
 (** ["validity=<id> OK/FAIL ..."]. *)
 
 val campaign :
-  ?max_shrink_trials:int ->
-  ?max_reported:int ->
   ?properties:Vv_ballot.Property.t list ->
   unit ->
   Vv_exec.Campaign.t

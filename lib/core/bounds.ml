@@ -49,11 +49,6 @@ let k_of = function Bft | Cft -> 2 | Sct -> 3
 let vote_dispersion_tolerance kind ~bg ~cg =
   float_of_int ((2 * bg) + cg) /. float_of_int (k_of kind)
 
-let system_tolerance_ok kind ~n ~t ~bg ~cg =
-  let k = float_of_int (k_of kind) in
-  float_of_int n /. k
-  > float_of_int t +. vote_dispersion_tolerance kind ~bg ~cg
-
 (* Largest t the bound admits at fixed n and honest dispersion; -1 when even
    t = 0 fails. *)
 let max_tolerable_t kind ~n ~bg ~cg =

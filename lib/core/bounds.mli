@@ -38,9 +38,6 @@ val k_of : kind -> int
 val vote_dispersion_tolerance : kind -> bg:int -> cg:int -> float
 (** [t_vd = (2 B_G + C_G) / K]. *)
 
-val system_tolerance_ok : kind -> n:int -> t:int -> bg:int -> cg:int -> bool
-(** Theorem 12: [N/K > t + t_vd]. *)
-
 val max_tolerable_t : kind -> n:int -> bg:int -> cg:int -> int
 (** Largest admissible [t] at fixed [n] and dispersion; [-1] when even
     [t = 0] fails. *)

@@ -18,10 +18,6 @@ module Oid = Vv_ballot.Option_id
 
 type verdict = Value of Oid.t | Quit
 
-let pp_verdict ppf = function
-  | Value v -> Oid.pp ppf v
-  | Quit -> Fmt.string ppf "Q"
-
 type outcome = {
   verdicts : verdict list;  (** honest nodes, node-id order *)
   termination : bool;  (** always true: Q counts as an output *)

@@ -10,8 +10,6 @@ module Oid = Vv_ballot.Option_id
 
 type verdict = Value of Oid.t | Quit
 
-val pp_verdict : verdict Fmt.t
-
 type outcome = {
   verdicts : verdict list;  (** honest nodes, node-id order *)
   termination : bool;  (** always true: [Q] counts as an output *)

@@ -24,11 +24,6 @@ type policy =
   | Custom of (rng:Vv_prelude.Rng.t -> leader:Oid.t -> runner_up:Oid.t option -> Oid.t -> Oid.t)
       (** user-supplied per-voter adjustment *)
 
-let pp_policy ppf = function
-  | Abandon_third -> Fmt.string ppf "abandon-third"
-  | Bandwagon -> Fmt.string ppf "bandwagon"
-  | Custom _ -> Fmt.string ppf "custom"
-
 type attempt = {
   round : int;  (** session round, from 1 *)
   inputs : Oid.t list;  (** honest preferences used this round *)

@@ -21,8 +21,6 @@ type policy =
       Oid.t ->
       Oid.t)
 
-val pp_policy : policy Fmt.t
-
 type attempt = {
   round : int;  (** session round, from 1 *)
   inputs : Oid.t list;

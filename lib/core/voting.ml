@@ -647,10 +647,4 @@ module Make (Sub : Vv_bb.Bb_intf.S) = struct
       in
       path := kept;
       res
-
-  let execute cfg ~variant ~speaker ~subject ~preferences ~strategy =
-    match execute_checked cfg ~variant ~speaker ~subject ~preferences ~strategy with
-    | Ok exec -> exec
-    | Error (`Invalid_adversary reason) ->
-        raise (Engine.Invalid_adversary reason)
 end

@@ -88,14 +88,4 @@ module Make (Sub : Vv_bb.Bb_intf.S) : sig
       only the rest.  Each call equals {!execute_checked} with
       [~strategy:(Strategy.Scripted actions)], trace included.  The
       function is stateful: one domain may call it at a time. *)
-
-  val execute :
-    Vv_sim.Config.t ->
-    variant:Variant.t ->
-    speaker:Vv_sim.Types.node_id ->
-    subject:subject ->
-    preferences:(Vv_sim.Types.node_id -> Oid.t) ->
-    strategy:Strategy.t ->
-    exec
-  (** Like {!execute_checked} but raises {!Vv_sim.Engine.Invalid_adversary}. *)
 end

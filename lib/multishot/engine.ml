@@ -1,11 +1,13 @@
 (* Multi-shot throughput engine: batches subjects into slots, shards slot
    computation across Executor domains, and accounts for slot pipelining.
 
-   The engine owns the submit queue and the committed log; deciding is
-   pure per subject ({!Ledger.compute}), so a group of positions fans out
-   through {!Vv_exec.Executor.map} and merges in index order — the
-   committed log is byte-identical at every [jobs] value, and an engine
-   with [batch = 1] and [jobs = 1] reproduces {!Ledger.decide} exactly.
+   The engine owns the submit queue and the committed log, the only
+   multi-shot log there is; deciding is pure per subject
+   ({!Ledger.compute}), so a group of positions fans out through
+   {!Vv_exec.Executor.map} and merges in index order — the committed log
+   is byte-identical at every [jobs] value, and an engine with
+   [batch = 1] commits at position [p] exactly [Ledger.compute ~index:p]
+   of the [p]-th submission.
 
    Positions, slots and lanes.  Every accepted submission gets the next
    global position [p]; with batch size [b] it lands in slot [p / b],

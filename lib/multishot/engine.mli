@@ -1,12 +1,14 @@
-(** Multi-shot throughput engine: subject batching, slot sharding across
-    Executor domains, pipelined cost accounting and catch-up.
+(** Multi-shot throughput engine, the one multi-shot ledger: subject
+    batching, slot sharding across Executor domains, pipelined cost
+    accounting and catch-up.
 
     Submissions are assigned global positions in arrival order; position
     [p] lands in slot [p / batch], lane [p mod batch], and is decided by
     {!Ledger.compute} — pure per position — so groups of positions fan
     out through {!Vv_exec.Executor.map} and merge in index order. The
     committed log is byte-identical at every [jobs] value, and an engine
-    at [batch = 1] reproduces a sequential {!Ledger.decide} loop exactly.
+    at [batch = 1] commits at position [p] exactly
+    [Ledger.compute ~index:p] of the [p]-th submission.
 
     The serve daemon ({!Vv_serve.Server}) drives one engine per process:
     [submit] on every vote submission, [step] after each read burst

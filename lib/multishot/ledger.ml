@@ -1,4 +1,5 @@
-(* Multi-shot voting: a ledger of repeated single-shot instances.
+(* Multi-shot voting: the slot of a ledger of repeated single-shot
+   instances.
 
    The paper's protocols are single-shot ("thus not yet directly
    applicable in some distributed scenarios" — Section VIII); this module
@@ -9,21 +10,22 @@
      its slot, and the slot is retried under the next speaker;
    - optional electorate adjustment between retries (the Section V-B
      remedy, via Vv_core.Session policies);
-   - per-slot property classification and ledger-level invariants (every
-     committed slot carries its validity verdict).
+   - per-slot property classification (every committed slot carries its
+     validity verdict).
 
    The Byzantine set persists across slots (the same adversary keeps
-   attacking).
+   attacking).  This module decides one slot ([compute]) and serialises
+   it; {!Engine} is the ledger that holds them.
 
    Slots are *independent*: every random draw a slot consumes comes from
    seeds derived as [Rng.derive (Rng.derive cfg.seed index) attempt], and
    the slot's first speaker is [index mod n].  Nothing about a slot
    depends on how many attempts earlier slots burned — which is what lets
-   {!Engine} shard and pipeline slots across domains while staying
-   byte-identical to the sequential ledger.  (The original implementation
-   drew each attempt's seed from one shared RNG stream and rotated one
-   shared speaker cursor, silently coupling every slot to its
-   predecessors' retry history.) *)
+   {!Engine} shard and pipeline slots across domains while its log stays
+   byte-identical at every [jobs].  (The original implementation drew
+   each attempt's seed from one shared RNG stream and rotated one shared
+   speaker cursor, silently coupling every slot to its predecessors'
+   retry history.) *)
 
 module Oid = Vv_ballot.Option_id
 module Rng = Vv_prelude.Rng
@@ -78,28 +80,6 @@ type slot = {
   valid : bool;  (** tie-break-aware voting validity of the final attempt *)
   rounds_total : int;  (** simulation rounds summed over attempts *)
 }
-
-type t = {
-  cfg : config;
-  mutable slots : slot list;  (* reversed *)
-}
-
-let create cfg = { cfg; slots = [] }
-
-let height t = List.length t.slots
-let slots t = List.rev t.slots
-
-let committed t =
-  List.filter_map
-    (fun s -> match s.decision with Some v -> Some (s.index, v) | None -> None)
-    (slots t)
-
-(* All committed slots carried voting validity — the ledger-level safety
-   invariant callers should assert. *)
-let all_committed_valid t =
-  List.for_all
-    (fun s -> match s.decision with Some _ -> s.valid | None -> true)
-    (slots t)
 
 let max_attempts cfg =
   match cfg.retry with
@@ -175,13 +155,6 @@ let compute cfg ?speaker_base ~index ~subject inputs =
       attempt (k + 1) inputs rounds_acc
   in
   attempt 1 inputs 0
-
-let decide t ~subject inputs =
-  if List.length inputs <> t.cfg.n then
-    invalid_arg "Ledger.decide: inputs must have length n";
-  let slot = compute t.cfg ~index:(height t) ~subject inputs in
-  t.slots <- slot :: t.slots;
-  slot
 
 (* --- serialisation (the serve daemon's wire format and decision log) --- *)
 

@@ -1,5 +1,6 @@
-(** Multi-shot voting: a ledger of repeated single-shot instances (the
-    Section VIII future-work direction).
+(** Multi-shot voting: the slot of a ledger of repeated single-shot
+    instances (the Section VIII future-work direction), decided by the
+    pure {!compute}; {!Engine} holds the log.
 
     Each slot decides one subject under a rotating speaker; stalled slots
     (Byzantine/crashed speaker, or a safety-guaranteed protocol refusing a
@@ -57,25 +58,6 @@ type slot = {
   valid : bool;  (** tie-break-aware voting validity of the final attempt *)
   rounds_total : int;
 }
-
-type t
-
-val create : config -> t
-val height : t -> int
-val slots : t -> slot list
-(** In slot order. *)
-
-val committed : t -> (int * Oid.t) list
-(** (slot index, decision) for every decided slot. *)
-
-val all_committed_valid : t -> bool
-(** The ledger safety invariant: every committed slot carried voting
-    validity. *)
-
-val decide : t -> subject:int -> Oid.t list -> slot
-(** Run one slot on the given per-node inputs (length [n]; Byzantine
-    entries ignored). Appends and returns the slot. Equivalent to
-    {!compute} at [index = height t]. *)
 
 val compute :
   config -> ?speaker_base:int -> index:int -> subject:int -> Oid.t list -> slot

@@ -61,10 +61,6 @@ let summarize l =
     max = hi;
   }
 
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f" s.n s.mean
-    s.stddev s.min s.median s.max
-
 type histogram = { counts : int array; under : int; over : int }
 
 let histogram_total h =

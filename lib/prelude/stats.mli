@@ -27,7 +27,6 @@ type summary = {
 }
 
 val summarize : float list -> summary
-val pp_summary : summary Fmt.t
 
 type histogram = {
   counts : int array;  (** in-range counts, one cell per bin *)

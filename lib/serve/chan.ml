@@ -1,11 +1,14 @@
-(* A non-blocking line channel: the per-connection plumbing shared by the
-   serve daemon ({!Server}) and the follower daemon ({!Replica}).
+(* A non-blocking line channel: the per-connection plumbing of every
+   connection in the service, the serve daemon's ({!Server}), the
+   follower's upstream link ({!Replica}) and every {!Client} connection.
 
-   Inbound: [read_lines] reads into a 4 KiB buffer, again while a read
-   fills it, up to 16 reads a call: a short request costs one read, and
-   a backlog is taken 64 KiB a call.  It returns the complete lines,
-   keeping a partial trailing line for the next call; a partial line
-   past [max_line] marks the channel dead.
+   Inbound: [read_lines] reads 4 KiB at a time into the free end of one
+   contiguous buffer, again while a read fills its 4 KiB, up to 16 reads
+   a call: a short request costs one read, and a backlog is taken 64 KiB
+   a call.  Only the bytes just read are scanned, and each complete line
+   is copied out once; a partial trailing line stays at the front of the
+   buffer for the next call, and past [max_line] it marks the channel
+   dead.
    Outbound: [enqueue] appends one line and its newline to the
    connection's unsent bytes and makes no syscall; [flush_write] hands
    them all to one [write].  The select loop calls it once per
@@ -16,7 +19,8 @@
    still being rendered.
    Writes therefore never block the daemon — a consumer that stops
    reading only grows its own unsent bytes, which the loop bounds with
-   its slow-consumer policy ({!unsent}).
+   its slow-consumer policy ({!unsent}).  A {!Client} blocks in [select]
+   instead, until its one request is written.
 
    Every syscall retries [EINTR], treats [EAGAIN]/[EWOULDBLOCK] as "no
    progress", and marks the channel dead on any other [Unix_error] (or on
@@ -24,8 +28,9 @@
 
 type t = {
   fd : Unix.file_descr;
-  inbuf : Buffer.t;  (* bytes read but not yet terminated by '\n' *)
-  scratch : Bytes.t;  (* per-channel read buffer: channels cross domains *)
+  mutable inbuf : Bytes.t;  (* [in_start, in_stop) hold a partial line *)
+  mutable in_start : int;
+  mutable in_stop : int;
   mutable out : Bytes.t;  (* outbound bytes; [out_ofs, out_len) unsent *)
   mutable out_ofs : int;
   mutable out_len : int;
@@ -34,9 +39,9 @@ type t = {
 
 let read_size = 4096
 
-(* A call reads again while a read fills [scratch], at most this often:
-   64 KiB a call, so a pipelined backlog is taken in as fast as one
-   64 KiB read took it. *)
+(* A call reads again while a read takes its whole [read_size], at most
+   this often: 64 KiB a call, so a pipelined backlog is taken in as fast
+   as one 64 KiB read took it. *)
 let max_reads = 16
 
 (* The outbound buffer's size when nothing is unsent: a drained buffer
@@ -47,8 +52,9 @@ let of_fd fd =
   Unix.set_nonblock fd;
   {
     fd;
-    inbuf = Buffer.create 256;
-    scratch = Bytes.create read_size;
+    inbuf = Bytes.create read_size;
+    in_start = 0;
+    in_stop = 0;
     out = Bytes.create out_size;
     out_ofs = 0;
     out_len = 0;
@@ -81,18 +87,23 @@ let rec flush_write t =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush_write t
     | exception Unix.Unix_error (_, _, _) -> t.alive <- false
 
-(* Room for [extra] bytes after the unsent ones, which move to the front;
-   the buffer doubles until they fit. *)
+(* [len] bytes of [buf] from [ofs], moved to the front of a buffer with
+   room for [extra] more after them: [buf] itself, or one that doubles
+   its size until they fit. *)
+let compact buf ofs len extra =
+  let cap = ref (Bytes.length buf) in
+  while len + extra > !cap do
+    cap := 2 * !cap
+  done;
+  let dst = if !cap > Bytes.length buf then Bytes.create !cap else buf in
+  Bytes.blit buf ofs dst 0 len;
+  dst
+
+(* Room for [extra] bytes after the unsent ones. *)
 let reserve t extra =
   if t.out_len + extra > Bytes.length t.out then begin
     let pending = unsent t in
-    let cap = ref (Bytes.length t.out) in
-    while pending + extra > !cap do
-      cap := 2 * !cap
-    done;
-    let out = if !cap > Bytes.length t.out then Bytes.create !cap else t.out in
-    Bytes.blit t.out t.out_ofs out 0 pending;
-    t.out <- out;
+    t.out <- compact t.out t.out_ofs pending extra;
     t.out_ofs <- 0;
     t.out_len <- pending
   end
@@ -107,7 +118,7 @@ let enqueue t line =
   end
 
 let rec read_available t =
-  match Unix.read t.fd t.scratch 0 (Bytes.length t.scratch) with
+  match Unix.read t.fd t.inbuf t.in_stop read_size with
   | 0 ->
       t.alive <- false;
       0
@@ -118,6 +129,15 @@ let rec read_available t =
       t.alive <- false;
       0
 
+(* Room for one read after the partial line. *)
+let make_room t =
+  if t.in_stop + read_size > Bytes.length t.inbuf then begin
+    let partial = t.in_stop - t.in_start in
+    t.inbuf <- compact t.inbuf t.in_start partial read_size;
+    t.in_start <- 0;
+    t.in_stop <- partial
+  end
+
 (* The longest partial line a channel buffers: request and decision lines
    are a few hundred bytes, so a peer past this is marked dead. *)
 let max_line = 1 lsl 20
@@ -125,24 +145,20 @@ let max_line = 1 lsl 20
 (* Only the bytes just read are scanned, so a long line costs time linear
    in its length. *)
 let read_lines t =
-  if not t.alive then []
-  else begin
-    let lines = ref [] and reads = ref 0 and full = ref true in
-    while !full && !reads < max_reads do
-      let len = read_available t in
-      incr reads;
-      full := len = Bytes.length t.scratch;
-      let start = ref 0 in
-      for i = 0 to len - 1 do
-        if Bytes.get t.scratch i = '\n' then begin
-          Buffer.add_subbytes t.inbuf t.scratch !start (i - !start);
-          lines := Buffer.contents t.inbuf :: !lines;
-          Buffer.clear t.inbuf;
-          start := i + 1
-        end
-      done;
-      Buffer.add_subbytes t.inbuf t.scratch !start (len - !start)
+  let lines = ref [] and reads = ref 0 and full = ref true in
+  while t.alive && !full && !reads < max_reads do
+    make_room t;
+    let len = read_available t in
+    incr reads;
+    full := len = read_size;
+    let stop = t.in_stop + len in
+    for i = t.in_stop to stop - 1 do
+      if Bytes.unsafe_get t.inbuf i = '\n' then begin
+        lines := Bytes.sub_string t.inbuf t.in_start (i - t.in_start) :: !lines;
+        t.in_start <- i + 1
+      end
     done;
-    if Buffer.length t.inbuf > max_line then t.alive <- false;
-    List.rev !lines
-  end
+    t.in_stop <- stop
+  done;
+  if t.in_stop - t.in_start > max_line then t.alive <- false;
+  List.rev !lines

@@ -1,9 +1,10 @@
-(** Non-blocking line channel shared by {!Server} and {!Replica}: buffered
-    line reads plus an outbound buffer that the owning loop flushes with
-    one [write] per pass and on writability, so a slow or dead peer can
-    never block the daemon's select loop. Every syscall retries [EINTR];
-    EOF and connection errors mark the channel dead instead of
-    raising. *)
+(** Non-blocking line channel, the one reader and writer of every
+    connection: {!Server}'s clients, {!Replica}'s upstream link and every
+    {!Client} connection. Buffered line reads plus an outbound buffer
+    that the owning loop flushes with one [write] per pass and on
+    writability, so a slow or dead peer can never block the daemon's
+    select loop. Every syscall retries [EINTR]; EOF and connection errors
+    mark the channel dead instead of raising. *)
 
 type t
 
@@ -39,9 +40,10 @@ val flush_write : t -> unit
 
 val read_lines : t -> string list
 (** Read the available bytes and return the complete lines, buffering
-    any partial trailing line. Reads into a 4 KiB buffer, again while a
-    read fills it, at most 16 times: a short request costs one read, a
-    backlog up to 64 KiB a call. [[]] when nothing is available — check
+    any partial trailing line. Reads 4 KiB at a time into one buffer,
+    again while a read fills its 4 KiB, at most 16 times: a short request
+    costs one read, a backlog up to 64 KiB a call. Each line is copied
+    out of the buffer once. [[]] when nothing is available — check
     {!alive} afterwards to distinguish quiet from EOF/error. A partial
     line longer than 1 MiB marks the channel dead: no request or
     decision line comes near it. Linear in the bytes read. *)

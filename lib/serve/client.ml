@@ -1,6 +1,9 @@
 (* Client side of the serve protocol: blocking line-at-a-time
    connections and the load drivers behind `vvc load` / campaigns
-   E18–E19.
+   E18–E19.  A connection reads and writes through a {!Chan}, the
+   daemon's own channel, so a client has the daemon's reader and its
+   1 MiB line bound; it blocks in [select] where the daemon's loop would
+   move on.
 
    Two drivers.  [run_load] is ack-serialized: it never sends submission
    k+1 before the ack for submission k has come back, even though the
@@ -25,30 +28,15 @@ module Json = Vv_prelude.Json
 module Oid = Vv_ballot.Option_id
 module Ledger = Vv_multishot.Ledger
 
-(* Received bytes wait in [buf] between [start] and [stop]; [scanned]
-   marks how far that span is known to hold no newline, so each byte is
-   scanned once.  [buf] starts at 4 KiB and doubles only when one line
-   outgrows it. *)
+(* A connection is a {!Chan}: the lines one [Chan.read_lines] call
+   returned wait in [lines] until they are taken. *)
 type conn = {
-  fd : Unix.file_descr;
-  mutable buf : Bytes.t;
-  mutable start : int;
-  mutable scanned : int;
-  mutable stop : int;
+  chan : Chan.t;
+  mutable lines : string list;
   stash : (string, Json.t) Hashtbl.t;
       (* responses read while awaiting a different id, keyed by
          rendered id *)
 }
-
-let make_conn fd =
-  {
-    fd;
-    buf = Bytes.create 4096;
-    start = 0;
-    scanned = 0;
-    stop = 0;
-    stash = Hashtbl.create 8;
-  }
 
 (* Connect-retry pacing: capped exponential backoff with deterministic
    seeded jitter.  The base delay doubles per attempt up to [retry_cap];
@@ -83,7 +71,7 @@ let rec connect_retry ~deadline ~seed ~attempt addr =
       Unix.SOCK_STREAM 0
   in
   match Unix.connect fd addr with
-  | () -> make_conn fd
+  | () -> { chan = Chan.of_fd fd; lines = []; stash = Hashtbl.create 8 }
   | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
     when Unix.gettimeofday () < deadline ->
       Unix.close fd;
@@ -115,82 +103,46 @@ let connect_tcp ?retry_for ?retry_seed ?(host = "127.0.0.1") port =
   connect ?retry_for ?retry_seed
     (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
 
-let close conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
+let close conn = Chan.close conn.chan
 
+(* The line waits in the channel's unsent bytes until writes have taken
+   it all.  A channel that died on the way (the peer is gone) raises, as
+   a failed write did. *)
 let send conn line =
-  let payload = line ^ "\n" in
-  let len = String.length payload in
-  let rec push ofs =
-    if ofs < len then
-      match Unix.write_substring conn.fd payload ofs (len - ofs) with
-      | written -> push (ofs + written)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> push ofs
+  Chan.enqueue conn.chan line;
+  let rec drain () =
+    Chan.flush_write conn.chan;
+    if not (Chan.alive conn.chan) then
+      raise (Unix.Unix_error (Unix.EPIPE, "send", ""))
+    else if Chan.unsent conn.chan > 0 then begin
+      (try ignore (Unix.select [] [ Chan.fd conn.chan ] [] (-1.))
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      drain ()
+    end
   in
-  push 0
-
-(* Pop a buffered complete line if one is already waiting. *)
-let take_buffered conn =
-  let rec find i =
-    if i >= conn.stop then None
-    else if Bytes.get conn.buf i = '\n' then Some i
-    else find (i + 1)
-  in
-  match find conn.scanned with
-  | None ->
-      conn.scanned <- conn.stop;
-      None
-  | Some i ->
-      let line = Bytes.sub_string conn.buf conn.start (i - conn.start) in
-      conn.start <- i + 1;
-      conn.scanned <- i + 1;
-      Some line
-
-(* One read syscall into the free end of [buf], first moving the
-   buffered bytes (a partial line, between reads) to the front, or
-   doubling [buf] when one line fills it.  [`Eof] on end of stream or a
-   connection error. *)
-let fill conn =
-  if conn.start > 0 then begin
-    let pending = conn.stop - conn.start in
-    Bytes.blit conn.buf conn.start conn.buf 0 pending;
-    conn.scanned <- conn.scanned - conn.start;
-    conn.start <- 0;
-    conn.stop <- pending
-  end
-  else if conn.stop = Bytes.length conn.buf then begin
-    let bigger = Bytes.create (2 * Bytes.length conn.buf) in
-    Bytes.blit conn.buf 0 bigger 0 conn.stop;
-    conn.buf <- bigger
-  end;
-  let rec read () =
-    match
-      Unix.read conn.fd conn.buf conn.stop (Bytes.length conn.buf - conn.stop)
-    with
-    | 0 -> `Eof
-    | len ->
-        conn.stop <- conn.stop + len;
-        `Read
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read ()
-    | exception Unix.Unix_error (_, _, _) -> `Eof
-  in
-  read ()
+  drain ()
 
 (* Blocking read of the next line, [None] on EOF, deadline, or a
    connection error (the server dying mid-read must not escape the load
-   driver as an exception). *)
+   driver as an exception), or once the channel cuts off an overlong
+   line. *)
 let recv_line ?(timeout = 30.) conn =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec loop () =
-    match take_buffered conn with
-    | Some line -> Some line
-    | None -> (
+    match conn.lines with
+    | line :: rest ->
+        conn.lines <- rest;
+        Some line
+    | [] -> (
         let remaining = deadline -. Unix.gettimeofday () in
-        if remaining <= 0. then None
+        if remaining <= 0. || not (Chan.alive conn.chan) then None
         else
-          match Unix.select [ conn.fd ] [] [] remaining with
+          match Unix.select [ Chan.fd conn.chan ] [] [] remaining with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
           | [], _, _ -> None
-          | _ -> ( match fill conn with `Read -> loop () | `Eof -> None))
+          | _ ->
+              conn.lines <- Chan.read_lines conn.chan;
+              loop ())
   in
   loop ()
 
@@ -427,16 +379,11 @@ let run_load ?(timeout = 30.) ?(shutdown = false) ~conns subjects =
 
 (* --- the racy driver --- *)
 
-(* Read whatever one connection has ready, without blocking: at most one
-   read syscall, then every complete buffered line. *)
+(* Every line one connection has ready, without blocking. *)
 let poll_lines conn =
-  ignore (fill conn);
-  let rec take acc =
-    match take_buffered conn with
-    | Some line -> take (line :: acc)
-    | None -> List.rev acc
-  in
-  take []
+  let lines = conn.lines @ Chan.read_lines conn.chan in
+  conn.lines <- [];
+  lines
 
 let run_load_racy ?(timeout = 30.) ?(shutdown = false) ~conns subjects =
   match conns with
@@ -444,7 +391,13 @@ let run_load_racy ?(timeout = 30.) ?(shutdown = false) ~conns subjects =
   | first :: _ ->
       let conn_arr = Array.of_list conns in
       let nconns = Array.length conn_arr in
-      let fds = List.map (fun c -> c.fd) conns in
+      (* A connection whose channel died stays readable at EOF forever,
+         so only live ones are selected. *)
+      let fds () =
+        List.filter_map
+          (fun c -> if Chan.alive c.chan then Some (Chan.fd c.chan) else None)
+          conns
+      in
       let sink = fresh_sink () in
       let answered = Hashtbl.create 256 in  (* submit id -> accepted? *)
       let started = Unix.gettimeofday () in
@@ -464,13 +417,13 @@ let run_load_racy ?(timeout = 30.) ?(shutdown = false) ~conns subjects =
         | _ -> ()
       in
       let rec sweep () =
-        match Unix.select fds [] [] 0. with
+        match Unix.select (fds ()) [] [] 0. with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> sweep ()
         | [], _, _ -> ()
         | readable, _, _ ->
             List.iter
               (fun c ->
-                if List.mem c.fd readable then
+                if List.mem (Chan.fd c.chan) readable then
                   List.iter process (poll_lines c))
               conns;
             sweep ()
@@ -510,13 +463,13 @@ let run_load_racy ?(timeout = 30.) ?(shutdown = false) ~conns subjects =
             (Printf.sprintf "racy: %d of %d submissions answered after %.0fs"
                (Hashtbl.length answered) total timeout)
         else
-          match Unix.select fds [] [] 0.05 with
+          match Unix.select (fds ()) [] [] 0.05 with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> collect ()
           | [], _, _ -> collect ()
           | readable, _, _ ->
               List.iter
                 (fun c ->
-                  if List.mem c.fd readable then
+                  if List.mem (Chan.fd c.chan) readable then
                     List.iter process (poll_lines c))
                 conns;
               collect ()

@@ -1,6 +1,7 @@
 (** Client side of the serve protocol: blocking line-at-a-time
     connections and the load drivers behind `vvc load` and campaigns
-    E18–E19. *)
+    E18–E19. A connection reads and writes through a {!Chan}, with its
+    1 MiB line bound. *)
 
 module Json = Vv_prelude.Json
 module Oid = Vv_ballot.Option_id
@@ -31,14 +32,15 @@ val connect_tcp : ?retry_for:float -> ?retry_seed:int -> ?host:string -> int -> 
 val close : conn -> unit
 
 val send : conn -> string -> unit
-(** Write one line (the newline is appended here). May raise
-    [Unix.Unix_error] (e.g. EPIPE) if the peer is gone; the request and
-    load drivers catch this and surface it as [Error]. *)
+(** Write one line (the newline is appended here), blocking until it is
+    all written. Raises [Unix.Unix_error] (EPIPE) if the peer is gone;
+    the request and load drivers catch this and surface it as
+    [Error]. *)
 
 val recv_line : ?timeout:float -> conn -> string option
 (** Next complete line; [None] on EOF, after [timeout] (default 30s) of
-    silence, or on a connection error (ECONNRESET and friends never
-    escape as exceptions). *)
+    silence, on a connection error (ECONNRESET and friends never escape
+    as exceptions), or once a partial line passes 1 MiB. *)
 
 val request :
   ?timeout:float ->

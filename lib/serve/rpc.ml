@@ -25,11 +25,6 @@ type incoming =
   | Catchup of { id : Json.t; from : int }
   | Shutdown of { id : Json.t }
 
-let id_of = function
-  | Submit { id; _ } | Flush { id } | Status { id } | Catchup { id; _ }
-  | Shutdown { id } ->
-      id
-
 let parse line =
   match Json.of_string line with
   | Error msg -> Error ("request is not valid JSON: " ^ msg)

@@ -13,7 +13,6 @@ type incoming =
   | Catchup of { id : Json.t; from : int }
   | Shutdown of { id : Json.t }
 
-val id_of : incoming -> Json.t
 val parse : string -> (incoming, string) result
 (** Any line — malformed JSON, an unknown method, a negative option id —
     yields [Error] with a message for the error response; never raises. *)

@@ -179,8 +179,8 @@ let slot_of_record line =
           | _ -> Error "checksum mismatch")
       | Ok _, _ -> Error "checksum mismatch")
 
-(* The batch size a header line records, once it matches [cfg] (and
-   [?batch], when given). *)
+(* The batch size a header line records, once it is at least 1 and
+   matches [cfg] (and [?batch], when given). *)
 let header_batch ?batch cfg line =
   let ( let* ) = Result.bind in
   match Json.of_string line with
@@ -207,6 +207,10 @@ let header_batch ?batch cfg line =
       let* () = check "n" cfg.Ledger.n in
       let* () = check "t" cfg.Ledger.t in
       let* recorded = int "batch" in
+      let* () =
+        if recorded >= 1 then Ok ()
+        else Error (Printf.sprintf "header: batch %d is below 1" recorded)
+      in
       let* () =
         match batch with Some b -> check "batch" b | None -> Ok ()
       in

@@ -96,9 +96,9 @@ val load_engine :
     appended in order through {!Vv_multishot.Engine.append_committed}.
     A torn or damaged last record is dropped and the file truncated to
     the recovered prefix. [Error] — never an exception — on a header
-    that disagrees with the config (or with [?batch]), damage before the
-    last record, a path that is not a regular file, or an I/O failure.
-    Shared with {!Replica}. *)
+    that disagrees with the config (or with [?batch]) or records a batch
+    below 1, damage before the last record, a path that is not a regular
+    file, or an I/O failure. Shared with {!Replica}. *)
 
 (** {1 The daemon loop} *)
 

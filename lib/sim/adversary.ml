@@ -85,12 +85,6 @@ let broadcast_each_round ~name ~when_round msg_of =
   in
   { name; act; passive = false; quiescent = never_quiescent }
 
-(* Compose: run both adversaries and concatenate their plans. *)
-let combine name a b =
-  { name; act = (fun view -> a.act view @ b.act view);
-    passive = a.passive && b.passive;
-    quiescent = (fun () -> a.quiescent () && b.quiescent ()) }
-
 (* Replay a per-round action script.  Each round before [trigger] fires the
    adversary stays silent; the round [trigger] returns a context the first
    script action is interpreted against that round's view, the next action

@@ -76,9 +76,6 @@ val broadcast_each_round :
     neighbourhood in accepted rounds; legal under both communication
     models and any topology. *)
 
-val combine : string -> 'msg t -> 'msg t -> 'msg t
-(** Union of both adversaries' plans. *)
-
 val of_script :
   ?quiet_trigger:bool ->
   name:string ->

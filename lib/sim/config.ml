@@ -125,9 +125,6 @@ let ids_where cfg pred =
 let honest_ids cfg = ids_where cfg Fault.is_honest
 let byzantine_ids cfg = ids_where cfg Fault.is_byzantine
 
-let crash_ids cfg =
-  ids_where cfg (function Fault.Crash _ -> true | _ -> false)
-
 let faulty_count cfg = cfg.n - List.length (honest_ids cfg)
 
 let fault_of cfg id =

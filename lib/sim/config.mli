@@ -55,7 +55,6 @@ val reach : t -> Types.node_id -> Types.node_id list
 
 val honest_ids : t -> Types.node_id list
 val byzantine_ids : t -> Types.node_id list
-val crash_ids : t -> Types.node_id list
 
 val faulty_count : t -> int
 (** The actual number of faulty nodes f (Byzantine + crash). *)

@@ -13,11 +13,6 @@ type t =
 let is_byzantine = function Byzantine -> true | Honest | Crash _ -> false
 let is_honest = function Honest -> true | Byzantine | Crash _ -> false
 
-let is_crashed plan ~round =
-  match plan with
-  | Honest | Byzantine -> false
-  | Crash { at_round; _ } -> round > at_round
-
 (* Whether a message sent at [round] from a node with this plan reaches
    [dst]. *)
 let delivers plan ~round ~dst =

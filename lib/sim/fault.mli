@@ -12,9 +12,6 @@ type t =
 val is_byzantine : t -> bool
 val is_honest : t -> bool
 
-val is_crashed : t -> round:int -> bool
-(** True strictly after the crash round. *)
-
 val delivers : t -> round:int -> dst:Types.node_id -> bool
 (** Whether a message sent in [round] reaches [dst] under this plan. *)
 

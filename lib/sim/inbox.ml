@@ -55,12 +55,3 @@ let to_list t =
   in
   go (t.len - 1) []
 
-(* Append the view's entries to [acc] in *reverse* arrival order — the
-   shape protocols that buffer arrivals across rounds want (they cons
-   onto a reversed buffer and [List.rev] once per batch). *)
-let rev_append_to t acc =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := (src t i, msg t i) :: !acc
-  done;
-  !acc

@@ -10,7 +10,7 @@
     [step] call they are passed to (the engine reuses one view value
     and the arena behind it for every node and round).  Protocols that
     need to keep arrivals across rounds must copy them out, e.g. with
-    {!to_list} or {!rev_append_to}. *)
+    {!to_list}. *)
 
 type 'msg t
 
@@ -30,12 +30,6 @@ val fold : ('acc -> Types.node_id -> 'msg -> 'acc) -> 'acc -> 'msg t -> 'acc
 
 val to_list : 'msg t -> (Types.node_id * 'msg) list
 (** Copy the view out as the old-style assoc list, in inbox order. *)
-
-val rev_append_to :
-  'msg t -> (Types.node_id * 'msg) list -> (Types.node_id * 'msg) list
-(** [rev_append_to t acc] conses the entries onto [acc] in reverse
-    order — for protocols that accumulate a reversed cross-round
-    buffer. *)
 
 (** {2 Engine internals} *)
 

@@ -31,9 +31,8 @@ let broadcast_dst = -1
 
 let dummy = Obj.repr ()
 
-let create ?(capacity = 16) () =
-  let capacity = max capacity 1 in
-  { dsts = Array.make capacity 0; msgs = Array.make capacity dummy; len = 0 }
+let create () =
+  { dsts = Array.make 16 0; msgs = Array.make 16 dummy; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -66,7 +65,6 @@ let unicast t dst msg =
 let broadcast t msg = push t broadcast_dst msg
 
 let dst t i = t.dsts.(i)
-let is_broadcast t i = t.dsts.(i) = broadcast_dst
 let msg (t : 'msg t) i : 'msg = Obj.obj t.msgs.(i)
 
 let iter f t =

@@ -12,8 +12,8 @@
 
 type 'msg t
 
-val create : ?capacity:int -> unit -> 'msg t
-(** A fresh outbox (default initial capacity 16 entries). *)
+val create : unit -> 'msg t
+(** A fresh outbox (initial capacity 16 entries). *)
 
 val clear : 'msg t -> unit
 (** Forget all entries (and drop their message references). *)
@@ -38,8 +38,6 @@ val broadcast_dst : int
 
 val dst : 'msg t -> int -> int
 (** Destination of entry [i]: a node id, or {!broadcast_dst}. *)
-
-val is_broadcast : 'msg t -> int -> bool
 
 val msg : 'msg t -> int -> 'msg
 (** Message of entry [i]. *)

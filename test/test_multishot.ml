@@ -1,8 +1,10 @@
 (* Tests of the multi-shot voting ledger: speaker rotation, stall retries,
-   electorate adjustment, and the ledger-level safety invariant. *)
+   electorate adjustment, and the ledger-level safety invariant.  The
+   ledger is an {!Engine}; its slots are decided by {!Ledger.compute}. *)
 
 module Oid = Vv_ballot.Option_id
 module Ledger = Vv_multishot.Ledger
+module Engine = Vv_multishot.Engine
 module Runner = Vv_core.Runner
 
 let o = Oid.of_int
@@ -16,28 +18,37 @@ let decisive_inputs winner =
   List.init 6 (fun i -> if i = 5 then o ((winner + 1) mod 3) else o winner)
   @ [ o 0 ]
 
+(* A fresh ledger's first slot, and the ledger holding it. *)
+let decide_first cfg ~subject inputs =
+  let ledger = Engine.create cfg in
+  ignore (Engine.submit ledger ~subject inputs);
+  match Engine.step ledger with
+  | [ slot ] -> (slot, ledger)
+  | _ -> Alcotest.fail "one submission decides one slot"
+
 let test_all_slots_decided () =
   let cfg = Ledger.config ~byzantine:[ 6 ] ~n:7 ~t:1 () in
-  let ledger = Ledger.create cfg in
-  for subject = 1 to 5 do
-    ignore (Ledger.decide ledger ~subject (decisive_inputs (subject mod 3)))
-  done;
-  check_int "height" 5 (Ledger.height ledger);
-  check_int "all committed" 5 (List.length (Ledger.committed ledger));
-  check_bool "safety invariant" true (Ledger.all_committed_valid ledger);
+  let log, stats =
+    Engine.run cfg
+      (List.init 5 (fun i -> (i + 1, decisive_inputs ((i + 1) mod 3))))
+  in
+  check_int "height" 5 stats.Engine.decided;
+  check_int "all committed" 5 stats.Engine.committed;
+  check_bool "safety invariant" true stats.Engine.all_valid;
   List.iteri
-    (fun i (idx, v) ->
-      check_int "indices in order" i idx;
-      check opt_testable "decision matches electorate" (o ((i + 1) mod 3)) v)
-    (Ledger.committed ledger)
+    (fun i (s : Ledger.slot) ->
+      check_int "indices in order" i s.Ledger.index;
+      check (Alcotest.option opt_testable) "decision matches electorate"
+        (Some (o ((i + 1) mod 3)))
+        s.Ledger.decision)
+    log
 
 let test_byzantine_speaker_rotated_past () =
   (* Node 0 is Byzantine and is the first speaker: slot 0 stalls under it
      and commits under speaker 1. *)
   let inputs = o 0 :: List.init 6 (fun _ -> o 1) in
   let cfg = Ledger.config ~byzantine:[ 0 ] ~n:7 ~t:1 () in
-  let ledger = Ledger.create cfg in
-  let slot = Ledger.decide ledger ~subject:9 inputs in
+  let slot = Ledger.compute cfg ~index:0 ~subject:9 inputs in
   check_bool "committed" true (slot.Ledger.decision <> None);
   check_int "second attempt" 2 slot.Ledger.attempts;
   check_int "speaker rotated" 1 slot.Ledger.speaker;
@@ -51,24 +62,22 @@ let test_thin_margin_adjusted () =
       ~retry:(Ledger.Rotate_and_adjust (Vv_core.Session.Bandwagon, 8)) ~n:9
       ~t:2 ()
   in
-  let ledger = Ledger.create cfg in
-  let slot = Ledger.decide ledger ~subject:1 inputs in
+  let slot, ledger = decide_first cfg ~subject:1 inputs in
   check_bool "eventually committed" true (slot.Ledger.decision <> None);
   check_bool "needed retries" true (slot.Ledger.attempts > 1);
-  check_bool "safety invariant" true (Ledger.all_committed_valid ledger)
+  check_bool "safety invariant" true (Engine.all_committed_valid ledger)
 
 let test_no_retry_skips () =
   let inputs = List.map o [ 0; 0; 0; 1; 1; 2; 3 ] @ [ o 0; o 0 ] in
   let cfg =
     Ledger.config ~byzantine:[ 7; 8 ] ~retry:Ledger.No_retry ~n:9 ~t:2 ()
   in
-  let ledger = Ledger.create cfg in
-  let slot = Ledger.decide ledger ~subject:1 inputs in
+  let slot, ledger = decide_first cfg ~subject:1 inputs in
   check (Alcotest.option opt_testable) "skipped" None slot.Ledger.decision;
   check_int "single attempt" 1 slot.Ledger.attempts;
-  check_int "nothing committed" 0 (List.length (Ledger.committed ledger));
+  check_int "nothing committed" 0 (Engine.stats ledger).Engine.committed;
   check_bool "safety invariant still holds" true
-    (Ledger.all_committed_valid ledger)
+    (Engine.all_committed_valid ledger)
 
 let test_algo1_ledger_can_commit_invalid () =
   (* With Algorithm 1 instead of SCT, a thin slot commits the adversary's
@@ -77,12 +86,11 @@ let test_algo1_ledger_can_commit_invalid () =
   let cfg =
     Ledger.config ~byzantine:[ 7; 8; 9 ] ~protocol:Runner.Algo1 ~n:10 ~t:3 ()
   in
-  let ledger = Ledger.create cfg in
-  let slot = Ledger.decide ledger ~subject:1 inputs in
+  let slot, ledger = decide_first cfg ~subject:1 inputs in
   check_bool "committed" true (slot.Ledger.decision <> None);
   check_bool "flagged invalid" false slot.Ledger.valid;
   check_bool "invariant reports violation" false
-    (Ledger.all_committed_valid ledger)
+    (Engine.all_committed_valid ledger)
 
 let test_crash_speaker_rotated_past () =
   (* Node 0 is an unreliable host that crashes at round 0 of every
@@ -93,33 +101,33 @@ let test_crash_speaker_rotated_past () =
     Ledger.config ~crash:[ (0, 0, []) ] ~strategy:Vv_core.Strategy.Passive
       ~n:7 ~t:1 ()
   in
-  let ledger = Ledger.create cfg in
-  let slot = Ledger.decide ledger ~subject:4 inputs in
+  let slot, ledger = decide_first cfg ~subject:4 inputs in
   check_bool "committed" true (slot.Ledger.decision <> None);
   check_int "second attempt" 2 slot.Ledger.attempts;
   check_int "rotated to node 1" 1 slot.Ledger.speaker;
-  check_bool "safety" true (Ledger.all_committed_valid ledger)
+  check_bool "safety" true (Engine.all_committed_valid ledger)
 
 let test_determinism () =
   let go () =
     let cfg = Ledger.config ~byzantine:[ 6 ] ~n:7 ~t:1 ~seed:77 () in
-    let ledger = Ledger.create cfg in
-    List.init 4 (fun s -> Ledger.decide ledger ~subject:s (decisive_inputs (s mod 2)))
+    Engine.run cfg (List.init 4 (fun s -> (s, decisive_inputs (s mod 2))))
   in
   check_bool "replays identically" true (go () = go ())
 
 let test_validation () =
+  let cfg = Ledger.config ~n:5 ~t:1 () in
   Alcotest.check_raises "inputs arity"
-    (Invalid_argument "Ledger.decide: inputs must have length n") (fun () ->
-      let ledger = Ledger.create (Ledger.config ~n:5 ~t:1 ()) in
-      ignore (Ledger.decide ledger ~subject:1 [ o 0 ]));
+    (Invalid_argument "Ledger.compute: inputs must have length n") (fun () ->
+      ignore (Ledger.compute cfg ~index:0 ~subject:1 [ o 0 ]));
+  Alcotest.check_raises "submit arity"
+    (Invalid_argument "Engine.submit: inputs must have length n") (fun () ->
+      ignore (Engine.submit (Engine.create cfg) ~subject:1 [ o 0 ]));
   Alcotest.check_raises "byz range"
     (Invalid_argument "Ledger.config: byzantine id out of range") (fun () ->
       ignore (Ledger.config ~byzantine:[ 9 ] ~n:5 ~t:1 ()))
 
 (* --- slot independence (the seeding bugfix) --- *)
 
-module Engine = Vv_multishot.Engine
 module Server = Vv_serve.Server
 
 (* A mix of decisive and thin electorates so attempt counts vary. *)
@@ -136,6 +144,12 @@ let mixed_cfg ?retry () =
          ~default:(Ledger.Rotate_and_adjust (Vv_core.Session.Bandwagon, 6)))
     ~n:9 ~t:2 ~seed:0xabc ()
 
+(* The sequential ledger: slot [i] is [compute] at index [i]. *)
+let sequential cfg reqs =
+  List.mapi
+    (fun index (subject, inputs) -> Ledger.compute cfg ~index ~subject inputs)
+    reqs
+
 let test_slot_independence () =
   (* The regression: slot k's outcome must not depend on slots < k having
      run. Before the per-slot derive_seed fix, every attempt pulled from
@@ -143,13 +157,10 @@ let test_slot_independence () =
      slot's seeds. *)
   let cfg = mixed_cfg () in
   let with_prefix prefix_len =
-    let ledger = Ledger.create cfg in
-    for i = 0 to prefix_len - 1 do
-      ignore (Ledger.decide ledger ~subject:i (mixed_inputs i))
-    done;
-    (* The probe subject lands at index [prefix_len]; compute the same
-       index directly and compare. *)
-    Ledger.decide ledger ~subject:99 (mixed_inputs 2)
+    (* The probe subject lands at index [prefix_len] of the ledger. *)
+    let reqs = List.init prefix_len (fun i -> (i, mixed_inputs i)) in
+    let log, _ = Engine.run cfg (reqs @ [ (99, mixed_inputs 2) ]) in
+    List.nth log prefix_len
   in
   let direct index =
     Ledger.compute cfg ~index ~subject:99 (mixed_inputs 2)
@@ -159,7 +170,7 @@ let test_slot_independence () =
       let appended = with_prefix len in
       let computed = direct len in
       check_bool
-        (Fmt.str "decide after %d slots == pure compute" len)
+        (Fmt.str "engine slot after %d slots == pure compute" len)
         true
         (appended = computed))
     [ 0; 1; 2; 3; 5 ];
@@ -169,15 +180,11 @@ let test_slot_independence () =
   check_bool "compute is pure" true (a = b)
 
 let test_engine_matches_sequential () =
-  (* batch=1 engine == a sequential Ledger.decide loop, byte for byte. *)
+  (* batch=1 engine == compute at each index in turn, byte for byte. *)
   let cfg = mixed_cfg () in
   let reqs = List.init 9 (fun i -> (i, mixed_inputs i)) in
-  let ledger = Ledger.create cfg in
-  let sequential =
-    List.map (fun (s, inputs) -> Ledger.decide ledger ~subject:s inputs) reqs
-  in
   let log, stats = Engine.run ~batch:1 ~jobs:1 cfg reqs in
-  check_bool "batch=1 == sequential" true (log = sequential);
+  check_bool "batch=1 == sequential" true (log = sequential cfg reqs);
   check_int "stats decided" 9 stats.Engine.decided
 
 let test_engine_jobs_invariance () =
@@ -221,17 +228,13 @@ let test_engine_retry_under_pipelining () =
   check_bool "pipelining is sound" true
     (stats.Engine.rounds_pipelined <= stats.Engine.rounds_sequential
     && stats.Engine.rounds_sequential <= stats.Engine.rounds_instances);
-  let ledger = Ledger.create cfg in
-  let sequential =
-    List.map (fun (s, inputs) -> Ledger.decide ledger ~subject:s inputs) reqs
-  in
   (* Batching changes slot geometry, not per-position outcomes: each
      position's seeds derive from its global index either way. *)
   check_bool "same decisions as sequential" true
     (List.map (fun (s : Ledger.slot) -> (s.Ledger.index, s.Ledger.decision)) log
     = List.map
         (fun (s : Ledger.slot) -> (s.Ledger.index, s.Ledger.decision))
-        sequential)
+        (sequential cfg reqs))
 
 let test_engine_snapshot_roundtrip () =
   let cfg = mixed_cfg () in

@@ -297,12 +297,15 @@ let test_malformed_submit_follower () =
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path_p; path_f ]
 
 (* A server dying under a client must surface as [Error] from the load
-   driver — not as an uncaught EPIPE/ECONNRESET escaping [send] or
-   [recv_line] (the pre-fix behaviour). *)
+   drivers — not as an uncaught EPIPE/ECONNRESET escaping [send] or
+   [recv_line] (the pre-fix behaviour), nor as a racy sweep that keeps
+   selecting the dead connection, readable at EOF forever (40 requests
+   reach the sweep after the 32nd send). *)
 let test_server_death_is_an_error () =
-  let result, _ =
+  let results, _ =
     with_server ~batch:2 (fun path ->
         let victim = Client.connect_unix ~retry_for:10. path in
+        let racy = Client.connect_unix ~retry_for:10. path in
         let killer = Client.connect_unix ~retry_for:10. path in
         (match
            Client.request killer ~id:(Json.String "k") ~meth:"shutdown"
@@ -311,16 +314,19 @@ let test_server_death_is_an_error () =
         | Ok _ -> ()
         | Error msg -> Alcotest.failf "shutdown request: %s" msg);
         Client.close killer;
-        (* Give the daemon time to exit so the victim's socket is dead. *)
+        (* Give the daemon time to exit so the victims' sockets are dead. *)
         Unix.sleepf 0.1;
-        let reqs = List.init 6 (fun i -> (i, mixed_inputs i)) in
-        let r = Client.run_load ~timeout:5. ~conns:[ victim ] reqs in
-        Client.close victim;
-        r)
+        let reqs count = List.init count (fun i -> (i, mixed_inputs i)) in
+        let r = Client.run_load ~timeout:5. ~conns:[ victim ] (reqs 6) in
+        let r' = Client.run_load_racy ~timeout:5. ~conns:[ racy ] (reqs 40) in
+        List.iter Client.close [ victim; racy ];
+        [ ("run_load", r); ("run_load_racy", r') ])
   in
-  match result with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "load against a dead server should be an Error"
+  List.iter
+    (fun (driver, r) ->
+      if Result.is_ok r then
+        Alcotest.failf "%s against a dead server should be an Error" driver)
+    results
 
 (* Pipelined requests: a response read while awaiting a different id is
    stashed on the connection and handed back later, never dropped. *)
@@ -658,6 +664,16 @@ let test_log_damage_before_last () =
   (* A torn header cannot come from the writer (the first write is atomic). *)
   write_file path (String.sub bytes 0 20);
   check_bool "torn header refused" true (Result.is_error (load path));
+  (* A header recording a batch below 1 is an [Error] naming it, also
+     when the caller leaves the batch to the header. *)
+  let digit = String.index bytes '\n' - 2 in
+  check_bool "the header ends with its batch" true (bytes.[digit] = '4');
+  write_file path (overwrite bytes digit '0');
+  (match Server.load_engine ~snapshot:(Some path) (cfg ()) with
+  | Ok _ -> Alcotest.fail "a batch-0 header was accepted"
+  | Error msg ->
+      check_bool ("error names the batch: " ^ msg) true
+        (contains msg "batch 0"));
   Sys.remove path
 
 (* The messages the serve log source reports while [f] runs. *)
@@ -1321,6 +1337,41 @@ let test_client_line_reader () =
   Unix.close listen;
   Sys.remove path
 
+(* A peer streaming one line with no newline, its socket kept open, is
+   cut off once the line passes the channel's 1 MiB bound: [recv_line]
+   returns [None] then, not at its timeout. *)
+let test_client_unterminated_line () =
+  let path = fresh_path () in
+  let listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listen (Unix.ADDR_UNIX path);
+  Unix.listen listen 1;
+  let conn = Client.connect_unix path in
+  let peer, _ = Unix.accept listen in
+  let flood =
+    Domain.spawn (fun () ->
+        let chunk = String.make 65536 'x' in
+        let rec push sent =
+          if sent < 2 lsl 20 then
+            match Unix.write_substring peer chunk 0 (String.length chunk) with
+            | n -> push (sent + n)
+            | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
+              ->
+                ()
+        in
+        push 0)
+  in
+  let started = Unix.gettimeofday () in
+  let line = Client.recv_line ~timeout:10. conn in
+  let took = Unix.gettimeofday () -. started in
+  Client.close conn;
+  Domain.join flood;
+  Unix.close peer;
+  Unix.close listen;
+  Sys.remove path;
+  check_bool "no line" true (line = None);
+  check_bool (Printf.sprintf "cut off after %.2fs, within 2s" took) true
+    (took < 2.)
+
 (* --- connect-retry backoff --- *)
 
 (* The retry pacing is a pure function of (seed, attempt): capped
@@ -1465,6 +1516,8 @@ let () =
       ( "client",
         [
           Alcotest.test_case "line reader" `Quick test_client_line_reader;
+          Alcotest.test_case "unterminated 2 MiB line cut off" `Quick
+            test_client_unterminated_line;
         ] );
       ( "backoff",
         [

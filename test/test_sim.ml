@@ -592,6 +592,77 @@ let test_in_flight_view () =
     (at 1);
   check triples "drained once delivered" [] (at 2)
 
+(* --- the delivery scheduler against a reference --- *)
+
+(* Every node broadcasts its send round in each of rounds [0, sends);
+   every arrival is logged as (arrival round, src, send round).  Decides
+   once the last send has had the longest delay to arrive. *)
+module Probe = struct
+  type input = unit
+  type msg = int
+  type output = (int * int * int) list
+  type state = { log : output; decided : output option }
+
+  let name = "probe"
+  let sends = 24
+  let max_delay = 40
+  let equal_msg = Int.equal
+
+  let init _ () ~outbox =
+    Outbox.broadcast outbox 0;
+    { log = []; decided = None }
+
+  let step _ st ~round ~inbox ~outbox =
+    if round < sends then Outbox.broadcast outbox round;
+    let log =
+      Inbox.fold (fun acc src sent -> (round, src, sent) :: acc) st.log inbox
+    in
+    let decided =
+      if round >= sends - 1 + max_delay then Some log else st.decided
+    in
+    { log; decided }
+
+  let output st = st.decided
+  let phase st = if st.decided = None then "probe" else "done"
+  let inert _ = false
+end
+
+(* Delays from 1 to 40 rounds keep up to 40 arrival rounds in flight at
+   once, past the scheduler's 16 initial buckets, so its [grow] rehashes
+   live buckets.  Each arrival is checked against the schedule alone: a
+   message sent in round r arrives exactly once, at r + delay. *)
+let test_scheduler_matches_schedule () =
+  let module EP = Engine.Make (Probe) in
+  let n = 4 in
+  let delay ~round ~src ~dst =
+    1 + (((7 * round) + (5 * src) + (3 * dst)) mod Probe.max_delay)
+  in
+  let cfg =
+    Config.make ~n ~t_max:0
+      ~delay:
+        (Delay.Asynchronous
+           { fairness = Probe.max_delay; schedule = Some delay })
+      ()
+  in
+  let res = EP.run_exn cfg ~inputs:(fun _ -> ()) () in
+  check_bool "decided" false res.EP.stalled;
+  Array.iteri
+    (fun dst out ->
+      let expected =
+        List.concat_map
+          (fun sent ->
+            List.init n (fun src ->
+                (sent + delay ~round:sent ~src ~dst, src, sent)))
+          (List.init Probe.sends Fun.id)
+      in
+      check
+        Alcotest.(list (triple int int int))
+        (Printf.sprintf "node %d: each arrival once, at its scheduled round"
+           dst)
+        (List.sort compare expected)
+        (List.sort compare (Option.get out)))
+    res.EP.outputs
+
 let () =
   Alcotest.run "sim"
     [
@@ -633,6 +704,8 @@ let () =
           Alcotest.test_case "topology local-broadcast neighbourhood" `Quick
             test_topology_local_broadcast_neighbourhood;
           Alcotest.test_case "delay validation" `Quick test_delay_validation;
+          Alcotest.test_case "scheduler matches the delay schedule" `Quick
+            test_scheduler_matches_schedule;
           Alcotest.test_case "fixed delay draws nothing" `Quick
             test_fixed_delay_draws_nothing;
         ] );
