@@ -77,7 +77,7 @@ vvbench-smoke: ## every benchmark workload for 2 s; fails unless its correctness
 	  esac; \
 	done
 
-cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreachable daemon or an uncreatable --csv-dir; printed protocol labels parse (exit 0); never an uncaught exception, no socket file left
+cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreachable daemon or an uncreatable --csv-dir; printed protocol labels parse (exit 0); never an uncaught exception, a hang or a socket file left
 	dune build
 	@rm -f _build/cli-smoke.sock; status=0; \
 	for case in "124 serve --socket _build/cli-smoke.sock --batch 0" \
@@ -95,13 +95,17 @@ cli-smoke: ## bad CLI input: a usage error (exit 124), or exit 1 for an unreacha
 	  "124 bounds -n 5 -t-1" "124 bounds -n-5 -t 1" \
 	  "124 bounds -n 5 -t 1 --bg=-1" "124 bounds -n 5 -t 1 --cg=-1" \
 	  "0 run -p algo2-sct" "0 run -p sct-incr" \
+	  "124 serve --port 70000" "124 load --port 70000 --retry-for 0" \
+	  "124 serve --socket _build/cli-smoke.sock --follow 127.0.0.1:70000" \
+	  "124 serve --socket _build/cli-smoke.sock --follow 127.0.0.1:99999999999999999999999" \
 	  "124 load --socket _build/cli-smoke-missing/x.sock --retry-for 0 --subjects=-1" \
 	  "1 load --socket _build/cli-smoke-missing/x.sock --retry-for 0" \
 	  "1 all --profile=smoke --csv-dir=_build/cli-smoke-missing/x" \
 	  "124 exp nope" "124 exp e2" "124 check --format=cs" \
 	  "124 check --validity=,"; do \
 	  want=$${case%% *}; args=$${case#* }; \
-	  timeout 10 _build/default/bin/vvc.exe $$args > /dev/null 2> _build/cli-smoke.err; \
+	  timeout --preserve-status -k 5 10 _build/default/bin/vvc.exe $$args \
+	    > /dev/null 2> _build/cli-smoke.err; \
 	  code=$$?; \
 	  if [ $$code -ne $$want ] || grep -qi "uncaught exception" _build/cli-smoke.err \
 	     || [ -e _build/cli-smoke.sock ]; then \

@@ -87,6 +87,15 @@ let int_at_least ~flag min =
 let non_negative_int ~flag = int_at_least ~flag 0
 let positive_int ~flag = int_at_least ~flag 1
 
+(* A TCP port, 0 (any free port) to 65535.  A value past the range is a
+   usage error, not a port taken modulo 65536 by the socket call. *)
+let port_of_string s =
+  match int_of_string_opt s with
+  | Some p when p >= 0 && p <= 65535 -> Ok p
+  | Some _ | None -> Error (`Msg (Fmt.str "port %S is not in 0-65535" s))
+
+let port = C.Arg.conv (port_of_string, Fmt.int)
+
 let jobs_term =
   C.Arg.(
     value

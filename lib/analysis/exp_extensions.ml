@@ -48,8 +48,6 @@ let e14a_row (label, votes) =
     Table.icell (max_wf (Weighted.sct_guaranteed ~tie) votes);
   ]
 
-module Approval = Vv_core.Approval.Make (Vv_bb.Plain)
-
 let e14b_table () =
   Table.create
     ~title:
@@ -97,7 +95,7 @@ let e14b_row (label, approvals) =
   in
   let cfg = Vv_sim.Config.with_byzantine ~n:7 ~t_max:1 [ 6 ] () in
   let r =
-    Approval.execute cfg ~speaker:0 ~subject:1 ~approvals ~quorum_gap:0
+    Vv_core.Approval.execute cfg ~speaker:0 ~subject:1 ~approvals ~quorum_gap:0
       ~collude:true ()
   in
   let term = List.for_all Option.is_some r.Vv_core.Approval.outputs in

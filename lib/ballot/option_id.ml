@@ -11,7 +11,6 @@ let of_int i =
 let to_int x = x
 let equal = Int.equal
 let compare = Int.compare
-let hash x = x
 
 let labels = [| "A"; "B"; "C"; "D"; "E"; "F"; "G"; "H" |]
 

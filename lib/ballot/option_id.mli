@@ -12,7 +12,6 @@ val of_int : int -> t
 val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val pp : t Fmt.t
 (** Prints [A], [B], ... for the first eight options, [optN] beyond. *)

@@ -24,7 +24,6 @@ let count t opt = match M.find_opt opt t with None -> 0 | Some c -> c
 let total t = M.fold (fun _ c acc -> acc + c) t 0
 let distinct t = M.cardinal t
 let support t = M.bindings t
-let options t = List.map fst (M.bindings t)
 let is_empty t = M.is_empty t
 let merge a b = M.union (fun _ x y -> Some (x + y)) a b
 
@@ -54,9 +53,3 @@ let gap ~tie t =
   match top ~tie t with
   | None -> None
   | Some { a_count; b_count; _ } -> Some (a_count - b_count)
-
-let pp ppf t =
-  let pair ppf (opt, c) = Fmt.pf ppf "%a:%d" Option_id.pp opt c in
-  Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ", ") pair) (M.bindings t)
-
-let equal = M.equal Int.equal

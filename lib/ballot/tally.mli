@@ -24,7 +24,6 @@ val distinct : t -> int
 val support : t -> (Option_id.t * int) list
 (** Bindings in option order. *)
 
-val options : t -> Option_id.t list
 val is_empty : t -> bool
 val merge : t -> t -> t
 (** Pointwise sum. *)
@@ -48,6 +47,3 @@ val plurality : tie:Tie_break.t -> t -> Option_id.t option
 
 val gap : tie:Tie_break.t -> t -> int option
 (** [a_count - b_count]; [None] on the empty tally. *)
-
-val pp : t Fmt.t
-val equal : t -> t -> bool

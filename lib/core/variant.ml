@@ -1,6 +1,7 @@
-(* Protocol variants: Algorithms 1-4 and the CFT protocol share one state
-   machine differing only in three knobs (plus the Phase-1 substrate and
-   communication model, chosen at instantiation / configuration time):
+(* Protocol variants: Algorithms 1-4, the CFT protocol and approval
+   voting share one state machine differing only in three knobs (plus
+   the Phase-1 substrate and communication model, chosen at
+   instantiation / configuration time):
 
    - the local judgment condition delta_P  (Alg. 1/3/4: 0; Alg. 2: t),
    - the decide quorum                     (Alg. 1/3/4: N - t; Alg. 2: t+1),
@@ -19,22 +20,21 @@ type propose_mode =
   | Incremental  (** Algorithm 3: propose as soon as Inequality (14) fires *)
 
 type t = {
-  label : string;
   judgment : judgment;
   quorum : quorum;
   propose : propose_mode;
   tie : Vv_ballot.Tie_break.t;
 }
 
-let v ?(tie = Vv_ballot.Tie_break.default) label judgment quorum propose =
-  { label; judgment; quorum; propose; tie }
+let v judgment quorum propose =
+  { judgment; quorum; propose; tie = Vv_ballot.Tie_break.default }
 
-let algo1 = v "algo1-bft" Delta_zero N_minus_t After_wait
-let algo2_sct = v "algo2-sct" Delta_t T_plus_1 After_wait
-let algo3_incremental = v "algo3-incremental" Delta_zero N_minus_t Incremental
-let algo4_local = v "algo4-local-broadcast" Delta_zero N_minus_t After_wait
-let cft = v "cft" Delta_zero N_minus_t After_wait
-let sct_incremental = v "sct-incremental" Delta_t T_plus_1 Incremental
+let algo1 = v Delta_zero N_minus_t After_wait
+let algo2_sct = v Delta_t T_plus_1 After_wait
+let algo3_incremental = v Delta_zero N_minus_t Incremental
+let algo4_local = v Delta_zero N_minus_t After_wait
+let cft = v Delta_zero N_minus_t After_wait
+let sct_incremental = v Delta_t T_plus_1 Incremental
 
 let delta_p t ~tolerance =
   match t.judgment with
@@ -46,5 +46,3 @@ let quorum_size t ~n ~tolerance =
   match t.quorum with N_minus_t -> n - tolerance | T_plus_1 -> tolerance + 1
 
 let with_tie tie t = { t with tie }
-
-let pp ppf t = Fmt.string ppf t.label

@@ -1,9 +1,11 @@
 (** Protocol variants: the knobs distinguishing Algorithms 1-4 and CFT.
 
-    All five protocols share one state machine ({!Voting.Make}); a variant
-    fixes the local judgment condition [delta_P], the decide quorum, and
-    the Phase-3 trigger. The Phase-1 substrate and communication model are
-    chosen at instantiation/configuration time. *)
+    All five protocols, and approval voting ({!Approval}: Algorithm 1's
+    knobs with a custom [delta_P]), share one state machine
+    ({!Voting.Make}); a variant fixes the local judgment condition
+    [delta_P], the decide quorum, and the Phase-3 trigger. The Phase-1
+    substrate and communication model are chosen at
+    instantiation/configuration time. *)
 
 type judgment =
   | Delta_zero  (** Algorithms 1, 3, 4 and CFT *)
@@ -20,7 +22,6 @@ type propose_mode =
   | Incremental  (** Algorithm 3: propose as soon as Inequality (14) fires *)
 
 type t = {
-  label : string;
   judgment : judgment;
   quorum : quorum;
   propose : propose_mode;
@@ -42,4 +43,3 @@ val sct_incremental : t
 val delta_p : t -> tolerance:int -> int
 val quorum_size : t -> n:int -> tolerance:int -> int
 val with_tie : Vv_ballot.Tie_break.t -> t -> t
-val pp : t Fmt.t

@@ -18,11 +18,3 @@ let default_ng = 10
 let distribution ?(ng = default_ng) t = Multinomial.create ~n:ng ~p:t.p
 
 let initial_entropy ?(ng = default_ng) t = Entropy.initial_system ~ng t.p
-
-let find name =
-  List.find_opt (fun d -> String.equal d.name name) all
-
-let pp ppf t =
-  Fmt.pf ppf "%s=(%a)" t.name
-    Fmt.(array ~sep:(any ", ") (fmt "%.2f"))
-    t.p

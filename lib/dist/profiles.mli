@@ -24,6 +24,3 @@ val default_ng : int
 val distribution : ?ng:int -> t -> Multinomial.t
 val initial_entropy : ?ng:int -> t -> float
 (** The legend's [H_0]. *)
-
-val find : string -> t option
-val pp : t Fmt.t

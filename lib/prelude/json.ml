@@ -149,8 +149,6 @@ let to_string t =
   assert (written = len);
   Bytes.unsafe_to_string b
 
-let pp ppf t = Fmt.string ppf (to_string t)
-
 let of_int_option = function None -> Null | Some i -> Int i
 
 (* --- parser --- *)

@@ -21,8 +21,6 @@ val to_string : t -> string
 (** Compact (single-line) JSON. [Float] values with no JSON representation
     (NaN, infinities) print as [null]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val of_int_option : int option -> t
 (** [None] is [Null]. *)
 

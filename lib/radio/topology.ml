@@ -140,8 +140,3 @@ let diameter t =
       dist
   done;
   !best
-
-let pp ppf t =
-  Array.iteri
-    (fun u l -> Fmt.pf ppf "%d: %a@." u Fmt.(list ~sep:sp int) l)
-    t

@@ -33,5 +33,3 @@ val connected : ?removed:Vv_sim.Types.node_id list -> t -> bool
 
 val diameter : t -> int
 (** Raises [Invalid_argument] on disconnected graphs. *)
-
-val pp : t Fmt.t

@@ -150,11 +150,3 @@ let with_byzantine ?comm ?delay ?max_rounds ?seed ?topology ?network
     byz;
   make ~faults ?comm ?delay ?max_rounds ?seed ?topology ?network ?retransmit
     ~n ~t_max ()
-
-let pp ppf cfg =
-  Fmt.pf ppf "n=%d t=%d faulty=%d comm=%a delay=%a" cfg.n cfg.t_max
-    (faulty_count cfg) Types.pp_comm_model cfg.comm Delay.pp cfg.delay;
-  if not (Network.is_none cfg.network) then
-    Fmt.pf ppf " chaos(%a)" Network.pp cfg.network;
-  Option.iter (fun r -> Fmt.pf ppf " retransmit(%a)" Retransmit.pp r)
-    cfg.retransmit

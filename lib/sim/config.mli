@@ -82,5 +82,3 @@ val with_byzantine :
   unit ->
   t
 (** All nodes honest except the listed Byzantine ones. *)
-
-val pp : t Fmt.t

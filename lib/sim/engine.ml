@@ -88,12 +88,6 @@
 
 exception Invalid_adversary of string
 
-(* Round-level tracing: enable with `Logs.Src.set_level Engine.log_src
-   (Some Logs.Debug)` (the vvc CLI exposes this as --trace). *)
-let log_src = Logs.Src.create "vv.engine" ~doc:"simulation engine rounds"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 (* --- packed deliveries and untyped buffers (engine-internal) --- *)
 
 (* Meta word layout: [attempt lsl 40 | src lsl 20 | dst].  20 bits per id
@@ -354,7 +348,6 @@ module Make (P : Protocol.S) = struct
     n : int;
     max_rounds : int;
     chaos_active : bool;
-    debugging : bool;
     step_until : int array;
         (* last round (inclusive) each node still steps: crash nodes step
            through their crash round, Byzantine nodes never do *)
@@ -420,8 +413,6 @@ module Make (P : Protocol.S) = struct
       n;
       max_rounds = cfg.Config.max_rounds;
       chaos_active;
-      debugging =
-        (match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false);
       step_until =
         Array.init n (fun id ->
             match cfg.Config.faults.(id) with
@@ -774,10 +765,7 @@ module Make (P : Protocol.S) = struct
                 r.newly_decided <- id :: r.newly_decided;
                 if Fault.is_honest r.cfg.Config.faults.(id) then
                   r.undecided_honest <- r.undecided_honest - 1;
-                Trace.record_decide r.tb ~round ~node:id;
-                if r.debugging then
-                  Log.debug (fun m ->
-                      m "%s: node %d decided at round %d" P.name id round))
+                Trace.record_decide r.tb ~round ~node:id)
         | None -> ());
         expand_outbox r ~round ~src:id
       end
@@ -821,11 +809,6 @@ module Make (P : Protocol.S) = struct
     Trace.record_round r.tb ~round ~honest_sent:honest_buf.blen
       ~byz_sent:(List.length plans) ~dropped:r.dropped ~duplicated:r.duplicated
       ~retransmitted:r.retransmitted ~newly_decided:r.newly_decided;
-    if r.debugging then
-      Log.debug (fun m ->
-          m "%s: round %d sent honest=%d byzantine=%d dropped=%d (%s)" P.name
-            round honest_buf.blen (List.length plans) r.dropped
-            adversary.Adversary.name);
     if r.undecided_honest = 0 then false
     else if
       (* Fast-forward: when nothing is in flight, no timer can fire, the

@@ -15,10 +15,6 @@
 
 exception Invalid_adversary of string
 
-val log_src : Logs.src
-(** Round-level tracing source ("vv.engine"); set its level to [Debug] to
-    watch sends and decisions per round. *)
-
 module Make (P : Protocol.S) : sig
   type result = {
     config : Config.t;

@@ -32,7 +32,6 @@ let set_view t ~srcs ~msgs ~off ~len =
 let set_empty t = t.len <- 0
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let src t i = t.srcs.(t.off + i)
 let msg (t : 'msg t) i : 'msg = Obj.obj t.msgs.(t.off + i)

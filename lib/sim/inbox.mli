@@ -15,7 +15,6 @@
 type 'msg t
 
 val length : 'msg t -> int
-val is_empty : 'msg t -> bool
 
 val src : 'msg t -> int -> Types.node_id
 (** Sender of entry [i] (0-indexed within this view). *)

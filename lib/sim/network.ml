@@ -112,11 +112,3 @@ let transit_i t rng ~round ~src ~dst =
       t.duplicate > 0.0 && Vv_prelude.Rng.float rng < t.duplicate
     in
     (extra lsl 1) lor (if duplicate then 1 else 0)
-
-let pp ppf t =
-  if is_none t then Fmt.string ppf "none"
-  else
-    Fmt.pf ppf "drop=%.2f dup=%.2f jitter=%d partitions=%d outages=%d seed=%#x"
-      t.drop t.duplicate t.jitter
-      (List.length t.partitions)
-      (List.length t.outages) t.seed

@@ -100,5 +100,3 @@ val transit_i : t -> Vv_prelude.Rng.t -> round:int -> src:Types.node_id -> dst:T
 val extra_delay : t -> Vv_prelude.Rng.t -> int
 (** An independent jitter draw (0 when [jitter = 0], without consuming
     randomness) — used for the duplicate copy's own delay. *)
-
-val pp : t Fmt.t

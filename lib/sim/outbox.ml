@@ -35,7 +35,6 @@ let create () =
   { dsts = Array.make 16 0; msgs = Array.make 16 dummy; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let clear t =
   (* Drop message references so a cleared outbox does not keep the last
@@ -66,11 +65,6 @@ let broadcast t msg = push t broadcast_dst msg
 
 let dst t i = t.dsts.(i)
 let msg (t : 'msg t) i : 'msg = Obj.obj t.msgs.(i)
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f ~dst:t.dsts.(i) (msg t i)
-  done
 
 (* Append every entry of [t], with messages mapped through [f], to
    [into] — the wrapping step of an embedded sub-machine (e.g. Voting

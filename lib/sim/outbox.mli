@@ -19,7 +19,6 @@ val clear : 'msg t -> unit
 (** Forget all entries (and drop their message references). *)
 
 val length : 'msg t -> int
-val is_empty : 'msg t -> bool
 
 val unicast : 'msg t -> Types.node_id -> 'msg -> unit
 (** Queue a point-to-point send.  Only legal under
@@ -41,10 +40,6 @@ val dst : 'msg t -> int -> int
 
 val msg : 'msg t -> int -> 'msg
 (** Message of entry [i]. *)
-
-val iter : (dst:int -> 'msg -> unit) -> 'msg t -> unit
-(** [iter f t] applies [f] to every entry in emission order; [dst] is
-    {!broadcast_dst} for broadcasts. *)
 
 val transfer : 'a t -> f:('a -> 'b) -> into:'b t -> unit
 (** [transfer t ~f ~into] appends every entry of [t] to [into] with the

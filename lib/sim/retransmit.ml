@@ -18,6 +18,3 @@ let backoff t ~attempt =
      stop growing once the cap is reached. *)
   let rec grow b k = if k <= 1 || b >= t.cap then b else grow (b * 2) (k - 1) in
   min (grow t.base attempt) t.cap
-
-let pp ppf t =
-  Fmt.pf ppf "backoff=%d..%d attempts=%d" t.base t.cap t.max_attempts

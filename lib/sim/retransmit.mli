@@ -29,5 +29,3 @@ val default : t
 val backoff : t -> attempt:int -> int
 (** Rounds to wait before retry number [attempt] (1-based):
     [min (base * 2^(attempt - 1), cap)]. *)
-
-val pp : t Fmt.t

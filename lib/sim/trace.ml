@@ -292,10 +292,3 @@ let to_json s =
                s.phases) );
         ("rounds", Json.List (List.map (round_to_json ~chaos:s.chaos) s.rounds));
       ])
-
-let pp ppf s =
-  Fmt.pf ppf "%s vs %s: %d rounds, msgs(honest=%d byz=%d), stalled=%b"
-    s.protocol s.adversary s.total_rounds s.honest_msgs s.byz_msgs s.stalled;
-  if s.chaos then
-    Fmt.pf ppf ", chaos(dropped=%d dup=%d retrans=%d)" s.dropped_msgs
-      s.dup_msgs s.retrans_msgs

@@ -122,5 +122,3 @@ val to_csv : snapshot -> string
     spliced in after [byz_sent] when the snapshot has [chaos = true]. *)
 
 val to_json : snapshot -> Vv_prelude.Json.t
-
-val pp : Format.formatter -> snapshot -> unit

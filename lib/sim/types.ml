@@ -15,9 +15,5 @@ type node_id = int
    message is received identically by all neighbours (complete graph). *)
 type comm_model = Point_to_point | Local_broadcast
 
-let pp_comm_model ppf = function
-  | Point_to_point -> Fmt.string ppf "point-to-point"
-  | Local_broadcast -> Fmt.string ppf "local-broadcast"
-
 (* A concrete src -> dst message in flight. *)
 type 'msg delivery = { src : node_id; dst : node_id; msg : 'msg }

@@ -15,8 +15,6 @@ type comm_model =
       (** every message is received identically by all nodes (Section
           III-B3, complete graph) *)
 
-val pp_comm_model : comm_model Fmt.t
-
 type 'msg delivery = { src : node_id; dst : node_id; msg : 'msg }
 (** A concrete point-to-point message in flight, as observed by the
     rushing adversary ({!Adversary.view}). *)
