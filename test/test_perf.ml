@@ -337,6 +337,40 @@ let test_line_read_allocation () =
   check_budget "Chan.read_lines per line" (!words / count)
     words_per_line_budget
 
+(* A pipelined batch a call: 100 calls of [Chan.read_lines], each on 56
+   lines of 147 bytes, so each call's first 4 KiB read ends inside a
+   line and the buffer grows to 8 KiB for the rest.  A buffer that size
+   is allocated on the major heap, where [Gc.minor_words] does not see
+   it, so the words allocated there directly are counted here.  The
+   grown buffer is kept from call to call: the run costs one 8 KiB
+   buffer, 1,026 words.  Returned to 4 KiB after each call, it cost
+   1,540 words a call. *)
+let major_words_budget = 2 * 1026
+
+let test_line_read_major_allocation () =
+  let calls = 100 and lines = 56 in
+  let batch =
+    String.concat "" (List.init lines (fun _ -> String.make 147 'x' ^ "\n"))
+  in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ch = Vv_serve.Chan.of_fd b in
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let words = ref 0. and got = ref 0 in
+  for _ = 1 to calls do
+    ignore (Unix.write_substring a batch 0 (String.length batch));
+    let w0 = direct () in
+    got := !got + List.length (Vv_serve.Chan.read_lines ch);
+    words := !words +. (direct () -. w0)
+  done;
+  Vv_serve.Chan.close ch;
+  Unix.close a;
+  Alcotest.(check int) "every line read" (calls * lines) !got;
+  check_budget "Chan.read_lines major-heap words, 100 calls"
+    (int_of_float !words) major_words_budget
+
 (* --- scripted prefix sharing --- *)
 
 (* [Runner.run_checked] resumes each script of a checker cell from the
@@ -578,6 +612,8 @@ let () =
             test_log_load_allocation;
           Alcotest.test_case "line read words/line" `Quick
             test_line_read_allocation;
+          Alcotest.test_case "line read major words/100 calls" `Quick
+            test_line_read_major_allocation;
           Alcotest.test_case "resumed script vs fresh run words" `Quick
             test_prefix_sharing_allocation;
           Alcotest.test_case "reused vs built first action words" `Quick
